@@ -37,19 +37,30 @@ from .hilden import (
     HildenExpression,
     expand_expression,
     format_expression,
+    hilden_generators,
     parse_expression,
-    search_membership,
+    preserves_pairing,
 )
 from .plats import (
     DEFAULT_BRACKET_BUDGET,
     Triviality,
+    bracket_triviality,
     component_count,
+    kauffman_bracket,
     plat_closure,
-    triviality_check,
 )
-from .stabilize import StabilizationProfile, stabilize_by_profile, swap_chain
+from .search import bfs
+from .stabilize import StabilizationProfile, profile_blocks, stabilize_by_profile
 from .systems import BraidSystem, MonodromyEntry
-from .words import BraidWord, braids_equal, parse_braid, product
+from .words import (
+    BraidWord,
+    artin_apply,
+    artin_fingerprint,
+    braids_equal,
+    identity_images,
+    json_field,
+    parse_braid,
+)
 
 
 class CertificateError(ValueError):
@@ -157,11 +168,13 @@ def admissibility_report(
     """Check that both the base and the surgered plat close into trivial links."""
     before = plat_closure(bb.base)
     after = plat_closure(band_surgery(bb))
+    c1 = component_count(before)
+    c2 = component_count(after)
     return AdmissibilityReport(
-        base_components=component_count(before),
-        surgered_components=component_count(after),
-        base_verdict=triviality_check(before, budget),
-        surgered_verdict=triviality_check(after, budget),
+        base_components=c1,
+        surgered_components=c2,
+        base_verdict=bracket_triviality(kauffman_bracket(before, budget), c1),
+        surgered_verdict=bracket_triviality(kauffman_bracket(after, budget), c2),
     )
 
 
@@ -236,19 +249,12 @@ def _tail_with_events(
     their inverses, a word equal to the identity) and the ordered list of
     (position, letter) insertions that rebuild the full tail.
     """
-    m = profile.pairs
-    strands = 2 * profile.total
     scaffold: list[int] = []
     events: list[tuple[int, int]] = []
     offset = 0
-    for i in range(1, m + 1):
-        if profile.entries[i - 1] == 0:
-            continue
-        lo = profile.prefix_total(i - 1)
-        hi = profile.prefix_total(i)
-        chain = swap_chain(i, lo - 1, m, strands).letters
-        scaffold.extend(chain)
-        scaffold.extend(-g for g in reversed(chain))
+    for lo, hi, chain in profile_blocks(profile):
+        scaffold.extend(chain.letters)
+        scaffold.extend(-g for g in reversed(chain.letters))
         for j, k in enumerate(range(lo, hi)):
             events.append((offset + len(chain) + j, 2 * k))
         offset += 2 * len(chain) + (hi - lo)
@@ -257,19 +263,12 @@ def _tail_with_events(
 
 def _deletion_events(profile: StabilizationProfile) -> list[int]:
     """Positions that peel a tail back down to its scaffold, in removal order."""
-    m = profile.pairs
-    strands = 2 * profile.total
     positions: list[int] = []
     offset = 0
-    for i in range(1, m + 1):
-        if profile.entries[i - 1] == 0:
-            continue
-        lo = profile.prefix_total(i - 1)
-        hi = profile.prefix_total(i)
-        chain_len = len(swap_chain(i, lo - 1, m, strands).letters)
+    for lo, hi, chain in profile_blocks(profile):
         # deleting at a fixed position eats the whole run left to right
-        positions.extend([offset + chain_len] * (hi - lo))
-        offset += 2 * chain_len
+        positions.extend([offset + len(chain)] * (hi - lo))
+        offset += 2 * len(chain)
     return positions
 
 
@@ -421,47 +420,33 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _enumerate_expressions(m: int, depth: int):
-    """Distinct Hilden subgroup elements as (expression, word), by BFS depth."""
-    from .hilden import hilden_generators
-    from .words import artin_fingerprint
-
-    gens = hilden_generators(m)
+def _hilden_ball(m: int, depth: int) -> dict[tuple, HildenExpression]:
+    """Fingerprint to least expression of each Hilden element within ``depth`` factors."""
     steps = []
-    for idx, gen in enumerate(gens):
+    for idx, gen in enumerate(hilden_generators(m)):
         for exp in (1, -1):
-            steps.append((idx, exp, gen if exp == 1 else gen.inverse()))
-    identity = BraidWord.identity(2 * m)
-    seen = {artin_fingerprint(identity)}
-    frontier = [(HildenExpression(m, ()), identity)]
-    yield frontier[0]
-    for _ in range(depth):
-        nxt = []
-        for expr, word in frontier:
-            for idx, exp, factor in steps:
-                new_word = word * factor
-                fp = artin_fingerprint(new_word)
-                if fp in seen:
-                    continue
-                seen.add(fp)
-                item = (
-                    HildenExpression(m, expr.factors + ((idx, exp),)),
-                    new_word,
-                )
-                nxt.append(item)
-                yield item
-        frontier = nxt
+            steps.append(((idx, exp), (gen if exp == 1 else gen.inverse()).letters))
+
+    def successors(fp, _depth):
+        return [(move, artin_apply(fp, letters)) for move, letters in steps]
+
+    start = identity_images(2 * m)
+    return {
+        fp: HildenExpression(m, factors)
+        for fp, _, factors in bfs(start, lambda fp: fp, successors, depth)
+    }
 
 
 def _find_sides(
-    target: BraidWord, middle: BraidWord, m: int, depth: int
+    target: BraidWord, middle: BraidWord, ball: dict[tuple, HildenExpression]
 ) -> tuple[HildenExpression, HildenExpression] | None:
-    """Expressions (left, right) with target = left * middle * right."""
-    for left_expr, left_word in _enumerate_expressions(m, depth):
-        needed = middle.inverse() * left_word.inverse() * target
-        right_expr = search_membership(needed.free_reduced(), depth)
-        if right_expr is not None:
-            return left_expr, right_expr
+    """Expressions (left, right) with target = left * middle * right, left in ball order."""
+    for left in ball.values():
+        needed = (middle.inverse() * expand_expression(left).inverse() * target).free_reduced()
+        if preserves_pairing(needed):
+            right = ball.get(artin_fingerprint(needed))
+            if right is not None:
+                return left, right
     return None
 
 
@@ -479,31 +464,32 @@ def search_certificates(
     are exhausted.
     """
     m0 = bb.base.strands // 2
+    surgered = band_surgery(bb)
     c1 = component_count(plat_closure(bb.base))
-    c2 = component_count(plat_closure(band_surgery(bb)))
+    c2 = component_count(plat_closure(surgered))
     if max(m0, c1, c2) > max_pairs:
         return None
     report = admissibility_report(bb, budget)
     if not report.admissible:
         raise ValueError("banded braid is not admissible")
 
-    surgered = band_surgery(bb)
     for m in range(max(m0, c1, c2), max_pairs + 1):
         lams = [StabilizationProfile(t) for t in _compositions(m - m0, m0)]
         lam1s = [StabilizationProfile(t) for t in _compositions(m - c1, c1)]
         lam2s = [StabilizationProfile(t) for t in _compositions(m - c2, c2)]
         for depth in range(max_factors + 1):
+            ball = _hilden_ball(m, depth)
             for lam in lams:
                 beta1 = stabilize_by_profile(bb.base, lam)
                 beta2 = stabilize_by_profile(surgered, lam)
                 for lam1 in lam1s:
                     alpha1 = stabilize_by_profile(BraidWord.identity(2 * c1), lam1)
-                    first = _find_sides(beta1, alpha1, m, depth)
+                    first = _find_sides(beta1, alpha1, ball)
                     if first is None:
                         continue
                     for lam2 in lam2s:
                         alpha2 = stabilize_by_profile(BraidWord.identity(2 * c2), lam2)
-                        second = _find_sides(beta2, alpha2, m, depth)
+                        second = _find_sides(beta2, alpha2, ball)
                         if second is None:
                             continue
                         return Certificates(
@@ -529,13 +515,14 @@ def banded_to_obj(bb: BandedBraid) -> dict:
 
 
 def banded_from_obj(obj: dict) -> BandedBraid:
-    strands = obj["strands"]
-    base = parse_braid(obj.get("base", ""), strands)
+    strands = json_field(obj, "strands", int)
+    base = parse_braid(json_field(obj, "base", str, ""), strands)
     bands = []
-    for item in obj.get("bands", []):
+    for item in json_field(obj, "bands", list, []):
+        slot = json_field(item, "slot", int)
         raw = item["time"]
         time = Fraction(raw) if isinstance(raw, str) else Fraction(str(raw))
-        bands.append(Band(item["slot"], item["sign"], time))
+        bands.append(Band(slot, json_field(item, "sign", int), time))
     return BandedBraid(base, tuple(bands))
 
 

@@ -42,10 +42,10 @@ from .hilden import (
 from .motion import motion_svg, motion_to_obj, plan_motion, plat_motion, system_motion
 from .plats import (
     DEFAULT_BRACKET_BUDGET,
+    bracket_triviality,
     component_count,
     kauffman_bracket,
     plat_closure,
-    triviality_check,
 )
 from .stabilize import StabilizationProfile, stabilize, stabilize_by_profile
 from .systems import (
@@ -204,13 +204,13 @@ def _cmd_bracket(args) -> int:
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
     diagram = plat_closure(parse_braid(args.word, args.strands))
     poly = kauffman_bracket(diagram, budget)
-    verdict = triviality_check(diagram, budget)
+    components = component_count(diagram)
     _emit(
         args,
         [
             ("bracket", str(poly)),
-            ("components", component_count(diagram)),
-            ("triviality", verdict.value),
+            ("components", components),
+            ("triviality", bracket_triviality(poly, components).value),
         ],
     )
     return 0

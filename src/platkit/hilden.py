@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .search import bfs
 from .words import (
     BraidWord,
     Permutation,
@@ -180,42 +181,28 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         for exp in (1, -1):
             factor = gen if exp == 1 else gen.inverse()
             steps.append(
-                (idx, exp, factor.letters, exponent_sum(factor), pair_permutation(factor))
+                ((idx, exp), factor.letters, exponent_sum(factor), pair_permutation(factor))
             )
 
     max_step_sum = max(abs(exponent_sum(g)) for g in gens)
 
-    def viable(depth: int, fp_sum: int, pair_perm: Permutation) -> bool:
-        remaining = max_len - depth
-        gap = abs(target_sum - fp_sum)
-        if gap > remaining * max_step_sum:
-            return False
-        need = _coxeter_length(pair_perm.inverse() * target_pairs)
-        return need <= remaining
+    def successors(state, depth):
+        # drop children that cannot reach the target in the factors left; each
+        # factor changes the pair permutation by one adjacent swap at most
+        fp, esum, pperm = state
+        remaining = max_len - depth - 1
+        children = []
+        for move, letters, step_sum, step_pperm in steps:
+            new_sum = esum + step_sum
+            new_pperm = pperm * step_pperm
+            if abs(target_sum - new_sum) > remaining * max_step_sum:
+                continue
+            if _coxeter_length(new_pperm.inverse() * target_pairs) <= remaining:
+                children.append((move, (artin_apply(fp, letters), new_sum, new_pperm)))
+        return children
 
-    start_fp = identity_images(2 * m)
-    if target_fp == start_fp:
-        return HildenExpression(m, ())
-    seen = {start_fp}
-    frontier: list[tuple[tuple, int, Permutation, tuple[tuple[int, int], ...]]] = [
-        (start_fp, 0, Permutation.identity(m), ())
-    ]
-    for depth in range(max_len):
-        nxt = []
-        for fp, esum, pperm, expr in frontier:
-            for idx, exp, letters, step_sum, step_pperm in steps:
-                new_fp = artin_apply(fp, letters)
-                if new_fp in seen:
-                    continue
-                seen.add(new_fp)
-                new_expr = expr + ((idx, exp),)
-                if new_fp == target_fp:
-                    return HildenExpression(m, new_expr)
-                new_sum = esum + step_sum
-                new_pperm = pperm * step_pperm
-                if viable(depth + 1, new_sum, new_pperm):
-                    nxt.append((new_fp, new_sum, new_pperm, new_expr))
-        frontier = nxt
-        if not frontier:
-            break
+    start = (identity_images(2 * m), 0, Permutation.identity(m))
+    for fp, _, factors in bfs(start, lambda state: state[0], successors, max_len):
+        if fp == target_fp:
+            return HildenExpression(m, factors)
     return None

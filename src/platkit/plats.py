@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .laurent import LOOP, Laurent
+from .laurent import LOOP, Laurent, equal_up_to_unit
 from .words import BraidWord, BudgetError, strand_permutation
 
 DEFAULT_BRACKET_BUDGET = 24
@@ -179,6 +179,13 @@ class Triviality(Enum):
     CONSISTENT_WITH_TRIVIAL = "ConsistentWithTrivial"
 
 
+def bracket_triviality(bracket: Laurent, components: int) -> Triviality:
+    """The verdict of :func:`triviality_check` from a plat's bracket and components."""
+    if equal_up_to_unit(bracket, LOOP ** (components - 1)):
+        return Triviality.CONSISTENT_WITH_TRIVIAL
+    return Triviality.NOT_TRIVIAL
+
+
 def triviality_check(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET) -> Triviality:
     """Bracket-based semi-decision for the c-component trivial link.
 
@@ -186,16 +193,7 @@ def triviality_check(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     multiple of the c-component trivial link's bracket.  A NOT_TRIVIAL
     verdict is conclusive; the other direction is only a consistency check.
     """
-    c = component_count(diagram)
-    bracket = kauffman_bracket(diagram, budget)
-    target = LOOP ** (c - 1)
-    if bracket.is_zero():
-        return Triviality.NOT_TRIVIAL
-    k = bracket.max_degree() - target.max_degree()
-    shifted = target.shift(k)
-    if bracket == shifted or bracket == -shifted:
-        return Triviality.CONSISTENT_WITH_TRIVIAL
-    return Triviality.NOT_TRIVIAL
+    return bracket_triviality(kauffman_bracket(diagram, budget), component_count(diagram))
 
 
 def pd_lines(diagram: PlatDiagram) -> list[str]:

@@ -20,6 +20,7 @@ to a unit, which is what makes the move a stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .words import BraidWord, embed, product
 
@@ -104,6 +105,18 @@ def swap_chain(i: int, j: int, pivot: int, strands: int) -> BraidWord:
     return product(parts, strands=strands)
 
 
+def profile_blocks(profile: StabilizationProfile) -> Iterator[tuple[int, int, BraidWord]]:
+    """(lo, hi, swap chain) of each block with inserted pairs, as the tail uses them."""
+    m = profile.pairs
+    strands = 2 * profile.total
+    for i in range(1, m + 1):
+        if profile.entries[i - 1] == 0:
+            continue
+        lo = profile.prefix_total(i - 1)
+        hi = profile.prefix_total(i)
+        yield lo, hi, swap_chain(i, lo - 1, m, strands)
+
+
 def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
     """The braid appended by the generalized stabilization with this profile.
 
@@ -111,15 +124,9 @@ def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
     conjugated into place by a swap chain.  Blocks with no inserted pairs
     contribute nothing.
     """
-    m = profile.pairs
     strands = 2 * profile.total
     parts = []
-    for i in range(1, m + 1):
-        if profile.entries[i - 1] == 0:
-            continue
-        lo = profile.prefix_total(i - 1)
-        hi = profile.prefix_total(i)
-        chain = swap_chain(i, lo - 1, m, strands)
+    for lo, hi, chain in profile_blocks(profile):
         run = BraidWord(strands, tuple(2 * k for k in range(lo, hi)))
         parts.append(chain * run * chain.inverse())
     return product(parts, strands=strands)

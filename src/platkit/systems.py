@@ -19,12 +19,14 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+from .search import bfs
 from .words import (
     BraidWord,
     artin_fingerprint,
     braids_equal,
     embed,
     exponent_sum,
+    json_field,
     parse_braid,
     product,
     strand_permutation,
@@ -193,45 +195,21 @@ def hurwitz_search(
         return HurwitzResult(
             HurwitzStatus.NOT_EQUIVALENT, reason="cycle-type multisets differ"
         )
-    if budget < 1:
-        return HurwitzResult(HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=0)
-
     target = _system_fingerprint(s2)
-    start = _system_fingerprint(s1)
-    if start == target:
-        return HurwitzResult(HurwitzStatus.EQUIVALENT, moves=(), explored=1)
     moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
-    seen = {start: None}  # fingerprint -> (parent fp, move)
-    frontier = [(start, s1)]
-    explored = 1
-    while frontier:
-        nxt = []
-        for fp, sys_state in frontier:
-            for j, inv in moves_menu:
-                child = slide(sys_state, j, inverse=inv)
-                child_fp = _system_fingerprint(child)
-                if child_fp in seen:
-                    continue
-                if explored >= budget:
-                    return HurwitzResult(
-                        HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored
-                    )
-                seen[child_fp] = (fp, (j, inv))
-                explored += 1
-                if child_fp == target:
-                    path = []
-                    cur = child_fp
-                    while seen[cur] is not None:
-                        parent, move = seen[cur]
-                        path.append(move)
-                        cur = parent
-                    return HurwitzResult(
-                        HurwitzStatus.EQUIVALENT,
-                        moves=tuple(reversed(path)),
-                        explored=explored,
-                    )
-                nxt.append((child_fp, child))
-        frontier = nxt
+
+    def successors(system, depth):
+        return [((j, inv), slide(system, j, inverse=inv)) for j, inv in moves_menu]
+
+    explored = 0
+    for fp, _, moves in bfs(s1, _system_fingerprint, successors):
+        if explored >= budget:
+            return HurwitzResult(
+                HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored
+            )
+        explored += 1
+        if fp == target:
+            return HurwitzResult(HurwitzStatus.EQUIVALENT, moves=moves, explored=explored)
     return HurwitzResult(
         HurwitzStatus.NOT_EQUIVALENT, reason="orbit enumerated", explored=explored
     )
@@ -374,9 +352,9 @@ def system_to_obj(system: BraidSystem) -> dict:
 
 def system_from_obj(obj: dict, promote: bool = False) -> BraidSystem:
     """Build a system from parsed JSON; optionally factor palindromic words."""
-    degree = obj["degree"]
+    degree = json_field(obj, "degree", int)
     entries: list[Entry] = []
-    for item in obj["entries"]:
+    for item in json_field(obj, "entries", list):
         if isinstance(item, str):
             word = parse_braid(item, degree)
             if promote:
@@ -387,9 +365,9 @@ def system_from_obj(obj: dict, promote: bool = False) -> BraidSystem:
         else:
             entries.append(
                 MonodromyEntry(
-                    parse_braid(item["conjugator"], degree),
-                    item["index"],
-                    item["sign"],
+                    parse_braid(json_field(item, "conjugator", str), degree),
+                    json_field(item, "index", int),
+                    json_field(item, "sign", int),
                 )
             )
     return BraidSystem(degree, tuple(entries))

@@ -168,6 +168,21 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
+def json_field(obj: object, key: str, kind: type, default: object = None):
+    """``obj[key]`` from parsed JSON, checked to be a ``kind`` (a bool is no int).
+
+    ``obj`` must be a JSON object.  A missing key falls back to ``default``
+    when one is given and raises KeyError otherwise; a value of the wrong
+    type raises ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def embed(word: BraidWord, strands: int) -> BraidWord:
     """Reinterpret ``word`` inside a braid group on at least as many strands."""
     if strands < word.strands:

@@ -412,3 +412,31 @@ class TestHarness:
         assert code == 0
         assert out == ""
         assert path.read_text() == "components=1\n"
+
+
+class TestMalformedInput:
+    def write(self, tmp_path, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_system_degree_as_text(self, capsys, tmp_path):
+        path = self.write(tmp_path, '{"degree": "3", "entries": ["1", "2"]}\n')
+        code, _, err = run(capsys, "surface-invariants", "--in", path)
+        assert code == 2
+        assert "'degree' must be of type int" in err
+
+    def test_system_as_list(self, capsys, tmp_path):
+        path = self.write(tmp_path, "[1, 2]\n")
+        code, _, err = run(capsys, "surface-invariants", "--in", path)
+        assert code == 2
+        assert "expected a JSON object" in err
+
+    def test_banded_slot_as_text(self, capsys, tmp_path):
+        path = self.write(
+            tmp_path,
+            '{"strands": 4, "base": "", "bands": [{"slot": "2", "sign": 1, "time": "1/2"}]}\n',
+        )
+        code, _, err = run(capsys, "banded-check", path)
+        assert code == 2
+        assert "'slot' must be of type int" in err

@@ -521,7 +521,10 @@ def banded_from_obj(obj: dict) -> BandedBraid:
     for item in json_field(obj, "bands", list, []):
         slot = json_field(item, "slot", int)
         raw = item["time"]
-        time = Fraction(raw) if isinstance(raw, str) else Fraction(str(raw))
+        try:
+            time = Fraction(raw) if isinstance(raw, str) else Fraction(str(raw))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"band time {raw!r} divides by zero") from exc
         bands.append(Band(slot, json_field(item, "sign", int), time))
     return BandedBraid(base, tuple(bands))
 
@@ -547,14 +550,20 @@ def certificates_to_obj(certs: Certificates) -> dict:
 
 
 def certificates_from_obj(obj: dict) -> Certificates:
+    def profile(key: str) -> StabilizationProfile:
+        return StabilizationProfile.parse(json_field(obj, key, str))
+
+    def expression(key: str) -> HildenExpression:
+        return parse_expression(json_field(obj, key, str))
+
     return Certificates(
-        profile=StabilizationProfile.parse(obj["profile"]),
-        profile1=StabilizationProfile.parse(obj["profile1"]),
-        profile2=StabilizationProfile.parse(obj["profile2"]),
-        gamma=parse_expression(obj["gamma"]),
-        gamma_prime=parse_expression(obj["gamma_prime"]),
-        delta=parse_expression(obj["delta"]),
-        delta_prime=parse_expression(obj["delta_prime"]),
+        profile=profile("profile"),
+        profile1=profile("profile1"),
+        profile2=profile("profile2"),
+        gamma=expression("gamma"),
+        gamma_prime=expression("gamma_prime"),
+        delta=expression("delta"),
+        delta_prime=expression("delta_prime"),
     )
 
 
@@ -588,39 +597,51 @@ def plan_to_obj(plan: BraidedSurfacePlan) -> dict:
 
 
 def plan_from_obj(obj: dict) -> BraidedSurfacePlan:
-    degree = obj["degree"]
+    degree = json_field(obj, "degree", int)
 
-    def word(text: str | None) -> BraidWord | None:
-        return None if text is None else parse_braid(text, degree)
+    def word(item: object, key: str) -> BraidWord:
+        return parse_braid(json_field(item, key, str), degree)
 
-    strips = tuple(
-        StripRecord(
-            name=s["name"],
-            bottom=word(s["bottom"]),
-            top=word(s["top"]),
-            left=word(s["left"]),
-            right=word(s["right"]),
+    def side(strip: dict, key: str) -> BraidWord | None:
+        # the side words of a strip are written as null when absent
+        return None if key in strip and strip[key] is None else word(strip, key)
+
+    def strip_from_obj(s: object) -> StripRecord:
+        return StripRecord(
+            name=json_field(s, "name", str),
+            bottom=word(s, "bottom"),
+            top=word(s, "top"),
+            left=side(s, "left"),
+            right=side(s, "right"),
             bands=tuple(
-                PlanBand(b["slot"], b["sign"], b["position"], b["kind"])
-                for b in s["bands"]
+                PlanBand(
+                    json_field(b, "slot", int),
+                    json_field(b, "sign", int),
+                    json_field(b, "position", int),
+                    json_field(b, "kind", str),
+                )
+                for b in json_field(s, "bands", list)
             ),
         )
-        for s in obj["strips"]
-    )
+
+    strips = tuple(strip_from_obj(s) for s in json_field(obj, "strips", list))
     branch_points = tuple(
-        MonodromyEntry(parse_braid(e["conjugator"], degree), e["index"], e["sign"])
-        for e in obj["branch_points"]
+        MonodromyEntry(
+            word(e, "conjugator"), json_field(e, "index", int), json_field(e, "sign", int)
+        )
+        for e in json_field(obj, "branch_points", list)
     )
+    factors = json_field(obj, "boundary_factors", list)
+    if not all(isinstance(t, str) for t in factors):
+        raise ValueError(f"'boundary_factors' must be a list of strings, got {factors!r}")
     return BraidedSurfacePlan(
         degree=degree,
         strips=strips,
         branch_points=branch_points,
-        boundary=parse_braid(obj["boundary"], degree),
-        boundary_factors=tuple(
-            parse_expression(t) for t in obj["boundary_factors"]
-        ),
-        chi=obj["chi"],
-        certificates=certificates_from_obj(obj["certificates"]),
+        boundary=word(obj, "boundary"),
+        boundary_factors=tuple(parse_expression(t) for t in factors),
+        chi=json_field(obj, "chi", int),
+        certificates=certificates_from_obj(json_field(obj, "certificates", dict)),
     )
 
 

@@ -29,7 +29,6 @@ from .bands import (
     plan_from_json,
     plan_to_json,
     plan_to_obj,
-    realizing_euler_characteristic,
     search_certificates,
 )
 from .hilden import (
@@ -342,7 +341,10 @@ def _cmd_banded_check(args) -> int:
             ("base_verdict", report.base_verdict.value),
             ("surgered_verdict", report.surgered_verdict.value),
             ("admissible", report.admissible),
-            ("realizing_euler", realizing_euler_characteristic(bb)),
+            (
+                "realizing_euler",
+                report.base_components + report.surgered_components - len(bb.bands),
+            ),
             ("surgered_word", band_surgery(bb).text()),
         ],
     )

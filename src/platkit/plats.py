@@ -143,7 +143,15 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
 
     The sum over all 2^c smoothings is evaluated by sweeping the word once
     and carrying, for every planar matching of the current endpoints, the
-    total coefficient of the states that produce it.  Raises
+    total coefficient of the states that produce it as a plain
+    ``{exponent: int}`` dict.  Every factor a letter contributes is a shift:
+    with s = +1 for a positive letter and -1 for a negative one, the
+    straight smoothing adds a state's coefficients at exponent e - s, the
+    cup-cap smoothing at e + s, or, when it closes a loop (-A^2 - A^-2),
+    subtracts them at e + s - 2 and e + s + 2.  Zero coefficients are
+    dropped once per letter.  The surviving matchings are capped off by the
+    top pairing and summed by loop count, so each loop power multiplies
+    once, and one :class:`Laurent` is built at the end.  Raises
     :class:`BudgetError` when the diagram has more than ``budget`` crossings.
     """
     if len(diagram.word) > budget:
@@ -151,27 +159,49 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
             f"diagram has {len(diagram.word)} crossings, over the budget of {budget}"
         )
     start = tuple(diagram.bottom(i + 1) - 1 for i in range(diagram.word.strands))
-    states: dict[tuple[int, ...], Laurent] = {start: Laurent.one()}
-    a_pos = Laurent.unit(1)
-    a_neg = Laurent.unit(-1)
+    states: dict[tuple[int, ...], dict[int, int]] = {start: {0: 1}}
     for g in diagram.word.letters:
         i = abs(g) - 1
-        cup_coeff, id_coeff = (a_pos, a_neg) if g > 0 else (a_neg, a_pos)
-        nxt: dict[tuple[int, ...], Laurent] = {}
-        for matching, coeff in states.items():
-            straight = coeff * id_coeff
-            nxt[matching] = nxt.get(matching, Laurent.zero()) + straight
+        s = 1 if g > 0 else -1
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for matching, coeffs in states.items():
+            acc = nxt.get(matching)
+            if acc is None:
+                acc = nxt[matching] = {}
+            for e, c in coeffs.items():
+                k = e - s
+                acc[k] = acc.get(k, 0) + c
             rewired, closed = _cupcap(matching, i)
-            turned = coeff * cup_coeff
             if closed:
-                turned = turned * LOOP
-            nxt[rewired] = nxt.get(rewired, Laurent.zero()) + turned
-        states = {m: c for m, c in nxt.items() if not c.is_zero()}
-    total = Laurent.zero()
-    for matching, coeff in states.items():
-        loops = _close_loops(matching, diagram.top)
-        total = total + coeff * LOOP ** (loops - 1)
-    return total
+                # closing a loop leaves the matching as it was: same dict
+                for e, c in coeffs.items():
+                    k = e + s - 2
+                    acc[k] = acc.get(k, 0) - c
+                    k += 4
+                    acc[k] = acc.get(k, 0) - c
+            else:
+                acc = nxt.get(rewired)
+                if acc is None:
+                    acc = nxt[rewired] = {}
+                for e, c in coeffs.items():
+                    k = e + s
+                    acc[k] = acc.get(k, 0) + c
+        states = {}
+        for matching, acc in nxt.items():
+            kept = {e: c for e, c in acc.items() if c}
+            if kept:
+                states[matching] = kept
+    by_loops: dict[int, dict[int, int]] = {}
+    for matching, coeffs in states.items():
+        acc = by_loops.setdefault(_close_loops(matching, diagram.top), {})
+        for e, c in coeffs.items():
+            acc[e] = acc.get(e, 0) + c
+    total: dict[int, int] = {}
+    for loops, coeffs in by_loops.items():
+        for e2, c2 in (LOOP ** (loops - 1)).coeffs:
+            for e, c in coeffs.items():
+                total[e + e2] = total.get(e + e2, 0) + c * c2
+    return Laurent.from_dict(total)
 
 
 class Triviality(Enum):

@@ -192,16 +192,12 @@ def embed(word: BraidWord, strands: int) -> BraidWord:
 
 def strand_permutation(word: BraidWord) -> Permutation:
     """Where each bottom endpoint ends up at the top of the braid."""
-    images = list(range(1, word.strands + 1))
+    strand_at = list(range(1, word.strands + 1))
     for g in word.letters:
         i = abs(g) - 1
         # the strands currently at positions i+1 and i+2 swap
-        for p in range(word.strands):
-            if images[p] == i + 1:
-                images[p] = i + 2
-            elif images[p] == i + 2:
-                images[p] = i + 1
-    return Permutation(tuple(images))
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    return Permutation(tuple(strand_at)).inverse()
 
 
 def exponent_sum(word: BraidWord) -> int:

@@ -440,3 +440,33 @@ class TestMalformedInput:
         code, _, err = run(capsys, "banded-check", path)
         assert code == 2
         assert "'slot' must be of type int" in err
+
+    def test_banded_time_divides_by_zero(self, capsys, tmp_path):
+        path = self.write(
+            tmp_path,
+            '{"strands": 4, "base": "", "bands": [{"slot": 2, "sign": 1, "time": "1/0"}]}\n',
+        )
+        code, _, err = run(capsys, "banded-check", path)
+        assert code == 2
+        assert "divides by zero" in err
+
+    def test_certificate_profile_as_number(self, capsys, toy_file, tmp_path):
+        certs = {
+            "profile": 3,
+            "profile1": "0,0",
+            "profile2": "1",
+            "gamma": "m=2",
+            "gamma_prime": "m=2",
+            "delta": "m=2",
+            "delta_prime": "m=2",
+        }
+        path = self.write(tmp_path, json.dumps(certs))
+        code, _, err = run(capsys, "compile", toy_file, "--certs", path)
+        assert code == 2
+        assert "'profile' must be of type str" in err
+
+    def test_plan_strips_as_number(self, capsys, tmp_path):
+        path = self.write(tmp_path, '{"degree": 4, "strips": 5}\n')
+        code, _, err = run(capsys, "export-mp", "plan", path)
+        assert code == 2
+        assert "'strips' must be of type list" in err

@@ -15,6 +15,7 @@ from platkit.plats import (
     plat_closure,
     triviality_check,
 )
+from platkit.stabilize import stabilize
 from platkit.words import BraidWord, BudgetError, parse_braid
 
 U = Laurent.unit
@@ -62,6 +63,72 @@ def components_via_pd(diagram: PlatDiagram) -> int:
             a, b = map(int, parts[1:])
             union(a, b)
     return len({find(x) for x in parent})
+
+
+def reference_bracket(diagram: PlatDiagram) -> Laurent:
+    """The state sum as it stood on :class:`Laurent` objects, kept as an oracle.
+
+    Every state carries a frozen polynomial and every smoothing multiplies
+    it by A^{+-1} or by the loop value, with no integer shortcuts.
+    """
+
+    def cupcap(matching: tuple[int, ...], a: int) -> tuple[tuple[int, ...], bool]:
+        b = a + 1
+        m = list(matching)
+        if m[a] == b:
+            return matching, True
+        x, y = m[a], m[b]
+        m[x], m[y] = y, x
+        m[a], m[b] = b, a
+        return tuple(m), False
+
+    def close_loops(matching: tuple[int, ...]) -> int:
+        n = len(matching)
+        seen = [False] * n
+        loops = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            loops += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                y = matching[x]
+                seen[y] = True
+                x = diagram.top(y + 1) - 1
+        return loops
+
+    start = tuple(diagram.bottom(i + 1) - 1 for i in range(diagram.word.strands))
+    states: dict[tuple[int, ...], Laurent] = {start: Laurent.one()}
+    a_pos = Laurent.unit(1)
+    a_neg = Laurent.unit(-1)
+    for g in diagram.word.letters:
+        i = abs(g) - 1
+        cup_coeff, id_coeff = (a_pos, a_neg) if g > 0 else (a_neg, a_pos)
+        nxt: dict[tuple[int, ...], Laurent] = {}
+        for matching, coeff in states.items():
+            straight = coeff * id_coeff
+            nxt[matching] = nxt.get(matching, Laurent.zero()) + straight
+            rewired, closed = cupcap(matching, i)
+            turned = coeff * cup_coeff
+            if closed:
+                turned = turned * LOOP
+            nxt[rewired] = nxt.get(rewired, Laurent.zero()) + turned
+        states = {m: c for m, c in nxt.items() if not c.is_zero()}
+    total = Laurent.zero()
+    for matching, coeff in states.items():
+        total = total + coeff * LOOP ** (close_loops(matching) - 1)
+    return total
+
+
+def signed_word(rng: random.Random, strands: int, length: int, signs: str) -> BraidWord:
+    """A random word whose letters are all positive, all negative or mixed."""
+    letters = []
+    for _ in range(length):
+        g = rng.randint(1, strands - 1)
+        sign = {"+": 1, "-": -1, "+-": rng.choice((1, -1))}[signs]
+        letters.append(sign * g)
+    return BraidWord(strands, tuple(letters))
 
 
 class TestPlatClosure:
@@ -182,6 +249,46 @@ class TestBracket:
         assert not equal_up_to_unit(b, b + Laurent.one())
         assert not equal_up_to_unit(b, Laurent.zero())
         assert equal_up_to_unit(Laurent.zero(), Laurent.zero())
+
+
+class TestBracketCrossCheck:
+    """The integer-dict sweep against the Laurent-object oracle."""
+
+    def cases(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for k in range(count):
+            strands = 2 * rng.randint(1, 6)
+            length = 0 if k % 10 == 0 else rng.randint(0, 40)
+            yield signed_word(rng, strands, length, ("+", "-", "+-")[k % 3])
+
+    def test_matches_oracle(self):
+        words = list(self.cases(51, 66))
+        assert {w.strands for w in words} == {2, 4, 6, 8, 10, 12}
+        assert sum(1 for w in words if not w.letters) >= 6
+        for w in words:
+            diagram = plat_closure(w)
+            assert kauffman_bracket(diagram, budget=40) == reference_bracket(diagram)
+
+    def test_matches_oracle_on_long_words(self):
+        rng = random.Random(52)
+        for _ in range(4):
+            w = signed_word(rng, 12, 40, "+-")
+            diagram = plat_closure(w)
+            assert kauffman_bracket(diagram, budget=40) == reference_bracket(diagram)
+
+    def test_mirror_substitutes_inverse(self):
+        for w in self.cases(53, 30):
+            mirror = BraidWord(w.strands, tuple(-g for g in w.letters))
+            b = kauffman_bracket(plat_closure(w), budget=40)
+            bm = kauffman_bracket(plat_closure(mirror), budget=40)
+            assert bm == Laurent.from_dict({-e: c for e, c in b.coeffs})
+
+    def test_stabilization_multiplies_by_a_unit(self):
+        for w in self.cases(54, 30):
+            b = kauffman_bracket(plat_closure(w), budget=41)
+            bs = kauffman_bracket(plat_closure(stabilize(w, 1)), budget=41)
+            assert equal_up_to_unit(bs, b)
+            assert not bs.is_zero()
 
 
 class TestTriviality:

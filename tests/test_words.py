@@ -104,6 +104,32 @@ class TestPermutation:
         assert Permutation.identity(3).cycle_type() == (1, 1, 1)
 
 
+def scanned_permutation(word: BraidWord) -> Permutation:
+    """Strand permutation by rescanning every strand for each letter."""
+    images = list(range(1, word.strands + 1))
+    for g in word.letters:
+        i = abs(g) - 1
+        for p in range(word.strands):
+            if images[p] == i + 1:
+                images[p] = i + 2
+            elif images[p] == i + 2:
+                images[p] = i + 1
+    return Permutation(tuple(images))
+
+
+class TestStrandPermutation:
+    def test_small_cases(self):
+        assert strand_permutation(parse_braid("1", 3)) == Permutation((2, 1, 3))
+        assert strand_permutation(parse_braid("1 2", 3)) == Permutation((3, 1, 2))
+        assert strand_permutation(BraidWord.identity(4)) == Permutation.identity(4)
+
+    def test_matches_scan(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            w = random_word(rng, rng.randint(2, 12), rng.randint(0, 60))
+            assert strand_permutation(w) == scanned_permutation(w)
+
+
 class TestEquality:
     def test_braid_relations_all_sizes(self):
         for n in range(3, 9):

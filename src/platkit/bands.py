@@ -30,14 +30,16 @@ the boundary word gamma^{-1} delta delta' gamma'^{-1}.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .hilden import (
     HildenExpression,
+    _hilden_ball,
     expand_expression,
     format_expression,
-    hilden_generators,
     parse_expression,
     preserves_pairing,
 )
@@ -49,15 +51,12 @@ from .plats import (
     kauffman_bracket,
     plat_closure,
 )
-from .search import bfs
 from .stabilize import StabilizationProfile, profile_blocks, stabilize_by_profile
 from .systems import BraidSystem, MonodromyEntry
 from .words import (
     BraidWord,
-    artin_apply,
     artin_fingerprint,
     braids_equal,
-    identity_images,
     json_field,
     parse_braid,
 )
@@ -106,7 +105,7 @@ class BandedBraid:
 
 def _base_index(band: Band, length: int) -> int:
     """Letters of a length-L word sit at heights k/(L+1); count those below."""
-    return sum(1 for k in range(1, length + 1) if Fraction(k, length + 1) <= band.time)
+    return band.time.numerator * (length + 1) // band.time.denominator
 
 
 def surgery_events(bb: BandedBraid) -> list[tuple[int, int]]:
@@ -242,7 +241,7 @@ class BraidedSurfacePlan:
 
 def _tail_with_events(
     profile: StabilizationProfile,
-) -> tuple[list[int], list[tuple[int, int]]]:
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
     """Scaffold word of a stabilization tail plus insertions that complete it.
 
     Returns the tail with its new-pair runs removed (the swap chains and
@@ -258,22 +257,14 @@ def _tail_with_events(
         for j, k in enumerate(range(lo, hi)):
             events.append((offset + len(chain) + j, 2 * k))
         offset += 2 * len(chain) + (hi - lo)
-    return scaffold, events
+    return tuple(scaffold), events
 
 
 def _deletion_events(profile: StabilizationProfile) -> list[int]:
     """Positions that peel a tail back down to its scaffold, in removal order."""
-    positions: list[int] = []
-    offset = 0
-    for lo, hi, chain in profile_blocks(profile):
-        # deleting at a fixed position eats the whole run left to right
-        positions.extend([offset + len(chain)] * (hi - lo))
-        offset += 2 * len(chain)
-    return positions
-
-
-def _suffix_inverse(letters: list[int], start: int) -> tuple[int, ...]:
-    return tuple(-g for g in reversed(letters[start:]))
+    # each insertion's letter, shifted left by the run letters removed before it
+    _, events = _tail_with_events(profile)
+    return [pos - rank for rank, (pos, _) in enumerate(events)]
 
 
 def compile_surface(
@@ -323,69 +314,56 @@ def compile_surface(
         raise CertificateError("second side certificate failed")
 
     branch_points: list[MonodromyEntry] = []
-    plan_bands: dict[str, list[PlanBand]] = {"E1": [], "E3": [], "E5": []}
 
-    def insert_entry(section: list[int], pos: int, letter: int, r_below: tuple[int, ...]):
-        u = BraidWord(n, r_below + _suffix_inverse(section, pos)).free_reduced()
-        branch_points.append(
-            MonodromyEntry(u, abs(letter), 1 if letter > 0 else -1)
-        )
-        section.insert(pos, letter)
+    def sweep(section: tuple[int, ...], events, r_below: tuple[int, ...], kind: str):
+        """Top section and plan bands of strip E1, E3 or E5; appends its branch points.
 
-    def delete_entry(section: list[int], pos: int, r_below: tuple[int, ...]):
-        letter = section[pos]
-        u = BraidWord(n, r_below + _suffix_inverse(section, pos + 1)).free_reduced()
-        branch_points.append(
-            MonodromyEntry(u, abs(letter), -1 if letter > 0 else 1)
-        )
-        del section[pos]
+        An event ``(pos, letter)`` inserts the letter at ``pos``; a letter of
+        None removes the one there, with the opposite sign.  The conjugator
+        is the right edge below times the inverse of the section to the right.
+        """
+        letters = list(section)
+        bands = []
+        for pos, letter in events:
+            removing = letter is None
+            if removing:
+                letter = letters.pop(pos)
+            sign = (1 if letter > 0 else -1) * (-1 if removing else 1)
+            right_inv = tuple(-g for g in reversed(letters[pos:]))
+            u = BraidWord(n, r_below + right_inv).free_reduced()
+            branch_points.append(MonodromyEntry(u, abs(letter), sign))
+            bands.append(PlanBand(abs(letter), sign, pos, kind))
+            if not removing:
+                letters.insert(pos, letter)
+        return tuple(letters), tuple(bands)
 
     # E1: rebuild the first tail from its scaffold; no side braids below
     alpha1_star, e1_events = _tail_with_events(lam1)
-    section = list(alpha1_star)
-    for pos, letter in e1_events:
-        plan_bands["E1"].append(PlanBand(abs(letter), 1, pos, "stabilize_bottom"))
-        insert_entry(section, pos, letter, ())
-    if section != list(alpha1.letters):
+    top, e1_bands = sweep(alpha1_star, e1_events, (), "stabilize_bottom")
+    if top != alpha1.letters:
         raise AssertionError("tail reconstruction out of step")
 
     # E3: the carried bands, below them the right edge contributes gamma'
-    r_below_e3 = gamma_p_w.letters
-    section = list(beta1.letters)
-    for pos, letter in surgery_events(bb):
-        plan_bands["E3"].append(
-            PlanBand(abs(letter), 1 if letter > 0 else -1, pos, "surgery")
-        )
-        insert_entry(section, pos, letter, r_below_e3)
-    if section != list(beta2.letters):
+    top, e3_bands = sweep(beta1.letters, surgery_events(bb), gamma_p_w.letters, "surgery")
+    if top != beta2.letters:
         raise AssertionError("band surgery out of step")
 
     # E5: peel the second tail; right edge below is gamma' then delta' reversed
-    r_below_e5 = (gamma_p_w * delta_p_w.inverse()).letters
-    section = list(alpha2.letters)
-    for pos in _deletion_events(lam2):
-        letter = section[pos]
-        plan_bands["E5"].append(
-            PlanBand(abs(letter), -1 if letter > 0 else 1, pos, "stabilize_top")
-        )
-        delete_entry(section, pos, r_below_e5)
-    alpha2_star = tuple(section)
+    alpha2_star, e5_bands = sweep(
+        alpha2.letters,
+        [(pos, None) for pos in _deletion_events(lam2)],
+        (gamma_p_w * delta_p_w.inverse()).letters,
+        "stabilize_top",
+    )
 
     identity = BraidWord.identity(n)
     strips = (
-        StripRecord("E0", identity, BraidWord(n, tuple(alpha1_star))),
-        StripRecord(
-            "E1",
-            BraidWord(n, tuple(alpha1_star)),
-            alpha1,
-            bands=tuple(plan_bands["E1"]),
-        ),
+        StripRecord("E0", identity, BraidWord(n, alpha1_star)),
+        StripRecord("E1", BraidWord(n, alpha1_star), alpha1, bands=e1_bands),
         StripRecord("E2", alpha1, beta1, left=gamma_w.inverse(), right=gamma_p_w),
-        StripRecord("E3", beta1, beta2, bands=tuple(plan_bands["E3"])),
+        StripRecord("E3", beta1, beta2, bands=e3_bands),
         StripRecord("E4", beta2, alpha2, left=delta_w, right=delta_p_w.inverse()),
-        StripRecord(
-            "E5", alpha2, BraidWord(n, alpha2_star), bands=tuple(plan_bands["E5"])
-        ),
+        StripRecord("E5", alpha2, BraidWord(n, alpha2_star), bands=e5_bands),
         StripRecord("E6", BraidWord(n, alpha2_star), identity),
     )
 
@@ -420,33 +398,19 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _hilden_ball(m: int, depth: int) -> dict[tuple, HildenExpression]:
-    """Fingerprint to least expression of each Hilden element within ``depth`` factors."""
-    steps = []
-    for idx, gen in enumerate(hilden_generators(m)):
-        for exp in (1, -1):
-            steps.append(((idx, exp), (gen if exp == 1 else gen.inverse()).letters))
-
-    def successors(fp, _depth):
-        return [(move, artin_apply(fp, letters)) for move, letters in steps]
-
-    start = identity_images(2 * m)
-    return {
-        fp: HildenExpression(m, factors)
-        for fp, _, factors in bfs(start, lambda fp: fp, successors, depth)
-    }
-
-
 def _find_sides(
-    target: BraidWord, middle: BraidWord, ball: dict[tuple, HildenExpression]
-) -> tuple[HildenExpression, HildenExpression] | None:
-    """Expressions (left, right) with target = left * middle * right, left in ball order."""
-    for left in ball.values():
-        needed = (middle.inverse() * expand_expression(left).inverse() * target).free_reduced()
-        if preserves_pairing(needed):
-            right = ball.get(artin_fingerprint(needed))
-            if right is not None:
-                return left, right
+    target: BraidWord,
+    middles: list[tuple[StabilizationProfile, BraidWord]],
+    ball: dict[tuple, HildenExpression],
+) -> tuple[StabilizationProfile, HildenExpression, HildenExpression] | None:
+    """The first (profile, left, right) with target = left * middle * right, left in ball order."""
+    for profile, middle in middles:
+        for left in ball.values():
+            needed = (middle.inverse() * expand_expression(left).inverse() * target).free_reduced()
+            if preserves_pairing(needed):
+                right = ball.get(artin_fingerprint(needed))
+                if right is not None:
+                    return profile, left, right
     return None
 
 
@@ -472,35 +436,39 @@ def search_certificates(
     report = admissibility_report(bb, budget)
     if not report.admissible:
         raise ValueError("banded braid is not admissible")
+    if max_factors < 0:
+        return None
+
+    def stabilized(word: BraidWord, m: int) -> list[tuple[StabilizationProfile, BraidWord]]:
+        pairs = word.strands // 2
+        profiles = map(StabilizationProfile, _compositions(m - pairs, pairs))
+        return [(lam, stabilize_by_profile(word, lam)) for lam in profiles]
 
     for m in range(max(m0, c1, c2), max_pairs + 1):
-        lams = [StabilizationProfile(t) for t in _compositions(m - m0, m0)]
-        lam1s = [StabilizationProfile(t) for t in _compositions(m - c1, c1)]
-        lam2s = [StabilizationProfile(t) for t in _compositions(m - c2, c2)]
-        for depth in range(max_factors + 1):
-            ball = _hilden_ball(m, depth)
-            for lam in lams:
-                beta1 = stabilize_by_profile(bb.base, lam)
-                beta2 = stabilize_by_profile(surgered, lam)
-                for lam1 in lam1s:
-                    alpha1 = stabilize_by_profile(BraidWord.identity(2 * c1), lam1)
-                    first = _find_sides(beta1, alpha1, ball)
-                    if first is None:
-                        continue
-                    for lam2 in lam2s:
-                        alpha2 = stabilize_by_profile(BraidWord.identity(2 * c2), lam2)
-                        second = _find_sides(beta2, alpha2, ball)
-                        if second is None:
-                            continue
-                        return Certificates(
-                            profile=lam,
-                            profile1=lam1,
-                            profile2=lam2,
-                            gamma=first[0],
-                            gamma_prime=first[1],
-                            delta=second[0],
-                            delta_prime=second[1],
-                        )
+        betas = list(zip(stabilized(bb.base, m), stabilized(surgered, m)))
+        alpha1s = stabilized(BraidWord.identity(2 * c1), m)
+        alpha2s = stabilized(BraidWord.identity(2 * c2), m)
+        # one ball per m, grown a factor at a time: depth d searches radius d
+        ball: dict[tuple, HildenExpression] = {}
+        entries = _hilden_ball(m, max_factors)
+        for _, layer in groupby(entries, key=lambda entry: len(entry[1].factors)):
+            ball.update(layer)
+            for (lam, beta1), (_, beta2) in betas:
+                first = _find_sides(beta1, alpha1s, ball)
+                if first is None:
+                    continue
+                second = _find_sides(beta2, alpha2s, ball)
+                if second is None:
+                    continue
+                return Certificates(
+                    profile=lam,
+                    profile1=first[0],
+                    profile2=second[0],
+                    gamma=first[1],
+                    gamma_prime=first[2],
+                    delta=second[1],
+                    delta_prime=second[2],
+                )
     return None
 
 
@@ -514,6 +482,9 @@ def banded_to_obj(bb: BandedBraid) -> dict:
     }
 
 
+_TIME_TEXT = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
 def banded_from_obj(obj: dict) -> BandedBraid:
     strands = json_field(obj, "strands", int)
     base = parse_braid(json_field(obj, "base", str, ""), strands)
@@ -521,6 +492,9 @@ def banded_from_obj(obj: dict) -> BandedBraid:
     for item in json_field(obj, "bands", list, []):
         slot = json_field(item, "slot", int)
         raw = item["time"]
+        # exponent notation would have Fraction expand the power of ten
+        if isinstance(raw, str) and not _TIME_TEXT.fullmatch(raw):
+            raise ValueError(f"band time {raw!r} must be an integer, p/q or a plain decimal")
         try:
             time = Fraction(raw) if isinstance(raw, str) else Fraction(str(raw))
         except ZeroDivisionError as exc:

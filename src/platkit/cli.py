@@ -95,9 +95,13 @@ def _pick(flag_value: int | None, fallback: int) -> int:
     return fallback if env is None else env
 
 
-def _emit(args, pairs: list[tuple[str, object]], force_stdout: bool = False) -> None:
+def _emit(
+    args, pairs: list[tuple[str, object]], document=None, force_stdout: bool = False
+) -> None:
+    """Print ``pairs`` as key=value lines, or under --json ``document``
+    (``dict(pairs)`` when None); --out takes the text unless ``force_stdout``."""
     if args.json:
-        text = json.dumps(dict(pairs), indent=2) + "\n"
+        text = json.dumps(dict(pairs) if document is None else document, indent=2) + "\n"
     else:
         lines = []
         for key, value in pairs:
@@ -153,19 +157,6 @@ def _system_pairs(system: BraidSystem) -> list[tuple[str, object]]:
     for i, entry in enumerate(system.entries, start=1):
         pairs.append((f"entry_{i}", _entry_text(entry)))
     return pairs
-
-
-def _emit_system(args, system: BraidSystem) -> None:
-    if args.json:
-        text = json.dumps(system_to_obj(system), indent=2) + "\n"
-        out = getattr(args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(args, _system_pairs(system))
 
 
 def _cmd_parse(args) -> int:
@@ -254,7 +245,7 @@ def _cmd_slide(args) -> int:
     system = _load_system(args)
     for token in args.moves:
         system = slide(system, abs(token), inverse=token < 0)
-    _emit_system(args, system)
+    _emit(args, _system_pairs(system), system_to_obj(system))
     return 0
 
 
@@ -313,7 +304,8 @@ def _cmd_to_genuine_plat(args) -> int:
     if not is_two_dimensional(system):
         _emit(args, [("two_dimensional", False)])
         return 1
-    _emit_system(args, to_genuine_plat(system))
+    genuine = to_genuine_plat(system)
+    _emit(args, _system_pairs(genuine), system_to_obj(genuine))
     return 0
 
 
@@ -373,22 +365,16 @@ def _cmd_compile(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(plan_to_json(plan) + "\n")
-    if args.json:
-        sys.stdout.write(json.dumps(plan_to_obj(plan), indent=2) + "\n")
-    else:
-        _emit(
-            args,
-            [
-                ("degree", plan.degree),
-                ("branch_points", len(plan.branch_points)),
-                ("positive_branch_points", plan.positive_branch_points),
-                ("negative_branch_points", plan.negative_branch_points),
-                ("chi", plan.chi),
-                ("boundary", plan.boundary.text()),
-                ("boundary_adequate", preserves_pairing(plan.boundary)),
-            ],
-            force_stdout=True,
-        )
+    pairs: list[tuple[str, object]] = [
+        ("degree", plan.degree),
+        ("branch_points", len(plan.branch_points)),
+        ("positive_branch_points", plan.positive_branch_points),
+        ("negative_branch_points", plan.negative_branch_points),
+        ("chi", plan.chi),
+        ("boundary", plan.boundary.text()),
+        ("boundary_adequate", preserves_pairing(plan.boundary)),
+    ]
+    _emit(args, pairs, plan_to_obj(plan), force_stdout=True)
     return 0
 
 
@@ -406,16 +392,13 @@ def _cmd_export_mp(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(motion_svg(picture))
-    if args.json:
-        sys.stdout.write(json.dumps(motion_to_obj(picture), indent=2) + "\n")
-    else:
-        pairs: list[tuple[str, object]] = [
-            ("strands", picture.strands),
-            ("stills", len(picture.stills)),
-        ]
-        for i, still in enumerate(picture.stills, start=1):
-            pairs.append((f"still_{i}", f"{still.label} [{still.word.text()}]"))
-        _emit(args, pairs, force_stdout=True)
+    pairs: list[tuple[str, object]] = [
+        ("strands", picture.strands),
+        ("stills", len(picture.stills)),
+    ]
+    for i, still in enumerate(picture.stills, start=1):
+        pairs.append((f"still_{i}", f"{still.label} [{still.word.text()}]"))
+    _emit(args, pairs, motion_to_obj(picture), force_stdout=True)
     return 0
 
 

@@ -17,6 +17,7 @@ exists within the length bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .search import bfs
 from .words import (
@@ -44,6 +45,15 @@ def hilden_generators(m: int) -> list[BraidWord]:
             k = 2 * i
             gens.append(BraidWord(n, (k, k - 1, -(k + 1), -k)))
     return gens
+
+
+def _factor_table(m: int) -> dict[tuple[int, int], BraidWord]:
+    """Each signed factor ``(idx, +1 or -1)`` and its word, in expression rank order."""
+    table = {}
+    for idx, gen in enumerate(hilden_generators(m)):
+        table[(idx, 1)] = gen
+        table[(idx, -1)] = gen.inverse()
+    return table
 
 
 def preserves_pairing(word: BraidWord) -> bool:
@@ -99,11 +109,8 @@ class HildenExpression:
 
 def expand_expression(expr: HildenExpression) -> BraidWord:
     """Multiply out an expression into a braid word on 2m strands."""
-    gens = hilden_generators(expr.pairs)
-    parts = []
-    for idx, exp in expr.factors:
-        parts.append(gens[idx] if exp == 1 else gens[idx].inverse())
-    return product(parts, strands=2 * expr.pairs)
+    table = _factor_table(expr.pairs)
+    return product([table[f] for f in expr.factors], strands=2 * expr.pairs)
 
 
 def verify_membership(word: BraidWord, expr: HildenExpression) -> bool:
@@ -170,21 +177,14 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     if not preserves_pairing(word):
         return None
     m = word.strands // 2
-    gens = hilden_generators(m)
     target_fp = artin_fingerprint(word)
     target_sum = exponent_sum(word)
     target_pairs = pair_permutation(word)
-
-    # per-factor steps, in the order that defines lexicographic rank
-    steps = []
-    for idx, gen in enumerate(gens):
-        for exp in (1, -1):
-            factor = gen if exp == 1 else gen.inverse()
-            steps.append(
-                ((idx, exp), factor.letters, exponent_sum(factor), pair_permutation(factor))
-            )
-
-    max_step_sum = max(abs(exponent_sum(g)) for g in gens)
+    steps = [
+        (move, factor.letters, exponent_sum(factor), pair_permutation(factor))
+        for move, factor in _factor_table(m).items()
+    ]
+    max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
 
     def successors(state, depth):
         # drop children that cannot reach the target in the factors left; each
@@ -206,3 +206,19 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         if fp == target_fp:
             return HildenExpression(m, factors)
     return None
+
+
+def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression]]:
+    """(fingerprint, least expression) of each Hilden element within ``depth`` factors.
+
+    Lazily and in breadth-first order, so by factor count: the entries with
+    at most d factors come first and are the ball of radius d.
+    """
+    steps = [(move, factor.letters) for move, factor in _factor_table(m).items()]
+
+    def successors(fp, _depth):
+        return [(move, artin_apply(fp, letters)) for move, letters in steps]
+
+    start = identity_images(2 * m)
+    for fp, _, factors in bfs(start, lambda fp: fp, successors, depth):
+        yield fp, HildenExpression(m, factors)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .bands import BraidedSurfacePlan
 from .plats import PlatDiagram
 from .systems import BraidSystem, entry_word
-from .words import BraidWord, parse_braid, product
+from .words import BraidWord, json_field, parse_braid, product
 
 
 @dataclass(frozen=True)
@@ -151,20 +151,32 @@ def motion_to_obj(picture: MotionPicture) -> dict:
 
 
 def motion_from_obj(obj: dict) -> MotionPicture:
-    strands = obj["strands"]
+    strands = json_field(obj, "strands", int)
+
+    def wickets(still: dict, key: str) -> tuple[tuple[int, int], ...]:
+        pairs = json_field(still, key, list, [])
+        for pair in pairs:
+            if not isinstance(pair, list) or [type(v) for v in pair] != [int, int]:
+                raise ValueError(f"{key!r} must be a list of [int, int] pairs, got {pair!r}")
+        return tuple((a, b) for a, b in pairs)
+
     stills = tuple(
         Still(
-            label=s["label"],
+            label=json_field(s, "label", str),
             strands=strands,
-            word=parse_braid(s["word"], strands),
-            caps=tuple((a, b) for a, b in s.get("caps", [])),
-            cups=tuple((a, b) for a, b in s.get("cups", [])),
+            word=parse_braid(json_field(s, "word", str), strands),
+            caps=wickets(s, "caps"),
+            cups=wickets(s, "cups"),
             bands=tuple(
-                BandMark(m["slot"], m["sign"], m.get("label", ""))
-                for m in s.get("bands", [])
+                BandMark(
+                    json_field(m, "slot", int),
+                    json_field(m, "sign", int),
+                    json_field(m, "label", str, ""),
+                )
+                for m in json_field(s, "bands", list, [])
             ),
         )
-        for s in obj["stills"]
+        for s in json_field(obj, "stills", list)
     )
     return MotionPicture(stills)
 

@@ -84,28 +84,15 @@ def plat_closure(word: BraidWord) -> PlatDiagram:
 def component_count(diagram: PlatDiagram) -> int:
     """Number of link components of the plat closure.
 
-    Components are orbits of the group generated by the bottom involution
-    and the top involution pulled back through the braid's permutation.
+    The bottom pairing, carried up through the braid's permutation, is a
+    matching of the top endpoints; capping it off with the top pairing
+    closes one loop per component.
     """
-    n = diagram.word.strands
     pi = strand_permutation(diagram.word)
-    pi_inv = pi.inverse()
-    a = diagram.bottom
-    b = lambda x: pi_inv(diagram.top(pi(x)))  # noqa: E731
-    seen = [False] * n
-    orbits = 0
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        orbits += 1
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if seen[x - 1]:
-                continue
-            seen[x - 1] = True
-            stack.extend([a(x), b(x)])
-    return orbits
+    matching = [0] * diagram.word.strands
+    for x in range(1, diagram.word.strands + 1):
+        matching[pi(x) - 1] = pi(diagram.bottom(x)) - 1
+    return _close_loops(tuple(matching), diagram.top)
 
 
 def _close_loops(matching: tuple[int, ...], top: Pairing) -> int:

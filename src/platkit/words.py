@@ -172,12 +172,14 @@ def json_field(obj: object, key: str, kind: type, default: object = None):
     """``obj[key]`` from parsed JSON, checked to be a ``kind`` (a bool is no int).
 
     ``obj`` must be a JSON object.  A missing key falls back to ``default``
-    when one is given and raises KeyError otherwise; a value of the wrong
-    type raises ValueError.
+    when one is given; a missing key without one and a value of the wrong
+    type raise ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    value = obj[key] if default is None else obj.get(key, default)
+    if default is None and key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    value = obj.get(key, default)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
     return value

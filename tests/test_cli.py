@@ -450,6 +450,15 @@ class TestMalformedInput:
         assert code == 2
         assert "divides by zero" in err
 
+    def test_banded_time_in_exponent_notation(self, capsys, tmp_path):
+        path = self.write(
+            tmp_path,
+            '{"strands": 4, "base": "", "bands": [{"slot": 2, "sign": 1, "time": "1e-400"}]}\n',
+        )
+        code, _, err = run(capsys, "banded-check", path)
+        assert code == 2
+        assert "must be an integer, p/q or a plain decimal" in err
+
     def test_certificate_profile_as_number(self, capsys, toy_file, tmp_path):
         certs = {
             "profile": 3,

@@ -10,6 +10,7 @@ from platkit.motion import (
     MotionPicture,
     Still,
     motion_from_json,
+    motion_from_obj,
     motion_svg,
     motion_to_json,
     plan_motion,
@@ -126,6 +127,21 @@ class TestSerialization:
             system_motion(plan.as_system()),
         ):
             assert motion_from_json(motion_to_json(picture)) == picture
+
+
+class TestMalformedDocument:
+    def test_strands_as_text(self):
+        with pytest.raises(ValueError, match="'strands' must be of type int"):
+            motion_from_obj({"strands": "4", "stills": [{"label": "x", "word": "1"}]})
+
+    def test_missing_strands(self):
+        with pytest.raises(ValueError, match="missing field 'strands'"):
+            motion_from_obj({"stills": [{"label": "x", "word": "1"}]})
+
+    def test_wicket_not_a_pair(self):
+        still = {"label": "x", "word": "1", "caps": [[1, "2"]]}
+        with pytest.raises(ValueError, match="'caps' must be a list of"):
+            motion_from_obj({"strands": 4, "stills": [still]})
 
 
 class TestSvg:

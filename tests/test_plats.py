@@ -16,7 +16,7 @@ from platkit.plats import (
     triviality_check,
 )
 from platkit.stabilize import stabilize
-from platkit.words import BraidWord, BudgetError, parse_braid
+from platkit.words import BraidWord, BudgetError, parse_braid, strand_permutation
 
 U = Laurent.unit
 
@@ -173,6 +173,56 @@ class TestComponents:
             w = random_word(rng, 2 * m, rng.randint(0, 10))
             diagram = plat_closure(w)
             assert component_count(diagram) == components_via_pd(diagram)
+
+
+def orbit_components(diagram: PlatDiagram) -> int:
+    """Orbits of the bottom involution and the top involution pulled back
+    through the braid's permutation, walked one endpoint at a time."""
+    n = diagram.word.strands
+    pi = strand_permutation(diagram.word)
+    pi_inv = pi.inverse()
+    seen = [False] * n
+    orbits = 0
+    for start in range(1, n + 1):
+        if seen[start - 1]:
+            continue
+        orbits += 1
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if seen[x - 1]:
+                continue
+            seen[x - 1] = True
+            stack.extend([diagram.bottom(x), pi_inv(diagram.top(pi(x)))])
+    return orbits
+
+
+def random_pairing(rng: random.Random, size: int) -> Pairing:
+    points = list(range(1, size + 1))
+    rng.shuffle(points)
+    partner = [0] * size
+    for a, b in zip(points[::2], points[1::2]):
+        partner[a - 1], partner[b - 1] = b, a
+    return Pairing(tuple(partner))
+
+
+class TestComponentCountOracle:
+    def test_standard_pairings(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            strands = 2 * rng.randint(1, 8)
+            diagram = plat_closure(random_word(rng, strands, rng.randint(0, 40)))
+            assert component_count(diagram) == orbit_components(diagram)
+
+    def test_random_pairings(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            strands = 2 * rng.randint(1, 8)
+            word = random_word(rng, strands, rng.randint(0, 40))
+            diagram = PlatDiagram(
+                word, random_pairing(rng, strands), random_pairing(rng, strands)
+            )
+            assert component_count(diagram) == orbit_components(diagram)
 
 
 class TestBracket:

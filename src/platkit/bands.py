@@ -401,16 +401,21 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 def _find_sides(
     target: BraidWord,
     middles: list[tuple[StabilizationProfile, BraidWord]],
-    ball: dict[tuple, HildenExpression],
+    ball: dict[tuple, tuple[HildenExpression, BraidWord]],
 ) -> tuple[StabilizationProfile, HildenExpression, HildenExpression] | None:
-    """The first (profile, left, right) with target = left * middle * right, left in ball order."""
+    """The first (profile, left, right) with target = left * middle * right, left in ball order.
+
+    The ball maps each fingerprint to its expression and that expression's
+    inverse word.
+    """
     for profile, middle in middles:
-        for left in ball.values():
-            needed = (middle.inverse() * expand_expression(left).inverse() * target).free_reduced()
+        middle_inverse = middle.inverse()
+        for left, left_inverse in ball.values():
+            needed = (middle_inverse * left_inverse * target).free_reduced()
             if preserves_pairing(needed):
                 right = ball.get(artin_fingerprint(needed))
                 if right is not None:
-                    return profile, left, right
+                    return profile, left, right[0]
     return None
 
 
@@ -449,10 +454,10 @@ def search_certificates(
         alpha1s = stabilized(BraidWord.identity(2 * c1), m)
         alpha2s = stabilized(BraidWord.identity(2 * c2), m)
         # one ball per m, grown a factor at a time: depth d searches radius d
-        ball: dict[tuple, HildenExpression] = {}
+        ball: dict[tuple, tuple[HildenExpression, BraidWord]] = {}
         entries = _hilden_ball(m, max_factors)
         for _, layer in groupby(entries, key=lambda entry: len(entry[1].factors)):
-            ball.update(layer)
+            ball.update((fp, (expr, inverse)) for fp, expr, inverse in layer)
             for (lam, beta1), (_, beta2) in betas:
                 first = _find_sides(beta1, alpha1s, ball)
                 if first is None:

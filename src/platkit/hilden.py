@@ -89,7 +89,10 @@ class HildenExpression:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        count = len(hilden_generators(self.pairs))
+        if self.pairs < 1:
+            raise ValueError("need at least one pair of strands")
+        # the count of hilden_generators(m), without building them
+        count = 1 if self.pairs == 1 else self.pairs + 1
         for idx, exp in self.factors:
             if not 0 <= idx < count:
                 raise ValueError(f"generator index {idx} out of range for m={self.pairs}")
@@ -208,17 +211,20 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     return None
 
 
-def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression]]:
-    """(fingerprint, least expression) of each Hilden element within ``depth`` factors.
+def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, BraidWord]]:
+    """(fingerprint, least expression, inverse word) of each Hilden element within ``depth`` factors.
 
     Lazily and in breadth-first order, so by factor count: the entries with
-    at most d factors come first and are the ball of radius d.
+    at most d factors come first and are the ball of radius d.  The inverse
+    word is built once, from the one factor table, as the entry appears.
     """
-    steps = [(move, factor.letters) for move, factor in _factor_table(m).items()]
+    table = _factor_table(m)
+    steps = [(move, factor.letters) for move, factor in table.items()]
 
     def successors(fp, _depth):
         return [(move, artin_apply(fp, letters)) for move, letters in steps]
 
     start = identity_images(2 * m)
     for fp, _, factors in bfs(start, lambda fp: fp, successors, depth):
-        yield fp, HildenExpression(m, factors)
+        inverse = product([table[(idx, -exp)] for idx, exp in reversed(factors)], strands=2 * m)
+        yield fp, HildenExpression(m, factors), inverse

@@ -125,66 +125,102 @@ def _cupcap(matching: tuple[int, ...], a: int) -> tuple[tuple[int, ...], bool]:
     return tuple(m), False
 
 
+def _unpack(packed: int, width: int, base: int) -> dict[int, int]:
+    """``{exponent: coefficient}`` of a packed polynomial, read as balanced digits.
+
+    Slot k, the k-th ``width``-bit digit, is the coefficient of A^(base + 2k).
+    A digit of at least 2^(width-1) stands for a negative coefficient: it is
+    taken minus 2^width and one is carried into the next slot.  A packed
+    int of n bits has at most n // width + 1 balanced digits.
+    """
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    coeffs = {}
+    e = base
+    for _ in range(abs(packed).bit_length() // width + 1):
+        c = packed & mask
+        packed >>= width
+        if c >= half:
+            c -= mask + 1
+            packed += 1
+        if c:
+            coeffs[e] = c
+        e += 2
+    return coeffs
+
+
 def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET) -> Laurent:
     """Bracket polynomial of the plat closure, by the smoothing state sum.
 
     The sum over all 2^c smoothings is evaluated by sweeping the word once
     and carrying, for every planar matching of the current endpoints, the
-    total coefficient of the states that produce it as a plain
-    ``{exponent: int}`` dict.  Every factor a letter contributes is a shift:
-    with s = +1 for a positive letter and -1 for a negative one, the
-    straight smoothing adds a state's coefficients at exponent e - s, the
-    cup-cap smoothing at e + s, or, when it closes a loop (-A^2 - A^-2),
-    subtracts them at e + s - 2 and e + s + 2.  Zero coefficients are
-    dropped once per letter.  The surviving matchings are capped off by the
-    top pairing and summed by loop count, so each loop power multiplies
-    once, and one :class:`Laurent` is built at the end.  Raises
+    total coefficient of the states that produce it.  All exponents of the
+    sweep share one parity, so each such polynomial is packed into one int
+    (Kronecker substitution): slot k, its k-th B-bit digit, holds the
+    coefficient of A^(base + 2k), with one running ``base`` shared by all
+    matchings.  A positive letter lowers ``base`` by 1 and a negative one by
+    3, so every smoothing becomes a left shift by 0, 1 or 2 slots:
+
+        positive letter   straight  x          cup-cap  x << B
+        negative letter   straight  x << 2B    cup-cap  x << B
+
+    When the cup-cap closes a loop (-A^2 - A^-2) the matching is unchanged,
+    and the straight and loop terms merge into one monomial (A^-1 - A^-1 -
+    A^3 = -A^3, and its mirror -A^-3): the update is -(x << 2B) or -x.
+
+    Width.  A letter maps a state's polynomial x to x A^-s + x A^s, or to
+    the single term -x A^3s when a loop closes, so the L1 norm summed over
+    all matchings at most doubles per letter.  After c letters it is at
+    most 2^c, and so is every coefficient of every state and of any sum of
+    states.  With B = c + 2 each coefficient lies strictly inside
+    (-2^(B-1), 2^(B-1)), so the packed int, an exact Python int, decodes
+    uniquely as balanced base-2^B digits.  There are no right shifts, so
+    negative coefficients never lose bits.
+
+    The surviving matchings are capped off by the top pairing and summed
+    by loop count; each sum is decoded once and multiplied by its loop
+    power, and one :class:`Laurent` is built at the end.  Raises
     :class:`BudgetError` when the diagram has more than ``budget`` crossings.
     """
     if len(diagram.word) > budget:
         raise BudgetError(
             f"diagram has {len(diagram.word)} crossings, over the budget of {budget}"
         )
+    width = len(diagram.word) + 2
+    double = 2 * width
+    base = 0
     start = tuple(diagram.bottom(i + 1) - 1 for i in range(diagram.word.strands))
-    states: dict[tuple[int, ...], dict[int, int]] = {start: {0: 1}}
+    states: dict[tuple[int, ...], int] = {start: 1}
     for g in diagram.word.letters:
         i = abs(g) - 1
-        s = 1 if g > 0 else -1
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for matching, coeffs in states.items():
-            acc = nxt.get(matching)
-            if acc is None:
-                acc = nxt[matching] = {}
-            for e, c in coeffs.items():
-                k = e - s
-                acc[k] = acc.get(k, 0) + c
-            rewired, closed = _cupcap(matching, i)
-            if closed:
-                # closing a loop leaves the matching as it was: same dict
-                for e, c in coeffs.items():
-                    k = e + s - 2
-                    acc[k] = acc.get(k, 0) - c
-                    k += 4
-                    acc[k] = acc.get(k, 0) - c
-            else:
-                acc = nxt.get(rewired)
-                if acc is None:
-                    acc = nxt[rewired] = {}
-                for e, c in coeffs.items():
-                    k = e + s
-                    acc[k] = acc.get(k, 0) + c
-        states = {}
-        for matching, acc in nxt.items():
-            kept = {e: c for e, c in acc.items() if c}
-            if kept:
-                states[matching] = kept
-    by_loops: dict[int, dict[int, int]] = {}
-    for matching, coeffs in states.items():
-        acc = by_loops.setdefault(_close_loops(matching, diagram.top), {})
-        for e, c in coeffs.items():
-            acc[e] = acc.get(e, 0) + c
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        if g > 0:
+            base -= 1
+            for matching, x in states.items():
+                rewired, closed = _cupcap(matching, i)
+                if closed:
+                    nxt[matching] = get(matching, 0) - (x << double)
+                else:
+                    nxt[matching] = get(matching, 0) + x
+                    nxt[rewired] = get(rewired, 0) + (x << width)
+        else:
+            base -= 3
+            for matching, x in states.items():
+                rewired, closed = _cupcap(matching, i)
+                if closed:
+                    nxt[matching] = get(matching, 0) - x
+                else:
+                    nxt[matching] = get(matching, 0) + (x << double)
+                    nxt[rewired] = get(rewired, 0) + (x << width)
+        states = {matching: x for matching, x in nxt.items() if x}
+    by_loops: dict[int, int] = {}
+    for matching, x in states.items():
+        loops = _close_loops(matching, diagram.top)
+        by_loops[loops] = by_loops.get(loops, 0) + x
     total: dict[int, int] = {}
-    for loops, coeffs in by_loops.items():
+    for loops, x in by_loops.items():
+        coeffs = _unpack(x, width, base)
         for e2, c2 in (LOOP ** (loops - 1)).coeffs:
             for e, c in coeffs.items():
                 total[e + e2] = total.get(e + e2, 0) + c * c2

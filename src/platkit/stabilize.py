@@ -22,7 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .words import BraidWord, embed, product
+from .words import BraidWord, BudgetError, embed, product
+
+# The most strands a stabilization may produce.  A profile tail conjugates
+# each block by a swap chain across all pairs, so its length grows with the
+# square of the pair count: at this bound it stays near a million letters.
+MAX_STABILIZED_STRANDS = 1024
+
+
+def _check_size(strands: int) -> None:
+    if strands > MAX_STABILIZED_STRANDS:
+        raise BudgetError(
+            f"stabilizing to {strands} strands is over the limit of {MAX_STABILIZED_STRANDS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -64,13 +76,18 @@ class StabilizationProfile:
 
 
 def stabilize(word: BraidWord, extra_pairs: int) -> BraidWord:
-    """Append ``extra_pairs`` trivial pairs on the right of a 2m-plat word."""
+    """Append ``extra_pairs`` trivial pairs on the right of a 2m-plat word.
+
+    Raises :class:`BudgetError`, before building anything, when the result
+    would have more than ``MAX_STABILIZED_STRANDS`` strands.
+    """
     if word.strands % 2 != 0:
         raise ValueError("stabilization needs an even strand count")
     if extra_pairs < 0:
         raise ValueError("cannot remove pairs")
     m = word.strands // 2
     n = 2 * (m + extra_pairs)
+    _check_size(n)
     tail = tuple(2 * k for k in range(m, m + extra_pairs))
     return BraidWord(n, embed(word, n).letters + tail)
 
@@ -133,11 +150,15 @@ def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
 
 
 def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> BraidWord:
-    """Generalized stabilization of a 2m-plat word by a length-m profile."""
+    """Generalized stabilization of a 2m-plat word by a length-m profile.
+
+    Raises :class:`BudgetError` like :func:`stabilize`.
+    """
     if word.strands != 2 * profile.pairs:
         raise ValueError(
             f"profile has {profile.pairs} entries but the word has "
             f"{word.strands} strands"
         )
     n = 2 * profile.total
+    _check_size(n)
     return embed(word, n) * stabilization_tail(profile)

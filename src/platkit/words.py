@@ -19,7 +19,6 @@ canonical fingerprint used throughout the package for memoisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce as _reduce
 
 
 DEFAULT_FINGERPRINT_GUARD = 10**6
@@ -270,4 +269,7 @@ def product(words: list[BraidWord] | tuple[BraidWord, ...], strands: int | None 
         if strands is None:
             raise ValueError("empty product needs an explicit strand count")
         return BraidWord.identity(strands)
-    return _reduce(lambda x, y: x * y, seq)
+    strands = seq[0].strands
+    if any(w.strands != strands for w in seq):
+        raise ValueError("cannot concatenate words on different strand counts")
+    return BraidWord(strands, tuple(g for w in seq for g in w.letters))

@@ -7,6 +7,7 @@ import pytest
 from platkit.bands import Band, BandedBraid, banded_to_json
 from platkit.cli import main
 from platkit.motion import motion_from_obj
+from platkit.stabilize import MAX_STABILIZED_STRANDS
 from platkit.systems import BraidSystem, MonodromyEntry, system_to_json
 from platkit.words import parse_braid
 
@@ -139,6 +140,16 @@ class TestStabilize:
     def test_extra_mode(self, capsys):
         code, out, _ = run(capsys, "stabilize", "--strands", "2", "--extra", "2", "1")
         assert (code, out) == (0, "strands=6\nword=1 2 4\n")
+
+    def test_size_guard_exits_3(self, capsys):
+        # one pair past the bound: exit 3 before the word is built
+        extra = str(MAX_STABILIZED_STRANDS // 2)
+        code, out, err = run(capsys, "stabilize", "--strands", "2", "--extra", extra, "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exhausted: stabilizing to")
+        profile = f"{MAX_STABILIZED_STRANDS // 2 - 1},0"
+        code, _, err = run(capsys, "stabilize", "--strands", "4", "--profile", profile, "2")
+        assert code == 3 and "over the limit" in err
 
     def test_modes_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

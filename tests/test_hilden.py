@@ -122,6 +122,18 @@ class TestExpressions:
         with pytest.raises(ValueError):
             HildenExpression(2, ((0, 2),))
 
+    def test_index_bound_is_the_generator_count(self):
+        for m in range(1, 7):
+            count = len(hilden_generators(m))
+            HildenExpression(m, ((count - 1, 1), (0, -1)))
+            with pytest.raises(ValueError, match=f"generator index {count} out of range"):
+                HildenExpression(m, ((count, 1),))
+
+    def test_needs_a_pair(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="need at least one pair of strands"):
+                HildenExpression(m)
+
 
 class TestMembership:
     def test_known_member(self):

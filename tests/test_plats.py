@@ -301,8 +301,30 @@ class TestBracket:
         assert equal_up_to_unit(Laurent.zero(), Laurent.zero())
 
 
+def loop_closures(diagram: PlatDiagram) -> int:
+    """How many (letter, matching) steps of the state sweep close a loop."""
+    start = tuple(diagram.bottom(i + 1) - 1 for i in range(diagram.word.strands))
+    matchings = {start}
+    closures = 0
+    for g in diagram.word.letters:
+        a = abs(g) - 1
+        nxt = set()
+        for matching in matchings:
+            nxt.add(matching)
+            if matching[a] == a + 1:
+                closures += 1
+                continue
+            m = list(matching)
+            x, y = m[a], m[a + 1]
+            m[x], m[y] = y, x
+            m[a], m[a + 1] = a + 1, a
+            nxt.add(tuple(m))
+        matchings = nxt
+    return closures
+
+
 class TestBracketCrossCheck:
-    """The integer-dict sweep against the Laurent-object oracle."""
+    """The packed-int sweep against the Laurent-object oracle."""
 
     def cases(self, seed: int, count: int):
         rng = random.Random(seed)
@@ -339,6 +361,42 @@ class TestBracketCrossCheck:
             bs = kauffman_bracket(plat_closure(stabilize(w, 1)), budget=41)
             assert equal_up_to_unit(bs, b)
             assert not bs.is_zero()
+
+    def test_one_signed_long_words(self):
+        # loops close under both signs, so both merged loop terms are used
+        rng = random.Random(55)
+        for signs in ("+", "-"):
+            for length in (60, 90, 120):
+                diagram = plat_closure(signed_word(rng, 8, length, signs))
+                assert loop_closures(diagram) > 0
+                assert kauffman_bracket(diagram, budget=120) == reference_bracket(diagram)
+
+    def test_alternating_four_plat_has_wide_coefficients(self):
+        # a 2-bridge link whose coefficients grow like a Fibonacci number:
+        # at 120 crossings they need more than 60 bits of the slot width
+        diagram = plat_closure(BraidWord(4, (2, -1) * 60))
+        bracket = kauffman_bracket(diagram, budget=120)
+        assert max(abs(c) for _, c in bracket.coeffs).bit_length() > 60
+        assert bracket == reference_bracket(diagram)
+
+    def test_empty_word_and_single_letters(self):
+        for strands in (2, 4, 6, 8):
+            diagram = plat_closure(BraidWord.identity(strands))
+            assert kauffman_bracket(diagram) == LOOP ** (strands // 2 - 1)
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+            for i in range(1, strands):
+                for g in (i, -i):
+                    diagram = plat_closure(BraidWord(strands, (g,)))
+                    assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        # a kink: the loop term sits in the highest slot for +1, the lowest for -1
+        assert kauffman_bracket(plat_closure(parse_braid("1", 2))) == U(3, -1)
+        assert kauffman_bracket(plat_closure(parse_braid("-1", 2))) == U(-3, -1)
+
+    def test_negative_coefficients_at_both_ends(self):
+        diagram = plat_closure(parse_braid("-2 -2 -2 -2", 4))
+        bracket = kauffman_bracket(diagram)
+        assert bracket == Laurent.from_dict({-10: -1, -6: 1, -2: -1, 6: -1})
+        assert bracket == reference_bracket(diagram)
 
 
 class TestTriviality:

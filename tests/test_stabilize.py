@@ -7,6 +7,7 @@ import pytest
 from platkit.laurent import equal_up_to_unit
 from platkit.plats import component_count, kauffman_bracket, plat_closure
 from platkit.stabilize import (
+    MAX_STABILIZED_STRANDS,
     StabilizationProfile,
     pair_swap,
     stabilization_tail,
@@ -14,7 +15,14 @@ from platkit.stabilize import (
     stabilize_by_profile,
     swap_chain,
 )
-from platkit.words import BraidWord, braids_equal, embed, parse_braid, strand_permutation
+from platkit.words import (
+    BraidWord,
+    BudgetError,
+    braids_equal,
+    embed,
+    parse_braid,
+    strand_permutation,
+)
 
 
 def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -196,3 +204,24 @@ class TestStabilizeByProfile:
             b0 = kauffman_bracket(plat_closure(w))
             b1 = kauffman_bracket(plat_closure(stabilized))
             assert equal_up_to_unit(b0, b1)
+
+
+class TestSizeGuard:
+    """Stabilizations stop at MAX_STABILIZED_STRANDS strands, before building."""
+
+    def test_plain_at_the_bound(self):
+        w = parse_braid("1", 2)
+        extra = MAX_STABILIZED_STRANDS // 2 - 1
+        assert stabilize(w, extra).strands == MAX_STABILIZED_STRANDS
+        with pytest.raises(BudgetError, match=f"over the limit of {MAX_STABILIZED_STRANDS}"):
+            stabilize(w, extra + 1)
+
+    def test_profile_at_the_bound(self):
+        w = parse_braid("2", 4)
+        extra = MAX_STABILIZED_STRANDS // 2 - 2
+        for entries in ((extra, 0), (0, extra), (extra - 1, 1)):
+            got = stabilize_by_profile(w, StabilizationProfile(entries))
+            assert got.strands == MAX_STABILIZED_STRANDS
+        for entries in ((extra + 1, 0), (extra, 1)):
+            with pytest.raises(BudgetError):
+                stabilize_by_profile(w, StabilizationProfile(entries))

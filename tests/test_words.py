@@ -199,3 +199,8 @@ class TestHelpers:
         assert product([], strands=4) == BraidWord.identity(4)
         with pytest.raises(ValueError):
             product([])
+
+    def test_product_needs_one_strand_count(self):
+        ws = [parse_braid("1", 3), parse_braid("2", 3), parse_braid("1", 2)]
+        with pytest.raises(ValueError, match="different strand counts"):
+            product(ws)

@@ -55,15 +55,12 @@ from .stabilize import StabilizationProfile, profile_blocks, stabilize_by_profil
 from .systems import BraidSystem, MonodromyEntry
 from .words import (
     BraidWord,
+    CertificateError,
     artin_fingerprint,
     braids_equal,
     json_field,
     parse_braid,
 )
-
-
-class CertificateError(ValueError):
-    """A claimed compilation certificate failed verification."""
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,10 @@ def _deletion_events(profile: StabilizationProfile) -> list[int]:
 
 
 def compile_surface(
-    bb: BandedBraid, certs: Certificates, budget: int = DEFAULT_BRACKET_BUDGET
+    bb: BandedBraid,
+    certs: Certificates,
+    budget: int = DEFAULT_BRACKET_BUDGET,
+    report: AdmissibilityReport | None = None,
 ) -> BraidedSurfacePlan:
     """Compile an admissible banded braid and its certificates into a plan.
 
@@ -276,9 +276,11 @@ def compile_surface(
     stabilization tails into the stabilized words), then lays out the seven
     strips and derives one branch point per band event, conjugators
     transported along the right edge.  Raises :class:`CertificateError`
-    when a verification step fails.
+    when a verification step fails.  ``report`` is ``bb``'s admissibility
+    report when the caller already has it; by default it is computed here.
     """
-    report = admissibility_report(bb, budget)
+    if report is None:
+        report = admissibility_report(bb, budget)
     if not report.admissible:
         raise CertificateError("banded braid is not admissible")
     m0 = bb.base.strands // 2
@@ -432,17 +434,31 @@ def search_certificates(
     certificates are found before large ones.  Returns None when the bounds
     are exhausted.
     """
+    return _search_certificates(bb, max_pairs, max_factors, budget)[0]
+
+
+def _search_certificates(
+    bb: BandedBraid,
+    max_pairs: int,
+    max_factors: int = 3,
+    budget: int = DEFAULT_BRACKET_BUDGET,
+) -> tuple[Certificates | None, AdmissibilityReport | None]:
+    """:func:`search_certificates`, with the admissibility report it made.
+
+    The report is None when the pair count alone rules out ``max_pairs``;
+    it is checked only after that, so a small bound stays cheap.
+    """
     m0 = bb.base.strands // 2
     surgered = band_surgery(bb)
     c1 = component_count(plat_closure(bb.base))
     c2 = component_count(plat_closure(surgered))
     if max(m0, c1, c2) > max_pairs:
-        return None
+        return None, None
     report = admissibility_report(bb, budget)
     if not report.admissible:
         raise ValueError("banded braid is not admissible")
     if max_factors < 0:
-        return None
+        return None, report
 
     def stabilized(word: BraidWord, m: int) -> list[tuple[StabilizationProfile, BraidWord]]:
         pairs = word.strands // 2
@@ -465,7 +481,7 @@ def search_certificates(
                 second = _find_sides(beta2, alpha2s, ball)
                 if second is None:
                     continue
-                return Certificates(
+                certs = Certificates(
                     profile=lam,
                     profile1=first[0],
                     profile2=second[0],
@@ -474,7 +490,8 @@ def search_certificates(
                     delta=second[1],
                     delta_prime=second[2],
                 )
-    return None
+                return certs, report
+    return None, report
 
 
 def banded_to_obj(bb: BandedBraid) -> dict:

@@ -19,55 +19,10 @@ import json
 import os
 import sys
 
-from .bands import (
-    CertificateError,
-    admissibility_report,
-    band_surgery,
-    banded_from_json,
-    certificates_from_obj,
-    compile_surface,
-    plan_from_json,
-    plan_to_json,
-    plan_to_obj,
-    search_certificates,
-)
-from .hilden import (
-    format_expression,
-    parse_expression,
-    preserves_pairing,
-    search_membership,
-    verify_membership,
-)
-from .motion import motion_svg, motion_to_obj, plan_motion, plat_motion, system_motion
-from .plats import (
-    DEFAULT_BRACKET_BUDGET,
-    bracket_triviality,
-    component_count,
-    kauffman_bracket,
-    plat_closure,
-)
-from .stabilize import StabilizationProfile, stabilize, stabilize_by_profile
-from .systems import (
-    DEFAULT_SEARCH_BUDGET,
-    BraidSystem,
-    HurwitzStatus,
-    MonodromyEntry,
-    as_monodromy,
-    boundary_braid,
-    branch_signs,
-    classify_degree_two,
-    hurwitz_search,
-    is_two_dimensional,
-    normal_euler_number,
-    plat_euler_characteristic,
-    ribbon_criterion,
-    slide,
-    system_from_obj,
-    system_to_obj,
-    to_genuine_plat,
-)
+# Each handler imports the modules it uses, so one call loads only those.
 from .words import (
     BudgetError,
+    CertificateError,
     braids_equal,
     exponent_sum,
     parse_braid,
@@ -118,6 +73,8 @@ def _emit(
 
 
 def _entry_text(entry) -> str:
+    from .systems import MonodromyEntry
+
     if isinstance(entry, MonodromyEntry):
         return (
             f"monodromy index={entry.index} sign={entry.sign:+d} "
@@ -127,6 +84,8 @@ def _entry_text(entry) -> str:
 
 
 def _parse_entries(text: str, degree: int):
+    from .systems import as_monodromy
+
     entries = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -139,6 +98,8 @@ def _parse_entries(text: str, degree: int):
 
 
 def _load_system(args, suffix: str = "") -> BraidSystem:
+    from .systems import BraidSystem, system_from_obj
+
     path = getattr(args, "infile" + suffix, None)
     inline = getattr(args, "entries" + suffix, None)
     if path is not None:
@@ -185,12 +146,22 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_plat_components(args) -> int:
+    from .plats import component_count, plat_closure
+
     diagram = plat_closure(parse_braid(args.word, args.strands))
     _emit(args, [("components", component_count(diagram))])
     return 0
 
 
 def _cmd_bracket(args) -> int:
+    from .plats import (
+        DEFAULT_BRACKET_BUDGET,
+        bracket_triviality,
+        component_count,
+        kauffman_bracket,
+        plat_closure,
+    )
+
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
     diagram = plat_closure(parse_braid(args.word, args.strands))
     poly = kauffman_bracket(diagram, budget)
@@ -207,6 +178,14 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_adequate(args) -> int:
+    from .hilden import (
+        format_expression,
+        parse_expression,
+        preserves_pairing,
+        search_membership,
+        verify_membership,
+    )
+
     word = parse_braid(args.word, args.strands)
     if args.verify is not None:
         expression = parse_expression(args.verify)
@@ -232,6 +211,8 @@ def _cmd_adequate(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
+    from .stabilize import StabilizationProfile, stabilize, stabilize_by_profile
+
     word = parse_braid(args.word, args.strands)
     if args.profile is not None:
         result = stabilize_by_profile(word, StabilizationProfile.parse(args.profile))
@@ -242,6 +223,8 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_slide(args) -> int:
+    from .systems import slide, system_to_obj
+
     system = _load_system(args)
     for token in args.moves:
         system = slide(system, abs(token), inverse=token < 0)
@@ -250,6 +233,8 @@ def _cmd_slide(args) -> int:
 
 
 def _cmd_hurwitz(args) -> int:
+    from .systems import DEFAULT_SEARCH_BUDGET, HurwitzStatus, hurwitz_search
+
     s1 = _load_system(args)
     s2 = _load_system(args, "2")
     budget = _pick(args.budget, DEFAULT_SEARCH_BUDGET)
@@ -272,6 +257,15 @@ def _cmd_hurwitz(args) -> int:
 
 
 def _cmd_surface_invariants(args) -> int:
+    from .systems import (
+        boundary_braid,
+        branch_signs,
+        classify_degree_two,
+        is_two_dimensional,
+        normal_euler_number,
+        plat_euler_characteristic,
+    )
+
     system = _load_system(args)
     pairs: list[tuple[str, object]] = [
         ("degree", system.degree),
@@ -300,6 +294,8 @@ def _cmd_surface_invariants(args) -> int:
 
 
 def _cmd_to_genuine_plat(args) -> int:
+    from .systems import is_two_dimensional, system_to_obj, to_genuine_plat
+
     system = _load_system(args)
     if not is_two_dimensional(system):
         _emit(args, [("two_dimensional", False)])
@@ -310,6 +306,8 @@ def _cmd_to_genuine_plat(args) -> int:
 
 
 def _cmd_ribbon_check(args) -> int:
+    from .systems import ribbon_criterion
+
     system = _load_system(args)
     ok = ribbon_criterion(system)
     _emit(args, [("ribbon", ok)])
@@ -317,11 +315,16 @@ def _cmd_ribbon_check(args) -> int:
 
 
 def _read_banded(path: str):
+    from .bands import banded_from_json
+
     with open(path, encoding="utf-8") as fh:
         return banded_from_json(fh.read())
 
 
 def _cmd_banded_check(args) -> int:
+    from .bands import admissibility_report, band_surgery
+    from .plats import DEFAULT_BRACKET_BUDGET
+
     bb = _read_banded(args.file)
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
     report = admissibility_report(bb, budget)
@@ -344,15 +347,27 @@ def _cmd_banded_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from .bands import (
+        _search_certificates,
+        certificates_from_obj,
+        compile_surface,
+        plan_to_json,
+        plan_to_obj,
+    )
+    from .hilden import preserves_pairing
+    from .plats import DEFAULT_BRACKET_BUDGET
+
     bb = _read_banded(args.file)
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
+    report = None
     if args.certs is not None:
         with open(args.certs, encoding="utf-8") as fh:
             certs = certificates_from_obj(json.load(fh))
     elif args.search:
         bound = _pick(args.bound, DEFAULT_CERTIFICATE_BOUND)
         try:
-            certs = search_certificates(bb, bound, budget=budget)
+            # the search's admissibility report serves the compiler too
+            certs, report = _search_certificates(bb, bound, budget=budget)
         except ValueError as exc:
             _emit(args, [("admissible", False), ("reason", str(exc))], force_stdout=True)
             return 1
@@ -361,7 +376,7 @@ def _cmd_compile(args) -> int:
             return 3
     else:
         raise ValueError("provide --certs FILE or --search")
-    plan = compile_surface(bb, certs, budget)
+    plan = compile_surface(bb, certs, budget, report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(plan_to_json(plan) + "\n")
@@ -379,6 +394,11 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_export_mp(args) -> int:
+    from .bands import plan_from_json
+    from .motion import motion_svg, motion_to_obj, plan_motion, plat_motion, system_motion
+    from .plats import plat_closure
+    from .systems import system_from_obj
+
     if args.kind == "plat":
         if args.strands is None:
             raise ValueError("export-mp plat needs --strands")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .bands import BraidedSurfacePlan
 from .plats import PlatDiagram
 from .systems import BraidSystem, entry_word
-from .words import BraidWord, json_field, parse_braid, product
+from .words import BraidWord, check_strands, json_field, parse_braid, product
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def plat_motion(diagram: PlatDiagram) -> MotionPicture:
 
 
 def _standard_pairs(strands: int) -> tuple[tuple[int, int], ...]:
-    return tuple((2 * k - 1, 2 * k) for k in range(1, strands // 2 + 1))
+    return tuple((2 * k - 1, 2 * k) for k in range(1, check_strands(strands) // 2 + 1))
 
 
 def plan_motion(plan: BraidedSurfacePlan) -> MotionPicture:

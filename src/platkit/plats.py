@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .laurent import LOOP, Laurent, equal_up_to_unit
-from .words import BraidWord, BudgetError, strand_permutation
+from .words import BraidWord, BudgetError, check_strands, strand_permutation
 
 DEFAULT_BRACKET_BUDGET = 24
 
@@ -45,6 +45,7 @@ class Pairing:
     @classmethod
     def standard(cls, m: int) -> "Pairing":
         """Adjacent pairs {1,2}, {3,4}, ..., {2m-1,2m}."""
+        check_strands(2 * m)
         partner = []
         for k in range(m):
             partner.extend([2 * k + 2, 2 * k + 1])

@@ -27,6 +27,7 @@ from .words import BraidWord, BudgetError, embed, product
 # The most strands a stabilization may produce.  A profile tail conjugates
 # each block by a swap chain across all pairs, so its length grows with the
 # square of the pair count: at this bound it stays near a million letters.
+# It is below words.MAX_STRANDS, the bound on any strand count.
 MAX_STABILIZED_STRANDS = 1024
 
 

@@ -23,9 +23,30 @@ from dataclasses import dataclass
 
 DEFAULT_FINGERPRINT_GUARD = 10**6
 
+# The most strands that per-strand tables (permutations, fingerprints,
+# pairings) are built for; at least stabilize.MAX_STABILIZED_STRANDS.
+MAX_STRANDS = 1 << 16
+
 
 class BudgetError(RuntimeError):
     """A configured resource budget (letters, crossings, nodes) ran out."""
+
+
+class CertificateError(ValueError):
+    """A claimed compilation certificate failed verification."""
+
+
+def check_strands(strands: int) -> int:
+    """``strands``, once it is a count that per-strand tables may be built for.
+
+    Raises ValueError for a negative count and :class:`BudgetError` above
+    ``MAX_STRANDS``.
+    """
+    if strands < 0:
+        raise ValueError(f"strand count must not be negative, got {strands}")
+    if strands > MAX_STRANDS:
+        raise BudgetError(f"{strands} strands is over the limit of {MAX_STRANDS}")
+    return strands
 
 
 def _free_mul(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -193,7 +214,7 @@ def embed(word: BraidWord, strands: int) -> BraidWord:
 
 def strand_permutation(word: BraidWord) -> Permutation:
     """Where each bottom endpoint ends up at the top of the braid."""
-    strand_at = list(range(1, word.strands + 1))
+    strand_at = list(range(1, check_strands(word.strands) + 1))
     for g in word.letters:
         i = abs(g) - 1
         # the strands currently at positions i+1 and i+2 swap
@@ -206,7 +227,7 @@ def exponent_sum(word: BraidWord) -> int:
 
 
 def identity_images(strands: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((i,) for i in range(1, strands + 1))
+    return tuple((i,) for i in range(1, check_strands(strands) + 1))
 
 
 def artin_apply(

@@ -9,7 +9,7 @@ from platkit.cli import main
 from platkit.motion import motion_from_obj
 from platkit.stabilize import MAX_STABILIZED_STRANDS
 from platkit.systems import BraidSystem, MonodromyEntry, system_to_json
-from platkit.words import parse_braid
+from platkit.words import MAX_STRANDS, parse_braid
 
 
 def run(capsys, *argv):
@@ -98,6 +98,19 @@ class TestWordCommands:
         )
         assert code == 0
         assert json.loads(out) == {"components": 1}
+
+    def test_strand_guard_exits_3(self, capsys):
+        # one pair past the bound: exit 3 before any per-strand table is built
+        strands = str(MAX_STRANDS + 2)
+        for argv in (
+            ("parse", "--strands", strands, "1"),
+            ("equal", "--strands", strands, "1", "1"),
+            ("plat-components", "--strands", strands, "1"),
+            ("bracket", "--strands", strands, "1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"budget exhausted: {strands} strands is over the limit")
 
 
 class TestAdequate:
@@ -344,6 +357,39 @@ class TestBanded:
         code, _, err = run(capsys, "compile", toy_file, "--certs", str(path))
         assert code == 1
         assert "first side certificate failed" in err
+
+    def test_failed_certificate_is_a_certificate_error(self, capsys, toy_file, tmp_path):
+        # exit 1 with the verification message, not the exit 2 of other ValueErrors
+        certs = {
+            "profile": "0,0",
+            "profile1": "0,0",
+            "profile2": "1",
+            "gamma": "m=2",
+            "gamma_prime": "m=2",
+            "delta": "m=2 g1",
+            "delta_prime": "m=2",
+        }
+        path = tmp_path / "badcerts.json"
+        path.write_text(json.dumps(certs))
+        code, out, err = run(capsys, "compile", toy_file, "--certs", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failed: second side certificate failed")
+
+    def test_search_then_compile_brackets_once(self, capsys, toy_file, monkeypatch):
+        # one admissibility report (base and surgered plat) serves search and compile
+        import platkit.bands
+
+        calls = []
+        real = platkit.bands.kauffman_bracket
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(platkit.bands, "kauffman_bracket", counted)
+        code, _, _ = run(capsys, "compile", toy_file, "--search")
+        assert code == 0
+        assert len(calls) == 2
 
     def test_compile_needs_a_mode(self, capsys, toy_file):
         code, _, err = run(capsys, "compile", toy_file)

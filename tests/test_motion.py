@@ -19,7 +19,7 @@ from platkit.motion import (
 )
 from platkit.plats import plat_closure
 from platkit.systems import BraidSystem, MonodromyEntry, staircase, to_genuine_plat
-from platkit.words import BraidWord, parse_braid
+from platkit.words import MAX_STRANDS, BraidWord, BudgetError, parse_braid
 
 from test_bands import TOY, TOY_CERTS
 
@@ -116,6 +116,12 @@ class TestSystemMotion:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             system_motion(BraidSystem(3, ()))
+
+    def test_strand_guard(self):
+        # the wickets of a degree one pair past the bound are never built
+        assert system_motion(BraidSystem(MAX_STRANDS, ())).strands == MAX_STRANDS
+        with pytest.raises(BudgetError, match=f"over the limit of {MAX_STRANDS}"):
+            system_motion(BraidSystem(MAX_STRANDS + 2, ()))
 
 
 class TestSerialization:

@@ -16,7 +16,7 @@ from platkit.plats import (
     triviality_check,
 )
 from platkit.stabilize import stabilize
-from platkit.words import BraidWord, BudgetError, parse_braid, strand_permutation
+from platkit.words import MAX_STRANDS, BraidWord, BudgetError, parse_braid, strand_permutation
 
 U = Laurent.unit
 
@@ -139,6 +139,15 @@ class TestPlatClosure:
     def test_standard_pairing(self):
         assert Pairing.standard(3).pairs() == ((1, 2), (3, 4), (5, 6))
         assert Pairing.standard(1)(1) == 2
+
+    def test_standard_pairing_strand_guard(self):
+        assert Pairing.standard(MAX_STRANDS // 2).size == MAX_STRANDS
+        with pytest.raises(BudgetError, match=f"over the limit of {MAX_STRANDS}"):
+            Pairing.standard(MAX_STRANDS // 2 + 1)
+        with pytest.raises(BudgetError):
+            plat_closure(BraidWord(MAX_STRANDS + 2, (1,)))
+        with pytest.raises(ValueError, match="negative"):
+            Pairing.standard(-1)
 
     def test_pairing_validation(self):
         with pytest.raises(ValueError):

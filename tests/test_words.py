@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+from platkit.stabilize import MAX_STABILIZED_STRANDS
 from platkit.words import (
+    MAX_STRANDS,
     BraidWord,
     BudgetError,
     Permutation,
     artin_fingerprint,
     braids_equal,
+    check_strands,
     embed,
     exponent_sum,
+    identity_images,
     parse_braid,
     product,
     strand_permutation,
@@ -204,3 +208,35 @@ class TestHelpers:
         ws = [parse_braid("1", 3), parse_braid("2", 3), parse_braid("1", 2)]
         with pytest.raises(ValueError, match="different strand counts"):
             product(ws)
+
+
+class TestStrandGuard:
+    """Per-strand tables stop at MAX_STRANDS, before anything is allocated."""
+
+    def test_bound_covers_stabilization(self):
+        assert MAX_STRANDS >= MAX_STABILIZED_STRANDS
+
+    def test_at_the_bound(self):
+        assert check_strands(MAX_STRANDS) == MAX_STRANDS
+        word = BraidWord(MAX_STRANDS, (1,))
+        assert strand_permutation(word).images[:3] == (2, 1, 3)
+        assert len(identity_images(MAX_STRANDS)) == MAX_STRANDS
+
+    def test_one_past_the_bound(self):
+        # a word with no letters costs nothing, so only the guard can stop these
+        word = BraidWord(MAX_STRANDS + 1, (1,))
+        for call in (
+            lambda: check_strands(MAX_STRANDS + 1),
+            lambda: strand_permutation(word),
+            lambda: identity_images(MAX_STRANDS + 1),
+            lambda: artin_fingerprint(word),
+            lambda: braids_equal(word, word),
+        ):
+            with pytest.raises(BudgetError, match=f"over the limit of {MAX_STRANDS}"):
+                call()
+
+    def test_negative_count_is_invalid(self):
+        with pytest.raises(ValueError, match="negative"):
+            check_strands(-1)
+        with pytest.raises(ValueError, match="negative"):
+            identity_images(-2)

@@ -394,7 +394,6 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_export_mp(args) -> int:
-    from .bands import plan_from_json
     from .motion import motion_svg, motion_to_obj, plan_motion, plat_motion, system_motion
     from .plats import plat_closure
     from .systems import system_from_obj
@@ -404,6 +403,8 @@ def _cmd_export_mp(args) -> int:
             raise ValueError("export-mp plat needs --strands")
         picture = plat_motion(plat_closure(parse_braid(args.input, args.strands)))
     elif args.kind == "plan":
+        from .bands import plan_from_json
+
         with open(args.input, encoding="utf-8") as fh:
             picture = plan_motion(plan_from_json(fh.read()))
     else:

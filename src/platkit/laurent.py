@@ -112,6 +112,23 @@ A_INV = Laurent.unit(-1)
 LOOP = Laurent(((-2, -1), (2, -1)))
 
 
+def loop_power(k: int) -> Laurent:
+    """``LOOP ** k`` in closed form: (-1)^k sum_j C(k, j) A^(4j - 2k).
+
+    Each binomial coefficient comes from the previous one, so this takes
+    k + 1 steps where repeated squaring multiplies polynomials of up to
+    k + 1 terms term by term.
+    """
+    if k < 0:
+        raise ValueError("negative powers are not defined here")
+    c = -1 if k & 1 else 1
+    coeffs = []
+    for j in range(k + 1):
+        coeffs.append((4 * j - 2 * k, c))
+        c = c * (k - j) // (j + 1)
+    return Laurent(tuple(coeffs))
+
+
 def equal_up_to_unit(p: Laurent, q: Laurent) -> bool:
     """True when p = ±A^k q for some integer k."""
     if p.is_zero() or q.is_zero():

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .bands import BraidedSurfacePlan
 from .plats import PlatDiagram
 from .systems import BraidSystem, entry_word
 from .words import BraidWord, check_strands, json_field, parse_braid, product
+
+if TYPE_CHECKING:
+    from .bands import BraidedSurfacePlan
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .laurent import LOOP, Laurent, equal_up_to_unit
+from .laurent import Laurent, equal_up_to_unit, loop_power
 from .words import BraidWord, BudgetError, check_strands, strand_permutation
 
 DEFAULT_BRACKET_BUDGET = 24
@@ -222,7 +222,7 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     total: dict[int, int] = {}
     for loops, x in by_loops.items():
         coeffs = _unpack(x, width, base)
-        for e2, c2 in (LOOP ** (loops - 1)).coeffs:
+        for e2, c2 in loop_power(loops - 1).coeffs:
             for e, c in coeffs.items():
                 total[e + e2] = total.get(e + e2, 0) + c * c2
     return Laurent.from_dict(total)
@@ -235,7 +235,7 @@ class Triviality(Enum):
 
 def bracket_triviality(bracket: Laurent, components: int) -> Triviality:
     """The verdict of :func:`triviality_check` from a plat's bracket and components."""
-    if equal_up_to_unit(bracket, LOOP ** (components - 1)):
+    if equal_up_to_unit(bracket, loop_power(components - 1)):
         return Triviality.CONSISTENT_WITH_TRIVIAL
     return Triviality.NOT_TRIVIAL
 

@@ -6,7 +6,7 @@ inverse crossing.  Words multiply by concatenation and are never normalised
 internally; equality of the group elements they represent is decided by
 :func:`braids_equal`.
 
-The equality test uses the faithful action of the braid group on a free
+The decision rests on the faithful action of the braid group on a free
 group F_n = <x_1, ..., x_n>:
 
     sigma_i:  x_i -> x_i x_{i+1} x_i^{-1},   x_{i+1} -> x_i,
@@ -14,11 +14,32 @@ group F_n = <x_1, ..., x_n>:
 with all other x_j fixed.  Two words are equal exactly when the images of
 all n basis letters agree as freely reduced words.  The images are the
 canonical fingerprint used throughout the package for memoisation.
+
+Their letter count can grow exponentially with the length of the word, so
+:func:`braids_equal` decides ``a = b`` as ``a b^-1 = 1`` and fingerprints as
+little of that quotient as it can.  Every step is exact:
+
+1. Prefilters: equal braids have equal exponent sums and equal strand
+   permutations, since both are homomorphisms (to Z and to S_n).
+2. Free reduction of ``c = a b^-1``: cancelling sigma_i sigma_i^-1 is an
+   isotopy, so the reduced word is the same braid.
+3. Cyclic reduction: stripping ``x ... x^-1`` from the two ends of ``c``
+   replaces it by a conjugate, and a conjugate is trivial exactly when
+   ``c`` is.  An empty word is the identity.
+4. Halves: ``c = c1 c2`` is trivial exactly when ``c1 = c2^-1``, which the
+   fingerprints of the two halves decide.
+
+Conjugated relators ``w r w^-1``, inverses ``w w^-1`` and near-copies such as
+``w`` against ``w1 p w2`` thus reduce to ``r``, to nothing and to ``p^-1``
+before any fingerprint is taken.  Each half has at most
+ceil((|a| + |b|) / 2) <= max(|a|, |b|) letters, so no input is fingerprinted
+on a longer word than the two words themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 
 DEFAULT_FINGERPRINT_GUARD = 10**6
@@ -49,18 +70,31 @@ def check_strands(strands: int) -> int:
     return strands
 
 
-def _free_mul(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    # both inputs freely reduced, so cancellation only happens at the seam
-    i = len(u)
-    j = 0
-    while i > 0 and j < len(v) and u[i - 1] == -v[j]:
-        i -= 1
-        j += 1
-    return u[:i] + v[j:]
-
-
 def _free_inv(u: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(u))
+    return tuple(map(neg, u[::-1]))
+
+
+def _conjugate(w: tuple[int, ...], w_inv: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """The freely reduced w x w^-1, from freely reduced w, its inverse and x.
+
+    One scan per seam and one concatenation, where reducing w x and then
+    (w x) w^-1 would build the intermediate word.
+    """
+    n, lx = len(w), len(x)
+    k = 0  # letters cancelled at the seam w | x
+    while k < n and k < lx and w[n - 1 - k] == -x[k]:
+        k += 1
+    m = 0  # letters cancelled at the seam x | w^-1, where w^-1[s] = -w[n-1-s]
+    while m < n and k + m < lx and x[lx - 1 - m] == w[n - 1 - m]:
+        m += 1
+    if k + m < lx:
+        return w[: n - k] + x[k : lx - m] + w_inv[m:]
+    # all of x[k:] cancelled, so the second seam runs on into w[: n - k]
+    p = n - k
+    while m < n and p > 0 and w[p - 1] == w[n - 1 - m]:
+        p -= 1
+        m += 1
+    return w[:p] + w_inv[m:]
 
 
 @dataclass(frozen=True)
@@ -248,11 +282,11 @@ def artin_apply(
         i = abs(g) - 1
         a, b = work[i], work[i + 1]
         if g > 0:
-            work[i] = _free_mul(_free_mul(a, b), _free_inv(a))
+            work[i] = _conjugate(a, _free_inv(a), b)
             work[i + 1] = a
         else:
             work[i] = b
-            work[i + 1] = _free_mul(_free_mul(_free_inv(b), a), b)
+            work[i + 1] = _conjugate(_free_inv(b), b, a)
         total += len(work[i]) + len(work[i + 1]) - len(a) - len(b)
         if total > guard:
             raise BudgetError(
@@ -273,14 +307,31 @@ def artin_fingerprint(
 
 
 def braids_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GUARD) -> bool:
-    """Exact word-problem test for two words on the same strand count."""
+    """Exact word-problem test for two words on the same strand count.
+
+    Decides ``a b^-1 = 1`` in the steps of the module docstring: the
+    exponent-sum and permutation prefilters, free and then cyclic reduction
+    of ``a b^-1``, and, unless that leaves nothing, a comparison of the
+    fingerprints of its first half and of the inverse of its second half.
+    ``guard`` bounds each half's fingerprint as :func:`artin_fingerprint`
+    bounds a word's, and :class:`BudgetError` is raised when one passes it.
+    """
     if a.strands != b.strands:
         raise ValueError("words live on different strand counts")
     if exponent_sum(a) != exponent_sum(b):
         return False
     if strand_permutation(a) != strand_permutation(b):
         return False
-    return artin_fingerprint(a, guard) == artin_fingerprint(b, guard)
+    c = (a * b.inverse()).free_reduced().letters
+    lo, hi = 0, len(c)
+    while lo < hi and c[lo] == -c[hi - 1]:
+        lo += 1
+        hi -= 1
+    if lo == hi:
+        return True
+    mid = (lo + hi) // 2
+    start = identity_images(a.strands)
+    return artin_apply(start, c[lo:mid], guard) == artin_apply(start, _free_inv(c[mid:hi]), guard)
 
 
 def product(words: list[BraidWord] | tuple[BraidWord, ...], strands: int | None = None) -> BraidWord:

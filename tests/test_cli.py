@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving platkit.cli.main directly."""
 
 import json
+import random
 
 import pytest
 
@@ -536,3 +537,17 @@ class TestMalformedInput:
         code, _, err = run(capsys, "export-mp", "plan", path)
         assert code == 2
         assert "'strips' must be of type list" in err
+
+
+class TestLongIdentities:
+    def test_equal_on_a_506_letter_identity_exits_0(self, capsys):
+        # w r w^-1 with |w| = 250 on 8 strands: past the fingerprint guard when
+        # the two sides are fingerprinted whole
+        rng = random.Random(506)
+        letters = [rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(250)]
+        w = parse_braid(" ".join(map(str, letters)), 8)
+        r = parse_braid("3 4 3 -4 -3 -4", 8)
+        x = w * r * w.inverse()
+        assert len(x) == 506
+        code, out, err = run(capsys, "equal", "--strands", "8", "--", x.text(), "")
+        assert (code, out, err) == (0, "equal=true\n", "")

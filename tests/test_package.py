@@ -81,3 +81,16 @@ def test_submodule_imported_first_keeps_the_export():
         " 'same': stabilize is platkit.stabilize}))\n"
     )
     assert loaded == {"callable": True, "same": True}
+
+
+def test_plat_motion_leaves_bands_unloaded():
+    # motion names BraidedSurfacePlan only in an annotation
+    loaded = fresh(
+        "import json, sys\n"
+        "from platkit.cli import main\n"
+        "code = main(['export-mp', 'plat', '--strands', '4', '1'])\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+    assert loaded["code"] == 0
+    assert "platkit.motion" in loaded["modules"]
+    assert "platkit.bands" not in loaded["modules"]

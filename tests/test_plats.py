@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from platkit.laurent import LOOP, Laurent, equal_up_to_unit
+from platkit.laurent import LOOP, Laurent, equal_up_to_unit, loop_power
 from platkit.plats import (
     Pairing,
     PlatDiagram,
@@ -469,3 +469,10 @@ class TestDiagramExport:
 
     def test_no_crossing_diagram(self):
         assert pd_lines(plat_closure(BraidWord.identity(2))) == ["CUP 1 2", "CAP 1 2"]
+
+
+def test_loop_power_closed_form():
+    for k in range(65):
+        assert loop_power(k) == LOOP**k, k
+    with pytest.raises(ValueError):
+        loop_power(-1)

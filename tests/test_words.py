@@ -10,6 +10,9 @@ from platkit.words import (
     BraidWord,
     BudgetError,
     Permutation,
+    _conjugate,
+    _free_inv,
+    artin_apply,
     artin_fingerprint,
     braids_equal,
     check_strands,
@@ -240,3 +243,103 @@ class TestStrandGuard:
             check_strands(-1)
         with pytest.raises(ValueError, match="negative"):
             identity_images(-2)
+
+
+def reduced_word(rng: random.Random, strands: int, length: int) -> BraidWord:
+    """A random freely reduced word of exactly ``length`` letters."""
+    letters: list[int] = []
+    while len(letters) < length:
+        g = rng.randint(1, strands - 1) * rng.choice((1, -1))
+        if not letters or letters[-1] != -g:
+            letters.append(g)
+    return BraidWord(strands, tuple(letters))
+
+
+def braid_relator(i: int, strands: int) -> BraidWord:
+    """sigma_i sigma_{i+1} sigma_i (sigma_{i+1} sigma_i sigma_{i+1})^-1."""
+    return BraidWord(strands, (i, i + 1, i, -(i + 1), -i, -(i + 1)))
+
+
+class TestQuotientReduction:
+    """Long identities and near-copies, decided on the reduced quotient a b^-1."""
+
+    @pytest.mark.parametrize(
+        "strands, total, seed", [(4, 246, 1), (8, 506, 2), (8, 2006, 3)]
+    )
+    def test_conjugated_relator(self, strands, total, seed):
+        w = reduced_word(random.Random(seed), strands, (total - 6) // 2)
+        x = w * braid_relator(strands - 2, strands) * w.inverse()
+        assert len(x) == total
+        assert braids_equal(x, BraidWord.identity(strands))
+        assert braids_equal(BraidWord.identity(strands), x)
+
+    @pytest.mark.parametrize(
+        "strands, total, seed", [(4, 246, 4), (8, 506, 5), (8, 2006, 6)]
+    )
+    def test_inverse(self, strands, total, seed):
+        w = reduced_word(random.Random(seed), strands, total // 2)
+        assert len(w * w.inverse()) == total
+        assert braids_equal(w * w.inverse(), BraidWord.identity(strands))
+        assert braids_equal(w, w.inverse().inverse())
+
+    def test_far_commutation_inside_a_conjugate(self):
+        w = reduced_word(random.Random(7), 8, 300)
+        a = w * BraidWord(8, (1, 5)) * w.inverse()
+        b = w * BraidWord(8, (5, 1)) * w.inverse()
+        assert braids_equal(a, b)
+
+    def test_inserted_pure_piece_is_unequal(self):
+        rng = random.Random(8)
+        w = reduced_word(rng, 8, 496)
+        for cut in (0, 123, 248, 496):
+            b = BraidWord(8, w.letters[:cut] + (3, 3, -6, -6) + w.letters[cut:])
+            assert len(b) == 500
+            assert exponent_sum(b) == exponent_sum(w)
+            assert strand_permutation(b) == strand_permutation(w)
+            assert not braids_equal(w, b)
+            assert not braids_equal(b, w)
+
+    def test_guard_applies_to_each_half(self):
+        def peak(word: BraidWord) -> int:
+            return max(
+                sum(len(u) for u in artin_fingerprint(BraidWord(word.strands, word.letters[:k])))
+                for k in range(len(word) + 1)
+            )
+
+        # nothing cancels in a = h h, so braids_equal compares the fingerprints of h and h^-1
+        h = parse_braid("1 1 -2 -2", 3) ** 5
+        a = h * h
+        guard = max(peak(h), peak(h.inverse()))
+        assert not braids_equal(a, BraidWord.identity(3), guard=guard)
+        with pytest.raises(BudgetError):
+            braids_equal(a, BraidWord.identity(3), guard=guard - 1)
+        with pytest.raises(BudgetError):
+            artin_fingerprint(a, guard=guard)
+
+
+class TestConjugateKernel:
+    """_conjugate against free reduction of the concatenated word."""
+
+    def test_matches_free_reduction(self):
+        rng = random.Random(9)
+        for _ in range(3000):
+            # two generators and short words, so the seams often cancel deeply
+            w = reduced_word(rng, 3, rng.randint(0, 7)).letters
+            x = reduced_word(rng, 3, rng.randint(0, 7)).letters
+            want = BraidWord(3, w + x + _free_inv(w)).free_reduced().letters
+            assert _conjugate(w, _free_inv(w), x) == want, (w, x)
+
+    def test_second_seam_runs_into_the_conjugator(self):
+        # x = (-3 2 3) cancels completely against the end of w = (1 2 3)
+        assert _conjugate((1, 2, 3), (-3, -2, -1), (-3, 2, 3)) == (1, 2, -1)
+        assert _conjugate((1, 2), (-2, -1), (-2, -1, 2)) == (-1,)
+        assert _conjugate((), (), (1, 2)) == (1, 2)
+        assert _conjugate((1, 2), (-2, -1), ()) == ()
+
+    def test_extending_a_fingerprint_is_the_fingerprint_of_the_product(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            u = reduced_word(rng, n, rng.randint(0, 15))
+            v = random_word(rng, n, rng.randint(0, 15))
+            assert artin_apply(artin_fingerprint(u), v.letters) == artin_fingerprint(u * v)

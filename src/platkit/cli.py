@@ -165,11 +165,19 @@ def _cmd_bracket(args) -> int:
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
     diagram = plat_closure(parse_braid(args.word, args.strands))
     poly = kauffman_bracket(diagram, budget)
+    try:
+        text = str(poly)
+    except ValueError as exc:
+        # a coefficient past the interpreter's int-to-str digit limit
+        raise BudgetError(
+            "a bracket coefficient has more digits than the limit of "
+            f"{sys.get_int_max_str_digits()} for printing an integer"
+        ) from exc
     components = component_count(diagram)
     _emit(
         args,
         [
-            ("bracket", str(poly)),
+            ("bracket", text),
             ("components", components),
             ("triviality", bracket_triviality(poly, components).value),
         ],

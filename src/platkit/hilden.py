@@ -56,29 +56,35 @@ def _factor_table(m: int) -> dict[tuple[int, int], BraidWord]:
     return table
 
 
+def _pair_images(word: BraidWord) -> tuple[int, ...] | None:
+    """Where the word's permutation sends each standard pair, or None when it breaks one."""
+    if word.strands % 2 != 0:
+        raise ValueError("pairing test needs an even strand count")
+    pi = strand_permutation(word).images
+    images = []
+    for k in range(word.strands // 2):
+        a, b = pi[2 * k], pi[2 * k + 1]
+        if abs(a - b) != 1 or (min(a, b) % 2) != 1:
+            return None
+        images.append((a + 1) // 2)
+    return tuple(images)
+
+
 def preserves_pairing(word: BraidWord) -> bool:
     """Whether the word's permutation maps standard pairs to standard pairs.
 
     This is a necessary condition for Hilden membership, cheap enough to use
     as a search prefilter.
     """
-    if word.strands % 2 != 0:
-        raise ValueError("pairing test needs an even strand count")
-    pi = strand_permutation(word)
-    for k in range(word.strands // 2):
-        a, b = pi(2 * k + 1), pi(2 * k + 2)
-        if abs(a - b) != 1 or (min(a, b) % 2) != 1:
-            return False
-    return True
+    return _pair_images(word) is not None
 
 
 def pair_permutation(word: BraidWord) -> Permutation:
     """The induced permutation of the m standard pairs (word must preserve them)."""
-    if not preserves_pairing(word):
+    images = _pair_images(word)
+    if images is None:
         raise ValueError("word does not preserve the standard pairing")
-    pi = strand_permutation(word)
-    m = word.strands // 2
-    return Permutation(tuple((pi(2 * k + 1) + 1) // 2 for k in range(m)))
+    return Permutation(images)
 
 
 @dataclass(frozen=True)
@@ -156,9 +162,13 @@ def parse_expression(text: str) -> HildenExpression:
     return HildenExpression(pairs, tuple(factors))
 
 
-def _coxeter_length(perm: Permutation) -> int:
-    # inversions = least number of adjacent transpositions
-    imgs = perm.images
+def _pair_distance(pperm: tuple[int, ...], target: tuple[int, ...]) -> int:
+    """The Coxeter length of ``pperm^-1 target``: its inversions, which are the
+    fewest adjacent pair swaps that take ``pperm`` to ``target``."""
+    where = [0] * len(pperm)
+    for i, x in enumerate(pperm):
+        where[x - 1] = i
+    imgs = [target[i] for i in where]
     return sum(
         1
         for a in range(len(imgs))
@@ -174,20 +184,27 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     visited group elements by fingerprint, and returns the lexicographically
     least expression among the shortest ones, or None when the bound is
     exhausted.  The verdict None is therefore only "not found within budget".
+
+    A state is ``(fingerprint, exponent sum, pair permutation)``, the last a
+    plain tuple of pair images; the key is the fingerprint alone, so the
+    states visited and the expression returned do not depend on how the
+    pair permutation is stored.  The Coxeter distance to the target's pair
+    permutation is computed once per distinct pair permutation (at most m!).
     """
     if word.strands % 2 != 0:
         raise ValueError("membership search needs an even strand count")
-    if not preserves_pairing(word):
+    target_pairs = _pair_images(word)
+    if target_pairs is None:
         return None
     m = word.strands // 2
     target_fp = artin_fingerprint(word)
     target_sum = exponent_sum(word)
-    target_pairs = pair_permutation(word)
     steps = [
-        (move, factor.letters, exponent_sum(factor), pair_permutation(factor))
+        (move, factor.letters, exponent_sum(factor), _pair_images(factor))
         for move, factor in _factor_table(m).items()
     ]
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
+    distance: dict[tuple[int, ...], int] = {}
 
     def successors(state, depth):
         # drop children that cannot reach the target in the factors left; each
@@ -197,14 +214,18 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         children = []
         for move, letters, step_sum, step_pperm in steps:
             new_sum = esum + step_sum
-            new_pperm = pperm * step_pperm
             if abs(target_sum - new_sum) > remaining * max_step_sum:
                 continue
-            if _coxeter_length(new_pperm.inverse() * target_pairs) <= remaining:
+            # diagram order, as Permutation.__mul__: (p * q)(i) = q(p(i))
+            new_pperm = tuple([step_pperm[x - 1] for x in pperm])
+            d = distance.get(new_pperm)
+            if d is None:
+                d = distance[new_pperm] = _pair_distance(new_pperm, target_pairs)
+            if d <= remaining:
                 children.append((move, (artin_apply(fp, letters), new_sum, new_pperm)))
         return children
 
-    start = (identity_images(2 * m), 0, Permutation.identity(m))
+    start = (identity_images(2 * m), 0, tuple(range(1, m + 1)))
     for fp, _, factors in bfs(start, lambda state: state[0], successors, max_len):
         if fp == target_fp:
             return HildenExpression(m, factors)

@@ -22,10 +22,12 @@ from enum import Enum
 from .search import bfs
 from .words import (
     BraidWord,
-    artin_fingerprint,
+    _free_inv,
+    artin_apply,
     braids_equal,
     embed,
     exponent_sum,
+    identity_images,
     json_field,
     parse_braid,
     product,
@@ -54,14 +56,21 @@ class MonodromyEntry:
         return self.conjugator.strands
 
     def word(self) -> BraidWord:
-        core = BraidWord(self.strands, (self.index * self.sign,))
-        return self.conjugator * core * self.conjugator.inverse()
+        return BraidWord(self.strands, _entry_letters(self))
 
     def inverse(self) -> "MonodromyEntry":
         return MonodromyEntry(self.conjugator, self.index, -self.sign)
 
 
 Entry = BraidWord | MonodromyEntry
+
+
+def _entry_letters(entry: Entry) -> tuple[int, ...]:
+    """The letters of ``entry_word(entry)``, without building the word."""
+    if isinstance(entry, MonodromyEntry):
+        u = entry.conjugator.letters
+        return u + (entry.index * entry.sign,) + _free_inv(u)
+    return entry.letters
 
 
 def entry_word(entry: Entry) -> BraidWord:
@@ -162,10 +171,6 @@ class HurwitzResult:
     explored: int = 0
 
 
-def _system_fingerprint(system: BraidSystem) -> tuple:
-    return tuple(artin_fingerprint(w) for w in system.words())
-
-
 def hurwitz_search(
     s1: BraidSystem, s2: BraidSystem, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> HurwitzResult:
@@ -176,33 +181,54 @@ def hurwitz_search(
     is EQUIVALENT with a replayable move list, NOT_EQUIVALENT only when the
     whole (finite) orbit was enumerated, and UNKNOWN when the budget ran
     out first.
+
+    A state is ``(system, entry fingerprints)`` and its key is the tuple of
+    the r entry fingerprints, so systems are told apart exactly as by
+    fingerprinting every entry, and the moves and explored counts are those
+    of that search.  A slide moves one entry unchanged, whose fingerprint
+    is reused, and fingerprints only the new conjugated entry.
     """
     if s1.degree != s2.degree:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
     if s1.r != s2.r:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="entry counts differ")
-    if not braids_equal(boundary_braid(s1), boundary_braid(s2)):
+    words1, words2 = s1.words(), s2.words()
+    degree = s1.degree
+    if not braids_equal(product(words1, strands=degree), product(words2, strands=degree)):
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ")
-    sums1 = sorted(exponent_sum(w) for w in s1.words())
-    sums2 = sorted(exponent_sum(w) for w in s2.words())
+    sums1 = sorted(exponent_sum(w) for w in words1)
+    sums2 = sorted(exponent_sum(w) for w in words2)
     if sums1 != sums2:
         return HurwitzResult(
             HurwitzStatus.NOT_EQUIVALENT, reason="exponent-sum multisets differ"
         )
-    cycles1 = sorted(strand_permutation(w).cycle_type() for w in s1.words())
-    cycles2 = sorted(strand_permutation(w).cycle_type() for w in s2.words())
+    cycles1 = sorted(strand_permutation(w).cycle_type() for w in words1)
+    cycles2 = sorted(strand_permutation(w).cycle_type() for w in words2)
     if cycles1 != cycles2:
         return HurwitzResult(
             HurwitzStatus.NOT_EQUIVALENT, reason="cycle-type multisets differ"
         )
-    target = _system_fingerprint(s2)
+    basis = identity_images(degree)
+    target = tuple(artin_apply(basis, w.letters) for w in words2)
     moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
 
-    def successors(system, depth):
-        return [((j, inv), slide(system, j, inverse=inv)) for j, inv in moves_menu]
+    def successors(state, depth):
+        system, fps = state
+        children = []
+        for j, inv in moves_menu:
+            child = slide(system, j, inverse=inv)
+            # forward puts the conjugate at slot j and moves b_j to j + 1;
+            # the inverse moves b_{j+1} to slot j and puts the conjugate at j + 1
+            if inv:
+                pair = (fps[j], artin_apply(basis, _entry_letters(child.entries[j])))
+            else:
+                pair = (artin_apply(basis, _entry_letters(child.entries[j - 1])), fps[j - 1])
+            children.append(((j, inv), (child, fps[: j - 1] + pair + fps[j + 1 :])))
+        return children
 
+    start = (s1, tuple(artin_apply(basis, w.letters) for w in words1))
     explored = 0
-    for fp, _, moves in bfs(s1, _system_fingerprint, successors):
+    for fp, _, moves in bfs(start, lambda state: state[1], successors):
         if explored >= budget:
             return HurwitzResult(
                 HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored

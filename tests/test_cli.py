@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -84,6 +85,23 @@ class TestWordCommands:
         code, out, _ = run(capsys, "bracket", "--strands", "4", "2 2 2")
         assert code == 0
         assert out == "bracket=A^7 - A^3 - A^-5\ncomponents=1\ntriviality=NotTrivial\n"
+
+    def test_bracket_past_the_digit_limit_exits_3(self, capsys):
+        # the loop power's binomial coefficients outgrow the int-to-str limit:
+        # at 640 digits, 4400 strands have about 660 and 4000 strands 600
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "bracket", "--strands", "4400", "1")
+            assert (code, out) == (3, "")
+            assert err == (
+                "budget exhausted: a bracket coefficient has more digits than "
+                "the limit of 640 for printing an integer\n"
+            )
+            code, out, _ = run(capsys, "bracket", "--strands", "4000", "1")
+            assert code == 0 and out.startswith("bracket=")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bracket_budget_exit(self, capsys):
         word = " ".join(["1"] * 25)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import platkit.hilden as hilden
 from platkit.hilden import (
     HildenExpression,
     expand_expression,
@@ -16,7 +17,18 @@ from platkit.hilden import (
     verify_membership,
 )
 from platkit.plats import Triviality, component_count, plat_closure, triviality_check
-from platkit.words import BraidWord, braids_equal, parse_braid, product
+from platkit.search import bfs
+from platkit.words import (
+    BraidWord,
+    Permutation,
+    artin_apply,
+    artin_fingerprint,
+    braids_equal,
+    exponent_sum,
+    identity_images,
+    parse_braid,
+    product,
+)
 
 
 def random_expression(rng: random.Random, m: int, factors: int) -> HildenExpression:
@@ -190,3 +202,85 @@ class TestMembership:
             diagram = plat_closure(word)
             assert component_count(diagram) == m
             assert triviality_check(diagram) is Triviality.CONSISTENT_WITH_TRIVIAL
+
+
+def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
+    """The membership search on :class:`Permutation` objects, with no memo."""
+
+    def coxeter_length(perm: Permutation) -> int:
+        imgs = perm.images
+        return sum(
+            1 for a in range(len(imgs)) for b in range(a + 1, len(imgs)) if imgs[a] > imgs[b]
+        )
+
+    if not preserves_pairing(word):
+        return None
+    m = word.strands // 2
+    target_fp = artin_fingerprint(word)
+    target_sum = exponent_sum(word)
+    target_pairs = pair_permutation(word)
+    steps = []
+    for idx, gen in enumerate(hilden_generators(m)):
+        for exp, factor in ((1, gen), (-1, gen.inverse())):
+            steps.append(((idx, exp), factor.letters, exponent_sum(factor), pair_permutation(factor)))
+    max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
+
+    def successors(state, depth):
+        fp, esum, pperm = state
+        remaining = max_len - depth - 1
+        children = []
+        for move, letters, step_sum, step_pperm in steps:
+            new_sum = esum + step_sum
+            new_pperm = pperm * step_pperm
+            if abs(target_sum - new_sum) > remaining * max_step_sum:
+                continue
+            if coxeter_length(new_pperm.inverse() * target_pairs) <= remaining:
+                children.append((move, (artin_apply(fp, letters), new_sum, new_pperm)))
+        return children
+
+    start = (identity_images(2 * m), 0, Permutation.identity(m))
+    for fp, _, factors in bfs(start, lambda state: state[0], successors, max_len):
+        if fp == target_fp:
+            return HildenExpression(m, factors)
+    return None
+
+
+class TestMembershipOracle:
+    def test_matches_the_permutation_object_search(self):
+        # m = 2-4, expressions of 2-5 factors, searched with the bound at or
+        # below their length; some words with one letter appended, which
+        # mostly break the pairing
+        rng = random.Random(807)
+        found = missed = 0
+        for _ in range(240):
+            m = rng.randint(2, 4)
+            length = rng.randint(2, 5)
+            word = expand_expression(random_expression(rng, m, length))
+            if rng.random() < 0.2:
+                g = rng.randint(1, 2 * m - 1)
+                word = word * BraidWord(2 * m, (rng.choice((g, -g)),))
+            max_len = rng.randint(length - 2, length)
+            got = search_membership(word, max_len)
+            assert got == reference_search_membership(word, max_len)
+            if got is None:
+                missed += 1
+            else:
+                found += 1
+        assert found > 100 and missed > 20
+
+    def test_pair_distance_once_per_pair_permutation(self, monkeypatch):
+        seen = []
+        distance = hilden._pair_distance
+
+        def counting_distance(pperm, target):
+            seen.append(pperm)
+            return distance(pperm, target)
+
+        monkeypatch.setattr(hilden, "_pair_distance", counting_distance)
+        rng = random.Random(810)
+        for m in (2, 3, 4):
+            for _ in range(5):
+                seen.clear()
+                word = expand_expression(random_expression(rng, m, 5))
+                assert search_membership(word, 5) is not None
+                assert seen and len(seen) == len(set(seen))

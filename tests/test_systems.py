@@ -4,8 +4,12 @@ import random
 
 import pytest
 
+import platkit.systems as systems
+from platkit.search import bfs
 from platkit.systems import (
+    DEFAULT_SEARCH_BUDGET,
     BraidSystem,
+    HurwitzResult,
     HurwitzStatus,
     MonodromyEntry,
     SurfaceType,
@@ -28,6 +32,7 @@ from platkit.systems import (
 )
 from platkit.words import (
     BraidWord,
+    artin_fingerprint,
     braids_equal,
     exponent_sum,
     parse_braid,
@@ -256,6 +261,120 @@ class TestHurwitz:
             hurwitz_search(s1, BraidSystem(3, ())).status
             is HurwitzStatus.NOT_EQUIVALENT
         )
+
+
+def reference_hurwitz_search(s1, s2, budget=DEFAULT_SEARCH_BUDGET):
+    """The Hurwitz search that fingerprints every entry of every system it meets."""
+
+    def system_fingerprint(system):
+        return tuple(artin_fingerprint(w) for w in system.words())
+
+    if s1.degree != s2.degree:
+        return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
+    if s1.r != s2.r:
+        return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="entry counts differ")
+    if not braids_equal(boundary_braid(s1), boundary_braid(s2)):
+        return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ")
+    if sorted(exponent_sum(w) for w in s1.words()) != sorted(
+        exponent_sum(w) for w in s2.words()
+    ):
+        return HurwitzResult(
+            HurwitzStatus.NOT_EQUIVALENT, reason="exponent-sum multisets differ"
+        )
+    if sorted(strand_permutation(w).cycle_type() for w in s1.words()) != sorted(
+        strand_permutation(w).cycle_type() for w in s2.words()
+    ):
+        return HurwitzResult(
+            HurwitzStatus.NOT_EQUIVALENT, reason="cycle-type multisets differ"
+        )
+    target = system_fingerprint(s2)
+    moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
+
+    def successors(system, depth):
+        return [((j, inv), slide(system, j, inverse=inv)) for j, inv in moves_menu]
+
+    explored = 0
+    for fp, _, moves in bfs(s1, system_fingerprint, successors):
+        if explored >= budget:
+            return HurwitzResult(
+                HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored
+            )
+        explored += 1
+        if fp == target:
+            return HurwitzResult(HurwitzStatus.EQUIVALENT, moves=moves, explored=explored)
+    return HurwitzResult(
+        HurwitzStatus.NOT_EQUIVALENT, reason="orbit enumerated", explored=explored
+    )
+
+
+def hurwitz_pair(rng: random.Random):
+    """Two systems of degree 3-4 with 3-6 entries, and a search budget.
+
+    Mostly 0-3 slides apart; some with one entry replaced, which the
+    prefilters mostly reject; some of commuting crossings, whose orbit is
+    finite, against a slid copy or against a system outside the orbit.
+    """
+    degree, r = rng.randint(3, 4), rng.randint(3, 6)
+    kind = rng.choice(("slides", "slides", "slides", "replaced", "finite"))
+    if kind == "finite":
+        crossings = [str(rng.choice((1, -1, 3, -3))) for _ in range(r)]
+        s1 = BraidSystem(4, tuple(parse_braid(c, 4) for c in crossings))
+        if rng.random() < 0.5:
+            # (s1, s1) and this pair agree on every prefilter, and s1's orbit
+            # is its orderings
+            pair = (parse_braid("1", 4), parse_braid("1", 4))
+            swap = (parse_braid("2 1 -2", 4), parse_braid("2 -1 -2 1 1", 4))
+            rest = s1.entries[2:]
+            return BraidSystem(4, pair + rest), BraidSystem(4, swap + rest), DEFAULT_SEARCH_BUDGET
+    else:
+        s1 = random_system(rng, degree, r)
+    moves = [(rng.randint(1, r - 1), rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+    s2 = apply_slides(s1, moves)
+    if kind == "replaced":
+        entries = list(s2.entries)
+        entries[rng.randrange(r)] = random_word(rng, degree, rng.randint(1, 3))
+        s2 = BraidSystem(degree, tuple(entries))
+    return s1, s2, rng.choice((30, 300))
+
+
+class TestHurwitzOracle:
+    def test_matches_the_whole_system_fingerprint_search(self):
+        rng = random.Random(808)
+        statuses, reasons = set(), set()
+        for _ in range(220):
+            s1, s2, budget = hurwitz_pair(rng)
+            got = hurwitz_search(s1, s2, budget)
+            assert got == reference_hurwitz_search(s1, s2, budget)
+            statuses.add(got.status)
+            reasons.add(got.reason)
+        assert statuses == set(HurwitzStatus)
+        assert {"orbit enumerated", "budget exhausted", "boundary braids differ"} <= reasons
+
+    def test_one_new_entry_fingerprint_per_child(self, monkeypatch):
+        # every fingerprint of the search goes through systems.artin_apply;
+        # every child comes from one systems.slide call
+        counts = {"fingerprints": 0, "children": 0}
+        artin_apply, slide_ = systems.artin_apply, systems.slide
+
+        def counting_apply(*args, **kwargs):
+            counts["fingerprints"] += 1
+            return artin_apply(*args, **kwargs)
+
+        def counting_slide(*args, **kwargs):
+            counts["children"] += 1
+            return slide_(*args, **kwargs)
+
+        monkeypatch.setattr(systems, "artin_apply", counting_apply)
+        monkeypatch.setattr(systems, "slide", counting_slide)
+        rng = random.Random(809)
+        for _ in range(20):
+            s1 = random_system(rng, 4, 4)
+            s2 = apply_slides(s1, [(rng.randint(1, 3), rng.random() < 0.5) for _ in range(3)])
+            counts.update(fingerprints=0, children=0)
+            result = hurwitz_search(s1, s2, budget=300)
+            assert result.status is not HurwitzStatus.NOT_EQUIVALENT
+            assert counts["fingerprints"] <= counts["children"] + 2 * s1.r
+        assert counts["children"] > 0
 
 
 class TestInvariants:

@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .plats import PlatDiagram
-from .systems import BraidSystem, entry_word
-from .words import BraidWord, check_strands, json_field, parse_braid, product
+from .plats import Pairing, PlatDiagram
+from .systems import BraidSystem, MonodromyEntry, entry_word
+from .words import BraidWord, json_field, parse_braid, product
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
@@ -82,10 +82,6 @@ def plat_motion(diagram: PlatDiagram) -> MotionPicture:
     )
 
 
-def _standard_pairs(strands: int) -> tuple[tuple[int, int], ...]:
-    return tuple((2 * k - 1, 2 * k) for k in range(1, check_strands(strands) // 2 + 1))
-
-
 def plan_motion(plan: BraidedSurfacePlan) -> MotionPicture:
     """Walk a compiled plan from its capped top down through every strip.
 
@@ -94,13 +90,14 @@ def plan_motion(plan: BraidedSurfacePlan) -> MotionPicture:
     """
     n = plan.degree
     ident = BraidWord.identity(n)
-    stills = [Still("caps", n, ident, caps=_standard_pairs(n))]
+    wickets = Pairing.standard(n // 2).pairs()
+    stills = [Still("caps", n, ident, caps=wickets)]
     for strip in reversed(plan.strips):
         marks = tuple(
             BandMark(b.slot, b.sign, b.kind) for b in strip.bands
         )
         stills.append(Still(strip.name, n, strip.bottom, bands=marks))
-    stills.append(Still("cups", n, ident, cups=_standard_pairs(n)))
+    stills.append(Still("cups", n, ident, cups=wickets))
     return MotionPicture(tuple(stills))
 
 
@@ -116,21 +113,20 @@ def system_motion(system: BraidSystem) -> MotionPicture:
         raise ValueError("plat cross-sections need an even degree")
     ident = BraidWord.identity(n)
     words = [entry_word(e) for e in system.entries]
-    stills = [Still("caps", n, ident, caps=_standard_pairs(n))]
+    wickets = Pairing.standard(n // 2).pairs()
+    stills = [Still("caps", n, ident, caps=wickets)]
     for k in range(system.r, -1, -1):
         section = product(words[:k], strands=n).free_reduced()
         marks = ()
         if k >= 1:
             e = system.entries[k - 1]
-            sign = getattr(e, "sign", None)
-            if sign is None:
-                sign = 1
-            index = getattr(e, "index", None)
-            if index is None:
-                index = abs(words[k - 1].letters[0]) if words[k - 1].letters else 1
+            if isinstance(e, MonodromyEntry):
+                index, sign = e.index, e.sign
+            else:
+                index, sign = abs(e.letters[0]) if e.letters else 1, 1
             marks = (BandMark(index, sign, "branch"),)
         stills.append(Still(f"level {k}", n, section, bands=marks))
-    stills.append(Still("cups", n, ident, cups=_standard_pairs(n)))
+    stills.append(Still("cups", n, ident, cups=wickets))
     return MotionPicture(tuple(stills))
 
 

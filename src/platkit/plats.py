@@ -265,82 +265,50 @@ def pd_lines(diagram: PlatDiagram) -> list[str]:
 
     with CUP lines first (by position), then crossings in word order, then
     CAP lines (by position).
+
+    An arc is the pair (position, run index): run k at position p is the
+    piece between the k-th and (k+1)-th crossings touching p, counted from
+    the bottom, so run 0 ends on a cup and the last run on a cap.  One pass
+    over the word lists each position's crossings and, for each crossing,
+    the run indices just below it; the walk then steps from arc to arc in
+    constant time, for O(n + c) time and memory with n strands and c
+    crossings.
     """
     word = diagram.word
-    n = word.strands
-    c = len(word.letters)
-
-    # points live in the gaps between crossing levels: (gap, position),
-    # gap 0 below the first letter, gap c above the last; a vertical run
-    # through non-crossing levels is a single arc
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x: tuple[int, int]) -> tuple[int, int]:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x: tuple[int, int], y: tuple[int, int]) -> None:
-        parent[find(x)] = find(y)
-
-    for level, g in enumerate(word.letters, start=1):
+    # crossings[p]: the levels of the crossings touching position p, bottom up;
+    # below[lv]: (i, run at i, run at i + 1) just below the crossing at level lv
+    crossings: list[list[int]] = [[] for _ in range(word.strands + 1)]
+    below: list[tuple[int, int, int]] = []
+    for lv, g in enumerate(word.letters):
         i = abs(g)
-        for p in range(1, n + 1):
-            if p not in (i, i + 1):
-                union((level - 1, p), (level, p))
+        below.append((i, len(crossings[i]), len(crossings[i + 1])))
+        crossings[i].append(lv)
+        crossings[i + 1].append(lv)
 
+    # walk each component arc by arc, turning around at cups and caps; going
+    # up through a crossing lands on the run above it at the other position,
+    # going down on the run below it
     labels: dict[tuple[int, int], int] = {}
-    counter = [1]
-
-    def label_arc(node: tuple[int, int]) -> bool:
-        """Label the arc through ``node``; False when it already had one."""
-        root = find(node)
-        if root in labels:
-            return False
-        labels[root] = counter[0]
-        counter[0] += 1
-        return True
-
-    def next_crossing(pos: int, gap: int, direction: int) -> int | None:
-        levels = range(gap + 1, c + 1) if direction == 1 else range(gap, 0, -1)
-        for lv in levels:
-            i = abs(word.letters[lv - 1])
-            if pos in (i, i + 1):
-                return lv
-        return None
-
-    # walk each component arc by arc, turning around at cups and caps
-    for start in range(1, n + 1):
-        pos, gap, direction = start, 0, 1
-        while label_arc((gap, pos)):
-            lv = next_crossing(pos, gap, direction)
-            if lv is not None:
-                i = abs(word.letters[lv - 1])
-                pos = i + 1 if pos == i else i
-                gap = lv if direction == 1 else lv - 1
-            elif direction == 1:
-                pos, gap, direction = diagram.top(pos), c, -1
+    for start in range(1, word.strands + 1):
+        p, k, up = start, 0, True
+        while (p, k) not in labels:
+            labels[p, k] = len(labels) + 1
+            if up and k == len(crossings[p]):
+                p, up = diagram.top(p), False
+                k = len(crossings[p])
+            elif not up and k == 0:
+                p, up = diagram.bottom(p), True
             else:
-                pos, gap, direction = diagram.bottom(pos), 0, 1
+                i, ki, kj = below[crossings[p][k if up else k - 1]]
+                p, k = (i + 1, kj) if p == i else (i, ki)
+                if up:
+                    k += 1
 
-    def label_of(node: tuple[int, int]) -> int:
-        return labels[find(node)]
-
-    lines = []
-    for i, j in diagram.bottom.pairs():
-        a = label_of((0, i))
-        b = label_of((0, j))
-        lines.append(f"CUP {a} {b}")
-    for level, g in enumerate(word.letters, start=1):
-        i = abs(g)
-        bl = label_of((level - 1, i))
-        br = label_of((level - 1, i + 1))
-        tl = label_of((level, i))
-        tr = label_of((level, i + 1))
+    lines = [f"CUP {labels[i, 0]} {labels[j, 0]}" for i, j in diagram.bottom.pairs()]
+    for i, ki, kj in below:
+        bl, br = labels[i, ki], labels[i + 1, kj]
+        tl, tr = labels[i, ki + 1], labels[i + 1, kj + 1]
         lines.append(f"X {bl} {br} {tl} {tr}")
     for i, j in diagram.top.pairs():
-        a = label_of((c, i))
-        b = label_of((c, j))
-        lines.append(f"CAP {a} {b}")
+        lines.append(f"CAP {labels[i, len(crossings[i])]} {labels[j, len(crossings[j])]}")
     return lines

@@ -22,6 +22,7 @@ from enum import Enum
 from .search import bfs
 from .words import (
     BraidWord,
+    BudgetError,
     _free_inv,
     artin_apply,
     braids_equal,
@@ -180,7 +181,9 @@ def hurwitz_search(
     orbit of s1 is explored up to ``budget`` distinct systems.  The verdict
     is EQUIVALENT with a replayable move list, NOT_EQUIVALENT only when the
     whole (finite) orbit was enumerated, and UNKNOWN when the budget ran
-    out first.
+    out first or a fingerprint outgrew its guard (the reason is then the
+    :class:`BudgetError` message, and ``explored`` counts the systems
+    reached before it).
 
     A state is ``(system, entry fingerprints)`` and its key is the tuple of
     the r entry fingerprints, so systems are told apart exactly as by
@@ -192,53 +195,62 @@ def hurwitz_search(
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
     if s1.r != s2.r:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="entry counts differ")
-    words1, words2 = s1.words(), s2.words()
-    degree = s1.degree
-    if not braids_equal(product(words1, strands=degree), product(words2, strands=degree)):
-        return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ")
-    sums1 = sorted(exponent_sum(w) for w in words1)
-    sums2 = sorted(exponent_sum(w) for w in words2)
-    if sums1 != sums2:
-        return HurwitzResult(
-            HurwitzStatus.NOT_EQUIVALENT, reason="exponent-sum multisets differ"
-        )
-    cycles1 = sorted(strand_permutation(w).cycle_type() for w in words1)
-    cycles2 = sorted(strand_permutation(w).cycle_type() for w in words2)
-    if cycles1 != cycles2:
-        return HurwitzResult(
-            HurwitzStatus.NOT_EQUIVALENT, reason="cycle-type multisets differ"
-        )
-    basis = identity_images(degree)
-    target = tuple(artin_apply(basis, w.letters) for w in words2)
-    moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
-
-    def successors(state, depth):
-        system, fps = state
-        children = []
-        for j, inv in moves_menu:
-            child = slide(system, j, inverse=inv)
-            # forward puts the conjugate at slot j and moves b_j to j + 1;
-            # the inverse moves b_{j+1} to slot j and puts the conjugate at j + 1
-            if inv:
-                pair = (fps[j], artin_apply(basis, _entry_letters(child.entries[j])))
-            else:
-                pair = (artin_apply(basis, _entry_letters(child.entries[j - 1])), fps[j - 1])
-            children.append(((j, inv), (child, fps[: j - 1] + pair + fps[j + 1 :])))
-        return children
-
-    start = (s1, tuple(artin_apply(basis, w.letters) for w in words1))
     explored = 0
-    for fp, _, moves in bfs(start, lambda state: state[1], successors):
-        if explored >= budget:
+    try:
+        words1, words2 = s1.words(), s2.words()
+        degree = s1.degree
+        boundary1 = product(words1, strands=degree)
+        if not braids_equal(boundary1, product(words2, strands=degree)):
             return HurwitzResult(
-                HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored
+                HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ"
             )
-        explored += 1
-        if fp == target:
-            return HurwitzResult(HurwitzStatus.EQUIVALENT, moves=moves, explored=explored)
-    return HurwitzResult(
-        HurwitzStatus.NOT_EQUIVALENT, reason="orbit enumerated", explored=explored
-    )
+        sums1 = sorted(exponent_sum(w) for w in words1)
+        sums2 = sorted(exponent_sum(w) for w in words2)
+        if sums1 != sums2:
+            return HurwitzResult(
+                HurwitzStatus.NOT_EQUIVALENT, reason="exponent-sum multisets differ"
+            )
+        cycles1 = sorted(strand_permutation(w).cycle_type() for w in words1)
+        cycles2 = sorted(strand_permutation(w).cycle_type() for w in words2)
+        if cycles1 != cycles2:
+            return HurwitzResult(
+                HurwitzStatus.NOT_EQUIVALENT, reason="cycle-type multisets differ"
+            )
+        basis = identity_images(degree)
+        target = tuple(artin_apply(basis, w.letters) for w in words2)
+        moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
+
+        def successors(state, depth):
+            system, fps = state
+            children = []
+            for j, inv in moves_menu:
+                child = slide(system, j, inverse=inv)
+                # forward puts the conjugate at slot j and moves b_j to j + 1;
+                # the inverse moves b_{j+1} to slot j and puts the conjugate at j + 1
+                if inv:
+                    pair = (fps[j], artin_apply(basis, _entry_letters(child.entries[j])))
+                else:
+                    conj = artin_apply(basis, _entry_letters(child.entries[j - 1]))
+                    pair = (conj, fps[j - 1])
+                children.append(((j, inv), (child, fps[: j - 1] + pair + fps[j + 1 :])))
+            return children
+
+        start = (s1, tuple(artin_apply(basis, w.letters) for w in words1))
+        for fp, _, moves in bfs(start, lambda state: state[1], successors):
+            if explored >= budget:
+                return HurwitzResult(
+                    HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored
+                )
+            explored += 1
+            if fp == target:
+                return HurwitzResult(
+                    HurwitzStatus.EQUIVALENT, moves=moves, explored=explored
+                )
+        return HurwitzResult(
+            HurwitzStatus.NOT_EQUIVALENT, reason="orbit enumerated", explored=explored
+        )
+    except BudgetError as err:
+        return HurwitzResult(HurwitzStatus.UNKNOWN, reason=str(err), explored=explored)
 
 
 def plat_euler_characteristic(system: BraidSystem) -> int:
@@ -307,12 +319,11 @@ def normal_euler_number(system: BraidSystem) -> int | None:
     """
     if system.degree == 2:
         try:
-            signs = [_collapse_degree_two(e) for e in system.entries]
+            t = classify_degree_two(system)
         except ValueError:
-            signs = None
-        if signs is not None:
-            p = sum(1 for s in signs if s == 1)
-            return 2 * p - 2 * (len(signs) - p)
+            pass
+        else:
+            return 2 * (t.positive - t.negative)
     if all(isinstance(e, MonodromyEntry) for e in system.entries) and is_two_dimensional(
         system
     ):

@@ -311,6 +311,38 @@ class TestHurwitz:
         )
         assert code == 0
 
+    def test_fingerprint_guard_answers_unknown(self, capsys, monkeypatch, tmp_path):
+        # a system against itself three slides later, whose search passes the
+        # fingerprint guard before it reaches the target
+        monkeypatch.delenv("PLATKIT_BUDGET", raising=False)
+        s1 = {
+            "degree": 4,
+            "entries": [
+                {"conjugator": "-3 -3 -1", "index": 2, "sign": 1},
+                "-2 -3 -3 -2",
+                "-2 1 1",
+                "2 -2",
+                {"conjugator": "-2 -3 -1", "index": 1, "sign": -1},
+            ],
+        }
+        s2 = {
+            "degree": 4,
+            "entries": [
+                {"conjugator": "-3 -3 -1 2 1 3 3 -2 1 1 -3 -3 -1 -2", "index": 2, "sign": 1},
+                "-3 -3 -1 2 1 3 3 -2 1 1 -3 -3 -1 -2 1 3 3",
+                "-1 -1 -3 -3 -2 -2 1 1",
+                "2 -2",
+                {"conjugator": "-2 -3 -1", "index": 1, "sign": -1},
+            ],
+        }
+        path1, path2 = tmp_path / "s1.json", tmp_path / "s2.json"
+        path1.write_text(json.dumps(s1))
+        path2.write_text(json.dumps(s2))
+        code, out, _ = run(capsys, "hurwitz", "--in", str(path1), "--in2", str(path2))
+        assert code == 3
+        assert out.startswith("status=Unknown\nexplored=")
+        assert "reason=free-group fingerprint grew past 1000000 letters\n" in out
+
 
 class TestBanded:
     def test_check_admissible(self, capsys, toy_file):

@@ -121,6 +121,78 @@ def reference_bracket(diagram: PlatDiagram) -> Laurent:
     return total
 
 
+def reference_pd_lines(diagram: PlatDiagram) -> list[str]:
+    """The export as it stood with a union-find over every (gap, position)
+    node and a level-by-level scan for each arc's next crossing, kept as an
+    oracle."""
+    word = diagram.word
+    n = word.strands
+    c = len(word.letters)
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(x: tuple[int, int]) -> tuple[int, int]:
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(x: tuple[int, int], y: tuple[int, int]) -> None:
+        parent[find(x)] = find(y)
+
+    for level, g in enumerate(word.letters, start=1):
+        i = abs(g)
+        for p in range(1, n + 1):
+            if p not in (i, i + 1):
+                union((level - 1, p), (level, p))
+
+    labels: dict[tuple[int, int], int] = {}
+
+    def label_arc(node: tuple[int, int]) -> bool:
+        root = find(node)
+        if root in labels:
+            return False
+        labels[root] = len(labels) + 1
+        return True
+
+    def next_crossing(pos: int, gap: int, direction: int) -> int | None:
+        levels = range(gap + 1, c + 1) if direction == 1 else range(gap, 0, -1)
+        for lv in levels:
+            i = abs(word.letters[lv - 1])
+            if pos in (i, i + 1):
+                return lv
+        return None
+
+    for start in range(1, n + 1):
+        pos, gap, direction = start, 0, 1
+        while label_arc((gap, pos)):
+            lv = next_crossing(pos, gap, direction)
+            if lv is not None:
+                i = abs(word.letters[lv - 1])
+                pos = i + 1 if pos == i else i
+                gap = lv if direction == 1 else lv - 1
+            elif direction == 1:
+                pos, gap, direction = diagram.top(pos), c, -1
+            else:
+                pos, gap, direction = diagram.bottom(pos), 0, 1
+
+    def label_of(node: tuple[int, int]) -> int:
+        return labels[find(node)]
+
+    lines = []
+    for i, j in diagram.bottom.pairs():
+        lines.append(f"CUP {label_of((0, i))} {label_of((0, j))}")
+    for level, g in enumerate(word.letters, start=1):
+        i = abs(g)
+        bl = label_of((level - 1, i))
+        br = label_of((level - 1, i + 1))
+        tl = label_of((level, i))
+        tr = label_of((level, i + 1))
+        lines.append(f"X {bl} {br} {tl} {tr}")
+    for i, j in diagram.top.pairs():
+        lines.append(f"CAP {label_of((c, i))} {label_of((c, j))}")
+    return lines
+
+
 def signed_word(rng: random.Random, strands: int, length: int, signs: str) -> BraidWord:
     """A random word whose letters are all positive, all negative or mixed."""
     letters = []
@@ -469,6 +541,33 @@ class TestDiagramExport:
 
     def test_no_crossing_diagram(self):
         assert pd_lines(plat_closure(BraidWord.identity(2))) == ["CUP 1 2", "CAP 1 2"]
+
+
+class TestDiagramExportOracle:
+    def test_matches_the_union_find_export(self):
+        rng = random.Random(43)
+        kinds = set()
+        for t in range(2000):
+            strands = 2 * rng.randint(1, 8)
+            length = 0 if t % 50 == 0 else rng.randint(0, 120)
+            word = random_word(rng, strands, length)
+            standard = rng.random() < 0.5
+            if standard:
+                diagram = plat_closure(word)
+            else:
+                diagram = PlatDiagram(
+                    word, random_pairing(rng, strands), random_pairing(rng, strands)
+                )
+            kinds.add((standard, length == 0))
+            assert pd_lines(diagram) == reference_pd_lines(diagram)
+        assert len(kinds) == 4
+
+    def test_long_word(self):
+        rng = random.Random(44)
+        word = random_word(rng, 32, 2000)
+        diagram = PlatDiagram(word, random_pairing(rng, 32), random_pairing(rng, 32))
+        assert pd_lines(plat_closure(word)) == reference_pd_lines(plat_closure(word))
+        assert pd_lines(diagram) == reference_pd_lines(diagram)
 
 
 def test_loop_power_closed_form():

@@ -376,6 +376,18 @@ class TestHurwitzOracle:
             assert counts["fingerprints"] <= counts["children"] + 2 * s1.r
         assert counts["children"] > 0
 
+    def test_fingerprint_guard_answers_unknown(self):
+        # the 14th pair of this draw slides a plain word into conjugates whose
+        # fingerprint passes the guard before the target is reached
+        rng = random.Random(809)
+        for _ in range(14):
+            s1 = random_system(rng, 4, 5)
+            s2 = apply_slides(s1, [(rng.randint(1, 4), rng.random() < 0.5) for _ in range(3)])
+        result = hurwitz_search(s1, s2)
+        assert result.status is HurwitzStatus.UNKNOWN
+        assert result.reason == "free-group fingerprint grew past 1000000 letters"
+        assert 0 < result.explored < DEFAULT_SEARCH_BUDGET
+
 
 class TestInvariants:
     def test_plat_euler_characteristic(self):

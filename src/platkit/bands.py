@@ -33,7 +33,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 
 from .hilden import (
     HildenExpression,
@@ -390,14 +390,13 @@ def compile_surface(
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative ints summing to ``total``."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            out.append((head,) + rest)
-    return out
+    """All tuples of ``parts`` non-negative ints summing to ``total``, in
+    lexicographic order: stars and bars, without recursion on ``parts``."""
+    slots = total + parts - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+        for bars in combinations(range(slots), parts - 1)
+    ]
 
 
 def _find_sides(

@@ -33,21 +33,26 @@ DEFAULT_MEMBERSHIP_LENGTH = 6
 DEFAULT_CERTIFICATE_BOUND = 3
 
 
-def _env_budget() -> int | None:
+def _pick(flag_value: int | None, fallback: int) -> int:
+    if flag_value is not None:
+        return flag_value
     raw = os.environ.get("PLATKIT_BUDGET")
-    if raw is None or raw == "":
-        return None
+    if not raw:
+        return fallback
     try:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"PLATKIT_BUDGET must be an integer, got {raw!r}") from exc
 
 
-def _pick(flag_value: int | None, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = _env_budget()
-    return fallback if env is None else env
+def _read_json(path: str):
+    """The UTF-8 JSON document in ``path``; nesting too deep to decode raises
+    ValueError, so it exits 2 like any other undecodable file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _emit(
@@ -83,34 +88,20 @@ def _entry_text(entry) -> str:
     return entry.text()
 
 
-def _parse_entries(text: str, degree: int):
-    from .systems import as_monodromy
-
-    entries = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        word = parse_braid(chunk, degree)
-        factored = as_monodromy(word)
-        entries.append(factored if factored is not None else word)
-    return tuple(entries)
-
-
 def _load_system(args, suffix: str = "") -> BraidSystem:
-    from .systems import BraidSystem, system_from_obj
+    from .systems import system_from_obj
 
     path = getattr(args, "infile" + suffix, None)
     inline = getattr(args, "entries" + suffix, None)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return system_from_obj(json.load(fh), promote=True)
+        return system_from_obj(_read_json(path), promote=True)
     if inline is None:
         raise ValueError("provide --in FILE or --entries together with --degree")
     degree = getattr(args, "degree", None)
     if degree is None:
         raise ValueError("--entries needs --degree")
-    return BraidSystem(degree, _parse_entries(inline, degree))
+    entries = [chunk for chunk in inline.split(";") if chunk.strip()]
+    return system_from_obj({"degree": degree, "entries": entries}, promote=True)
 
 
 def _system_pairs(system: BraidSystem) -> list[tuple[str, object]]:
@@ -322,18 +313,11 @@ def _cmd_ribbon_check(args) -> int:
     return 0 if ok else 1
 
 
-def _read_banded(path: str):
-    from .bands import banded_from_json
-
-    with open(path, encoding="utf-8") as fh:
-        return banded_from_json(fh.read())
-
-
 def _cmd_banded_check(args) -> int:
-    from .bands import admissibility_report, band_surgery
+    from .bands import admissibility_report, band_surgery, banded_from_obj
     from .plats import DEFAULT_BRACKET_BUDGET
 
-    bb = _read_banded(args.file)
+    bb = banded_from_obj(_read_json(args.file))
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
     report = admissibility_report(bb, budget)
     _emit(
@@ -357,6 +341,7 @@ def _cmd_banded_check(args) -> int:
 def _cmd_compile(args) -> int:
     from .bands import (
         _search_certificates,
+        banded_from_obj,
         certificates_from_obj,
         compile_surface,
         plan_to_json,
@@ -365,12 +350,11 @@ def _cmd_compile(args) -> int:
     from .hilden import preserves_pairing
     from .plats import DEFAULT_BRACKET_BUDGET
 
-    bb = _read_banded(args.file)
+    bb = banded_from_obj(_read_json(args.file))
     budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
     report = None
     if args.certs is not None:
-        with open(args.certs, encoding="utf-8") as fh:
-            certs = certificates_from_obj(json.load(fh))
+        certs = certificates_from_obj(_read_json(args.certs))
     elif args.search:
         bound = _pick(args.bound, DEFAULT_CERTIFICATE_BOUND)
         try:
@@ -411,13 +395,11 @@ def _cmd_export_mp(args) -> int:
             raise ValueError("export-mp plat needs --strands")
         picture = plat_motion(plat_closure(parse_braid(args.input, args.strands)))
     elif args.kind == "plan":
-        from .bands import plan_from_json
+        from .bands import plan_from_obj
 
-        with open(args.input, encoding="utf-8") as fh:
-            picture = plan_motion(plan_from_json(fh.read()))
+        picture = plan_motion(plan_from_obj(_read_json(args.input)))
     else:
-        with open(args.input, encoding="utf-8") as fh:
-            picture = system_motion(system_from_obj(json.load(fh), promote=True))
+        picture = system_motion(system_from_obj(_read_json(args.input), promote=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(motion_svg(picture))

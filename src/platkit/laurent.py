@@ -72,21 +72,10 @@ class Laurent:
         """Multiply by A^k."""
         return Laurent(tuple((e + k, c) for e, c in self.coeffs))
 
-    def min_degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no degree")
-        return self.coeffs[0][0]
-
     def max_degree(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no degree")
         return self.coeffs[-1][0]
-
-    def as_unit(self) -> tuple[int, int] | None:
-        """(k, sign) when the polynomial is exactly sign * A^k, else None."""
-        if len(self.coeffs) == 1 and self.coeffs[0][1] in (1, -1):
-            return self.coeffs[0][0], self.coeffs[0][1]
-        return None
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -10,6 +10,7 @@ from platkit.bands import (
     BandedBraid,
     CertificateError,
     Certificates,
+    _compositions,
     _deletion_events,
     _tail_with_events,
     admissibility_report,
@@ -356,7 +357,23 @@ class TestCompile:
             assert len(plan.branch_points) == expected
 
 
+def reference_compositions(total, parts):
+    """The recursive enumeration ``bands._compositions`` replaced."""
+    if parts == 1:
+        return [(total,)]
+    return [
+        (head,) + rest
+        for head in range(total + 1)
+        for rest in reference_compositions(total - head, parts - 1)
+    ]
+
+
 class TestSearch:
+    def test_compositions_match_the_recursive_order(self):
+        for total in range(8):
+            for parts in range(1, 6):
+                assert _compositions(total, parts) == reference_compositions(total, parts)
+
     def test_toy_search(self):
         certs = search_certificates(TOY, 2)
         assert certs is not None

@@ -191,13 +191,15 @@ class TestStabilize:
 
 class TestSystems:
     def test_slide(self, capsys):
-        code, out, _ = run(capsys, "slide", "--degree", "3", "--entries", "1;2", "1")
-        assert code == 0
-        assert out == (
-            "degree=3\nr=2\n"
-            "entry_1=monodromy index=2 sign=+1 conjugator=[1]\n"
-            "entry_2=monodromy index=1 sign=+1 conjugator=[]\n"
-        )
+        # empty chunks between or after the separators are skipped
+        for entries in ("1;2", "1;;2;"):
+            code, out, _ = run(capsys, "slide", "--degree", "3", "--entries", entries, "1")
+            assert code == 0
+            assert out == (
+                "degree=3\nr=2\n"
+                "entry_1=monodromy index=2 sign=+1 conjugator=[1]\n"
+                "entry_2=monodromy index=1 sign=+1 conjugator=[]\n"
+            )
 
     def test_slide_round_trip(self, capsys):
         code, out, _ = run(
@@ -371,6 +373,16 @@ class TestBanded:
         code, out, _ = run(capsys, "compile", toy_file, "--search", "--bound", "1")
         assert code == 3
         assert out == "certificates=absent\nbound=1\n"
+
+    def test_search_on_many_pairs_exits_3(self, capsys, tmp_path):
+        # 1200 pairs: more than the recursion limit, past the stabilization limit
+        path = tmp_path / "wide.json"
+        path.write_text('{"strands": 2400, "base": "", "bands": []}')
+        code, out, err = run(capsys, "compile", str(path), "--search", "--bound", "1200")
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exhausted: stabilizing to 2400 strands is over the limit of 1024\n"
+        )
 
     def test_compile_inadmissible(self, capsys, knotted_file):
         code, out, _ = run(capsys, "compile", knotted_file, "--search")
@@ -587,6 +599,30 @@ class TestMalformedInput:
         code, _, err = run(capsys, "export-mp", "plan", path)
         assert code == 2
         assert "'strips' must be of type list" in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface-invariants", "--in", "{deep}"],
+            ["hurwitz", "--in", "{system}", "--in2", "{deep}"],
+            ["banded-check", "{deep}"],
+            ["compile", "{deep}", "--search"],
+            ["compile", "{banded}", "--certs", "{deep}"],
+            ["export-mp", "plan", "{deep}"],
+            ["export-mp", "system", "{deep}"],
+        ],
+        ids=["in", "in2", "banded-check", "compile", "certs", "plan", "system"],
+    )
+    def test_nested_past_the_recursion_limit(
+        self, capsys, tmp_path, system22_file, toy_file, argv
+    ):
+        depth = 10 * sys.getrecursionlimit()
+        deep = self.write(tmp_path, "[" * depth + "]" * depth)
+        paths = {"deep": deep, "system": system22_file, "banded": toy_file}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 class TestLongIdentities:

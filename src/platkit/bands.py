@@ -55,6 +55,7 @@ from .stabilize import StabilizationProfile, profile_blocks, stabilize_by_profil
 from .systems import BraidSystem, MonodromyEntry
 from .words import (
     BraidWord,
+    BudgetError,
     CertificateError,
     artin_fingerprint,
     braids_equal,
@@ -143,6 +144,13 @@ def stabilized_copy(bb: BandedBraid, profile: StabilizationProfile) -> BandedBra
     return BandedBraid(new_base, tuple(new_bands))
 
 
+def _surgered_counts(bb: BandedBraid) -> tuple[BraidWord, int, int]:
+    """The surgered word and the component counts c1, c2 of both plat closures."""
+    surgered = band_surgery(bb)
+    c1 = component_count(plat_closure(bb.base))
+    return surgered, c1, component_count(plat_closure(surgered))
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     base_components: int
@@ -162,23 +170,19 @@ def admissibility_report(
     bb: BandedBraid, budget: int = DEFAULT_BRACKET_BUDGET
 ) -> AdmissibilityReport:
     """Check that both the base and the surgered plat close into trivial links."""
-    before = plat_closure(bb.base)
-    after = plat_closure(band_surgery(bb))
-    c1 = component_count(before)
-    c2 = component_count(after)
+    surgered, c1, c2 = _surgered_counts(bb)
     return AdmissibilityReport(
         base_components=c1,
         surgered_components=c2,
-        base_verdict=bracket_triviality(kauffman_bracket(before, budget), c1),
-        surgered_verdict=bracket_triviality(kauffman_bracket(after, budget), c2),
+        base_verdict=bracket_triviality(kauffman_bracket(plat_closure(bb.base), budget), c1),
+        surgered_verdict=bracket_triviality(kauffman_bracket(plat_closure(surgered), budget), c2),
     )
 
 
 def realizing_euler_characteristic(bb: BandedBraid) -> int:
     """Euler characteristic of the surface the bands trace between the two links."""
-    before = component_count(plat_closure(bb.base))
-    after = component_count(plat_closure(band_surgery(bb)))
-    return before + after - len(bb.bands)
+    _, c1, c2 = _surgered_counts(bb)
+    return c1 + c2 - len(bb.bands)
 
 
 @dataclass(frozen=True)
@@ -264,27 +268,21 @@ def _deletion_events(profile: StabilizationProfile) -> list[int]:
     return [pos - rank for rank, (pos, _) in enumerate(events)]
 
 
-def compile_surface(
-    bb: BandedBraid,
-    certs: Certificates,
-    budget: int = DEFAULT_BRACKET_BUDGET,
-    report: AdmissibilityReport | None = None,
-) -> BraidedSurfacePlan:
-    """Compile an admissible banded braid and its certificates into a plan.
+def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
+    """Compile a banded braid and its certificates into a plan.
 
     Verifies the certificates (side expressions really convert the
     stabilization tails into the stabilized words), then lays out the seven
     strips and derives one branch point per band event, conjugators
     transported along the right edge.  Raises :class:`CertificateError`
-    when a verification step fails.  ``report`` is ``bb``'s admissibility
-    report when the caller already has it; by default it is computed here.
+    when a verification step fails, and :class:`BudgetError` before the side
+    checks past ``MAX_PLAN_SIZE``.  No bracket is evaluated: plat closures
+    do not change under Hilden double cosets or stabilization, so the two
+    verified side equations prove that the base and surgered plats close
+    into the trivial links of c1 and c2 components.
     """
-    if report is None:
-        report = admissibility_report(bb, budget)
-    if not report.admissible:
-        raise CertificateError("banded braid is not admissible")
     m0 = bb.base.strands // 2
-    c1, c2 = report.base_components, report.surgered_components
+    surgered, c1, c2 = _surgered_counts(bb)
     lam, lam1, lam2 = certs.profile, certs.profile1, certs.profile2
     if lam.pairs != m0:
         raise CertificateError(f"profile must have {m0} entries")
@@ -301,7 +299,7 @@ def compile_surface(
             raise CertificateError(f"side expressions must have {m} pairs")
 
     beta1 = stabilize_by_profile(bb.base, lam)
-    beta2 = stabilize_by_profile(band_surgery(bb), lam)
+    beta2 = stabilize_by_profile(surgered, lam)
     alpha1 = stabilize_by_profile(BraidWord.identity(2 * c1), lam1)
     alpha2 = stabilize_by_profile(BraidWord.identity(2 * c2), lam2)
 
@@ -310,6 +308,10 @@ def compile_surface(
     delta_w = expand_expression(certs.delta)
     delta_p_w = expand_expression(certs.delta_prime)
 
+    letters = sum(map(len, (beta1, beta2, alpha1, alpha2, gamma_w, gamma_p_w, delta_w, delta_p_w)))
+    size = letters * (letters + 2 * m - c1 - c2 + len(bb.bands))
+    if size > MAX_PLAN_SIZE:
+        raise BudgetError(f"the plan has size {size}, over the limit of {MAX_PLAN_SIZE}")
     if not braids_equal(beta1, gamma_w * alpha1 * gamma_p_w):
         raise CertificateError("first side certificate failed")
     if not braids_equal(beta2, delta_w * alpha2 * delta_p_w):
@@ -389,6 +391,13 @@ def compile_surface(
     )
 
 
+# the largest Hilden factor count a certificate search tries per side expression
+_CERTIFICATE_FACTORS = 3
+# compile_surface's limit on letters x (letters + band and tail events): its side
+# checks take time up to letters squared, and each event stores a conjugator as long
+MAX_PLAN_SIZE = 1 << 22
+
+
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative ints summing to ``total``, in
     lexicographic order: stars and bars, without recursion on ``parts``."""
@@ -421,43 +430,24 @@ def _find_sides(
 
 
 def search_certificates(
-    bb: BandedBraid,
-    max_pairs: int,
-    max_factors: int = 3,
-    budget: int = DEFAULT_BRACKET_BUDGET,
+    bb: BandedBraid, max_pairs: int, budget: int = DEFAULT_BRACKET_BUDGET
 ) -> Certificates | None:
     """Look for compilation certificates with at most ``max_pairs`` total pairs.
 
     Profiles are enumerated by total size and, for each size, side
-    expressions are searched with increasing factor budgets, so small
-    certificates are found before large ones.  Returns None when the bounds
-    are exhausted.
-    """
-    return _search_certificates(bb, max_pairs, max_factors, budget)[0]
-
-
-def _search_certificates(
-    bb: BandedBraid,
-    max_pairs: int,
-    max_factors: int = 3,
-    budget: int = DEFAULT_BRACKET_BUDGET,
-) -> tuple[Certificates | None, AdmissibilityReport | None]:
-    """:func:`search_certificates`, with the admissibility report it made.
-
-    The report is None when the pair count alone rules out ``max_pairs``;
-    it is checked only after that, so a small bound stays cheap.
+    expressions are searched with increasing factor counts, up to
+    ``_CERTIFICATE_FACTORS``, so small certificates are found before large
+    ones.  Returns None when the bounds are exhausted.  Raises ValueError
+    when the bracket rules out a trivial base or surgered plat; that check
+    runs only after the pair count alone has not ruled out ``max_pairs``,
+    so a small bound stays cheap.
     """
     m0 = bb.base.strands // 2
-    surgered = band_surgery(bb)
-    c1 = component_count(plat_closure(bb.base))
-    c2 = component_count(plat_closure(surgered))
+    surgered, c1, c2 = _surgered_counts(bb)
     if max(m0, c1, c2) > max_pairs:
-        return None, None
-    report = admissibility_report(bb, budget)
-    if not report.admissible:
+        return None
+    if not admissibility_report(bb, budget).admissible:
         raise ValueError("banded braid is not admissible")
-    if max_factors < 0:
-        return None, report
 
     def stabilized(word: BraidWord, m: int) -> list[tuple[StabilizationProfile, BraidWord]]:
         pairs = word.strands // 2
@@ -470,7 +460,7 @@ def _search_certificates(
         alpha2s = stabilized(BraidWord.identity(2 * c2), m)
         # one ball per m, grown a factor at a time: depth d searches radius d
         ball: dict[tuple, tuple[HildenExpression, BraidWord]] = {}
-        entries = _hilden_ball(m, max_factors)
+        entries = _hilden_ball(m, _CERTIFICATE_FACTORS)
         for _, layer in groupby(entries, key=lambda entry: len(entry[1].factors)):
             ball.update((fp, (expr, inverse)) for fp, expr, inverse in layer)
             for (lam, beta1), (_, beta2) in betas:
@@ -480,7 +470,7 @@ def _search_certificates(
                 second = _find_sides(beta2, alpha2s, ball)
                 if second is None:
                     continue
-                certs = Certificates(
+                return Certificates(
                     profile=lam,
                     profile1=first[0],
                     profile2=second[0],
@@ -489,8 +479,7 @@ def _search_certificates(
                     delta=second[1],
                     delta_prime=second[2],
                 )
-                return certs, report
-    return None, report
+    return None
 
 
 def banded_to_obj(bb: BandedBraid) -> dict:

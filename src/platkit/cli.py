@@ -340,26 +340,24 @@ def _cmd_banded_check(args) -> int:
 
 def _cmd_compile(args) -> int:
     from .bands import (
-        _search_certificates,
         banded_from_obj,
         certificates_from_obj,
         compile_surface,
         plan_to_json,
         plan_to_obj,
+        search_certificates,
     )
     from .hilden import preserves_pairing
     from .plats import DEFAULT_BRACKET_BUDGET
 
     bb = banded_from_obj(_read_json(args.file))
-    budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
-    report = None
     if args.certs is not None:
         certs = certificates_from_obj(_read_json(args.certs))
     elif args.search:
         bound = _pick(args.bound, DEFAULT_CERTIFICATE_BOUND)
+        budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
         try:
-            # the search's admissibility report serves the compiler too
-            certs, report = _search_certificates(bb, bound, budget=budget)
+            certs = search_certificates(bb, bound, budget)
         except ValueError as exc:
             _emit(args, [("admissible", False), ("reason", str(exc))], force_stdout=True)
             return 1
@@ -368,7 +366,7 @@ def _cmd_compile(args) -> int:
             return 3
     else:
         raise ValueError("provide --certs FILE or --search")
-    plan = compile_surface(bb, certs, budget, report)
+    plan = compile_surface(bb, certs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(plan_to_json(plan) + "\n")
@@ -401,8 +399,9 @@ def _cmd_export_mp(args) -> int:
     else:
         picture = system_motion(system_from_obj(_read_json(args.input), promote=True))
     if args.out:
+        svg = motion_svg(picture)
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(motion_svg(picture))
+            fh.write(svg)
     pairs: list[tuple[str, object]] = [
         ("strands", picture.strands),
         ("stills", len(picture.stills)),

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .plats import Pairing, PlatDiagram
 from .systems import BraidSystem, MonodromyEntry, entry_word
-from .words import BraidWord, json_field, parse_braid, product
+from .words import BraidWord, BudgetError, json_field, parse_braid, product
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
@@ -194,6 +194,9 @@ _DY = 26
 _MARGIN = 24
 _ARC = 14
 _GAP = 0.22
+# the most polyline points (strands times levels, summed over the stills)
+# one SVG may hold: about 6 MB of text, 80 MB while it is built
+MAX_SVG_POINTS = 1 << 19
 
 
 def _fmt(v: float) -> str:
@@ -291,8 +294,15 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
 
 
 def motion_svg(picture: MotionPicture) -> str:
-    """Render the stills side by side as a standalone SVG document."""
+    """Render the stills side by side as a standalone SVG document.
+
+    Raises :class:`BudgetError` when the picture needs more than
+    ``MAX_SVG_POINTS`` points: one per strand per letter, band and still.
+    """
     n = picture.strands
+    points = n * sum(len(s.word) + len(s.bands) + 1 for s in picture.stills)
+    if points > MAX_SVG_POINTS:
+        raise BudgetError(f"the SVG needs {points} points, over the limit of {MAX_SVG_POINTS}")
     panel_w = 2 * _MARGIN + (n - 1) * _DX
     body: list[str] = []
     height = 0.0

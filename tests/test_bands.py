@@ -31,7 +31,7 @@ from platkit.hilden import HildenExpression, expand_expression
 from platkit.plats import Triviality, component_count, plat_closure
 from platkit.stabilize import StabilizationProfile, stabilization_tail, stabilize_by_profile
 from platkit.systems import is_two_dimensional
-from platkit.words import BraidWord, braids_equal, parse_braid, product
+from platkit.words import BraidWord, BudgetError, braids_equal, parse_braid, product
 
 
 def trivial_certs(profile, profile1, profile2, **sides) -> Certificates:
@@ -269,7 +269,7 @@ class TestCompile:
         assert not is_two_dimensional(plan.as_system())
 
     def test_certificate_failures(self):
-        with pytest.raises(CertificateError, match="not admissible"):
+        with pytest.raises(CertificateError, match="side profiles"):
             compile_surface(BandedBraid(parse_braid("2 2 2", 4)), TOY_CERTS)
         with pytest.raises(CertificateError, match="profile must have"):
             compile_surface(TOY, trivial_certs("0", "0,0", "1"))
@@ -286,6 +286,32 @@ class TestCompile:
         with pytest.raises(CertificateError, match="pairs"):
             bad = trivial_certs("0,0", "0,0", "1", gamma=HildenExpression(3))
             compile_surface(TOY, bad)
+
+    def test_certificates_past_the_bracket_budget(self):
+        # the twist is over DEFAULT_BRACKET_BUDGET; its certificate alone proves
+        # the plat trivial, so compiling it evaluates no bracket
+        bb = BandedBraid(BraidWord(2, (1,) * 26))
+        twist = HildenExpression(1, ((0, 1),) * 26)
+        plan = compile_surface(bb, trivial_certs("0", "0", "0", gamma=twist, delta=twist))
+        assert (plan.degree, plan.chi, plan.branch_points) == (2, 2, ())
+
+    def test_plan_size_limit(self, monkeypatch):
+        import platkit.bands
+
+        # letters: the surgered word and the second tail; events: one band
+        # and the second tail's new pair.  2 * (2 + 2) = 8
+        monkeypatch.setattr(platkit.bands, "MAX_PLAN_SIZE", 8)
+        compile_surface(TOY, TOY_CERTS)
+        monkeypatch.setattr(platkit.bands, "MAX_PLAN_SIZE", 7)
+        with pytest.raises(BudgetError, match="size 8, over the limit of 7"):
+            compile_surface(TOY, TOY_CERTS)
+
+    def test_long_words_stop_before_the_side_checks(self):
+        # the word problem on sigma1^k sigma2^-k takes time quadratic in k
+        k = 1024
+        bb = BandedBraid(BraidWord(4, (1,) * k + (-2,) * k))
+        with pytest.raises(BudgetError, match=f"size {4096 * 4096},"):
+            compile_surface(bb, trivial_certs("0,0", "0,0", "0,0"))
 
     def compile_cases(self):
         two_bands_b2 = BandedBraid(
@@ -445,5 +471,6 @@ class TestSerialization:
         assert certificates_from_obj(certificates_to_obj(certs)) == certs
 
     def test_plan_round_trip(self):
-        plan = compile_surface(TOY, TOY_CERTS)
-        assert plan_from_json(plan_to_json(plan)) == plan
+        for bb, certs in TestCompile().compile_cases():
+            plan = compile_surface(bb, certs)
+            assert plan_from_json(plan_to_json(plan)) == plan

@@ -438,8 +438,9 @@ class TestBanded:
         assert (code, out) == (1, "")
         assert err.startswith("verification failed: second side certificate failed")
 
-    def test_search_then_compile_brackets_once(self, capsys, toy_file, monkeypatch):
-        # one admissibility report (base and surgered plat) serves search and compile
+    def test_search_then_compile_brackets_once(self, capsys, toy_file, tmp_path, monkeypatch):
+        # the search's admissibility report (base and surgered plat) is the only
+        # one; compiling from certificates evaluates no bracket
         import platkit.bands
 
         calls = []
@@ -450,9 +451,55 @@ class TestBanded:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(platkit.bands, "kauffman_bracket", counted)
-        code, _, _ = run(capsys, "compile", toy_file, "--search")
+        certs = {"profile": "0,0", "profile1": "0,0", "profile2": "1"}
+        certs.update(dict.fromkeys(("gamma", "gamma_prime", "delta", "delta_prime"), "m=2"))
+        path = tmp_path / "certs.json"
+        path.write_text(json.dumps(certs))
+        for mode, expected in ((["--search"], 2), (["--certs", str(path)], 0)):
+            calls.clear()
+            code, out, _ = run(capsys, "compile", toy_file, *mode)
+            assert code == 0
+            assert "chi=2\n" in out
+            assert len(calls) == expected
+
+    def test_compile_past_the_plan_size_limit_exits_3(self, capsys, toy_file, tmp_path, monkeypatch):
+        import platkit.bands
+
+        monkeypatch.setattr(platkit.bands, "MAX_PLAN_SIZE", 7)
+        out_path = tmp_path / "plan.json"
+        argv = ["compile", toy_file, "--search", "--out", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "size 8" in err
+        assert not out_path.exists()
+
+    def test_long_banded_twist_exits_3(self, capsys, tmp_path):
+        # sigma1^N with B bands: each band's conjugator is about N/2 letters long
+        n = b = 1000
+        bands = [{"slot": 1, "sign": 1, "time": f"{k}/{b + 1}"} for k in range(1, b + 1)]
+        banded = tmp_path / "b.json"
+        banded.write_text(json.dumps({"strands": 2, "base": " ".join(["1"] * n), "bands": bands}))
+        certs = {"profile": "0", "profile1": "0", "profile2": "0"}
+        certs.update(gamma="m=1" + " g0" * n, gamma_prime="m=1")
+        certs.update(delta="m=1" + " g0" * (n + b), delta_prime="m=1")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(certs))
+        code, out, err = run(capsys, "compile", str(banded), "--certs", str(path))
+        assert (code, out) == (3, "")
+        assert f"size {6000 * 7000}," in err
+
+    def test_certificates_past_the_bracket_budget_compile(self, capsys, tmp_path):
+        # 26 crossings are over the bracket budget of 24; the certificates need none
+        banded = tmp_path / "b.json"
+        banded.write_text(json.dumps({"strands": 2, "base": " ".join(["1"] * 26)}))
+        twist = "m=1" + " g0" * 26
+        certs = {"profile": "0", "profile1": "0", "profile2": "0"}
+        certs.update(gamma=twist, gamma_prime="m=1", delta=twist, delta_prime="m=1")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(certs))
+        code, out, _ = run(capsys, "compile", str(banded), "--certs", str(path))
         assert code == 0
-        assert len(calls) == 2
+        assert "chi=2\n" in out
 
     def test_compile_needs_a_mode(self, capsys, toy_file):
         code, _, err = run(capsys, "compile", toy_file)
@@ -499,6 +546,17 @@ class TestExportMp:
         assert code == 0
         text = path.read_text()
         assert text.startswith("<svg ") and text.endswith("</svg>\n")
+
+    def test_svg_past_the_point_limit_exits_3(self, capsys, tmp_path, monkeypatch):
+        import platkit.motion
+
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", 23)
+        path = tmp_path / "out.svg"
+        argv = ["export-mp", "plat", "2 2 2", "--strands", "4", "--out", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "24 points" in err
+        assert not path.exists()
 
     def test_plan_kind(self, capsys, toy_file, tmp_path):
         plan_path = tmp_path / "plan.json"

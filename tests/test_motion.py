@@ -21,6 +21,7 @@ from platkit.plats import plat_closure
 from platkit.systems import BraidSystem, MonodromyEntry, staircase, to_genuine_plat
 from platkit.words import MAX_STRANDS, BraidWord, BudgetError, parse_braid
 
+import test_bands
 from test_bands import TOY, TOY_CERTS
 
 
@@ -126,12 +127,11 @@ class TestSystemMotion:
 
 class TestSerialization:
     def test_round_trip(self):
-        plan = compile_surface(TOY, TOY_CERTS)
-        for picture in (
-            plat_motion(plat_closure(parse_braid("2 2 2", 4))),
-            plan_motion(plan),
-            system_motion(plan.as_system()),
-        ):
+        pictures = [plat_motion(plat_closure(parse_braid("2 2 2", 4)))]
+        for bb, certs in test_bands.TestCompile().compile_cases():
+            plan = compile_surface(bb, certs)
+            pictures += [plan_motion(plan), system_motion(plan.as_system())]
+        for picture in pictures:
             assert motion_from_json(motion_to_json(picture)) == picture
 
 
@@ -167,6 +167,17 @@ class TestSvg:
         picture = plan_motion(compile_surface(TOY, TOY_CERTS))
         total_marks = sum(len(s.bands) for s in picture.stills)
         assert motion_svg(picture).count("<rect ") == total_marks
+
+    def test_point_limit(self, monkeypatch):
+        import platkit.motion
+
+        # caps, one letter and cups on 2 strands: 2 * (1 + 2 + 1) = 8 points
+        picture = plat_motion(plat_closure(parse_braid("1", 2)))
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", 8)
+        assert motion_svg(picture).endswith("</svg>\n")
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", 7)
+        with pytest.raises(BudgetError, match="8 points, over the limit of 7"):
+            motion_svg(picture)
 
     def test_no_external_references(self):
         svg = motion_svg(plat_motion(plat_closure(parse_braid("1", 2))))

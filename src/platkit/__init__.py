@@ -40,8 +40,8 @@ _EXPORTS = {
         motion_to_json motion_to_obj plan_motion plat_motion system_motion
     """,
     "plats": """
-        DEFAULT_BRACKET_BUDGET Pairing PlatDiagram Triviality component_count
-        kauffman_bracket pd_lines plat_closure triviality_check
+        DEFAULT_BRACKET_BUDGET Pairing PlatDiagram Triviality bracket_triviality
+        component_count kauffman_bracket pd_lines plat_closure triviality_check
     """,
     "stabilize": """
         MAX_STABILIZED_STRANDS StabilizationProfile pair_swap stabilization_tail

@@ -19,7 +19,11 @@ import json
 import os
 import sys
 
-# Each handler imports the modules it uses, so one call loads only those.
+import platkit as pk
+
+# Every subcommand parses words and main catches their errors.  The rest of
+# the library is reached as pk.<name>, which imports its module on first use,
+# so one call loads only the modules it needs.
 from .words import (
     BudgetError,
     CertificateError,
@@ -78,9 +82,7 @@ def _emit(
 
 
 def _entry_text(entry) -> str:
-    from .systems import MonodromyEntry
-
-    if isinstance(entry, MonodromyEntry):
+    if isinstance(entry, pk.MonodromyEntry):
         return (
             f"monodromy index={entry.index} sign={entry.sign:+d} "
             f"conjugator=[{entry.conjugator.text()}]"
@@ -88,23 +90,21 @@ def _entry_text(entry) -> str:
     return entry.text()
 
 
-def _load_system(args, suffix: str = "") -> BraidSystem:
-    from .systems import system_from_obj
-
+def _load_system(args, suffix: str = "") -> pk.BraidSystem:
     path = getattr(args, "infile" + suffix, None)
     inline = getattr(args, "entries" + suffix, None)
     if path is not None:
-        return system_from_obj(_read_json(path), promote=True)
+        return pk.system_from_obj(_read_json(path), promote=True)
     if inline is None:
         raise ValueError("provide --in FILE or --entries together with --degree")
     degree = getattr(args, "degree", None)
     if degree is None:
         raise ValueError("--entries needs --degree")
     entries = [chunk for chunk in inline.split(";") if chunk.strip()]
-    return system_from_obj({"degree": degree, "entries": entries}, promote=True)
+    return pk.system_from_obj({"degree": degree, "entries": entries}, promote=True)
 
 
-def _system_pairs(system: BraidSystem) -> list[tuple[str, object]]:
+def _system_pairs(system: pk.BraidSystem) -> list[tuple[str, object]]:
     pairs: list[tuple[str, object]] = [("degree", system.degree), ("r", system.r)]
     for i, entry in enumerate(system.entries, start=1):
         pairs.append((f"entry_{i}", _entry_text(entry)))
@@ -137,25 +137,15 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_plat_components(args) -> int:
-    from .plats import component_count, plat_closure
-
-    diagram = plat_closure(parse_braid(args.word, args.strands))
-    _emit(args, [("components", component_count(diagram))])
+    diagram = pk.plat_closure(parse_braid(args.word, args.strands))
+    _emit(args, [("components", pk.component_count(diagram))])
     return 0
 
 
 def _cmd_bracket(args) -> int:
-    from .plats import (
-        DEFAULT_BRACKET_BUDGET,
-        bracket_triviality,
-        component_count,
-        kauffman_bracket,
-        plat_closure,
-    )
-
-    budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
-    diagram = plat_closure(parse_braid(args.word, args.strands))
-    poly = kauffman_bracket(diagram, budget)
+    budget = _pick(args.budget, pk.DEFAULT_BRACKET_BUDGET)
+    diagram = pk.plat_closure(parse_braid(args.word, args.strands))
+    poly = pk.kauffman_bracket(diagram, budget)
     try:
         text = str(poly)
     except ValueError as exc:
@@ -164,80 +154,66 @@ def _cmd_bracket(args) -> int:
             "a bracket coefficient has more digits than the limit of "
             f"{sys.get_int_max_str_digits()} for printing an integer"
         ) from exc
-    components = component_count(diagram)
+    components = pk.component_count(diagram)
     _emit(
         args,
         [
             ("bracket", text),
             ("components", components),
-            ("triviality", bracket_triviality(poly, components).value),
+            ("triviality", pk.bracket_triviality(poly, components).value),
         ],
     )
     return 0
 
 
 def _cmd_adequate(args) -> int:
-    from .hilden import (
-        format_expression,
-        parse_expression,
-        preserves_pairing,
-        search_membership,
-        verify_membership,
-    )
-
     word = parse_braid(args.word, args.strands)
     if args.verify is not None:
-        expression = parse_expression(args.verify)
-        ok = verify_membership(word, expression)
+        expression = pk.parse_expression(args.verify)
+        ok = pk.verify_membership(word, expression)
         _emit(args, [("verified", ok)])
         return 0 if ok else 1
-    if not preserves_pairing(word):
+    if not pk.preserves_pairing(word):
         _emit(
             args,
             [("status", "not_member"), ("reason", "does not preserve the pairing")],
         )
         return 1
     max_len = _pick(args.max_len, DEFAULT_MEMBERSHIP_LENGTH)
-    expression = search_membership(word, max_len)
+    expression = pk.search_membership(word, max_len)
     if expression is None:
         _emit(args, [("status", "unknown"), ("max_len", max_len)])
         return 3
     _emit(
         args,
-        [("status", "member"), ("expression", format_expression(expression))],
+        [("status", "member"), ("expression", pk.format_expression(expression))],
     )
     return 0
 
 
 def _cmd_stabilize(args) -> int:
-    from .stabilize import StabilizationProfile, stabilize, stabilize_by_profile
-
     word = parse_braid(args.word, args.strands)
     if args.profile is not None:
-        result = stabilize_by_profile(word, StabilizationProfile.parse(args.profile))
+        result = pk.stabilize_by_profile(word, pk.StabilizationProfile.parse(args.profile))
     else:
-        result = stabilize(word, args.extra)
+        result = pk.stabilize(word, args.extra)
     _emit(args, [("strands", result.strands), ("word", result.text())])
     return 0
 
 
 def _cmd_slide(args) -> int:
-    from .systems import slide, system_to_obj
-
     system = _load_system(args)
     for token in args.moves:
-        system = slide(system, abs(token), inverse=token < 0)
-    _emit(args, _system_pairs(system), system_to_obj(system))
+        system = pk.slide(system, abs(token), inverse=token < 0)
+    _emit(args, _system_pairs(system), pk.system_to_obj(system))
     return 0
 
 
 def _cmd_hurwitz(args) -> int:
-    from .systems import DEFAULT_SEARCH_BUDGET, HurwitzStatus, hurwitz_search
-
     s1 = _load_system(args)
     s2 = _load_system(args, "2")
-    budget = _pick(args.budget, DEFAULT_SEARCH_BUDGET)
-    result = hurwitz_search(s1, s2, budget)
+    budget = _pick(args.budget, pk.DEFAULT_SEARCH_BUDGET)
+    result = pk.hurwitz_search(s1, s2, budget)
     pairs: list[tuple[str, object]] = [
         ("status", result.status.value),
         ("explored", result.explored),
@@ -248,44 +224,35 @@ def _cmd_hurwitz(args) -> int:
     if result.reason is not None:
         pairs.append(("reason", result.reason))
     _emit(args, pairs)
-    if result.status is HurwitzStatus.EQUIVALENT:
+    if result.status is pk.HurwitzStatus.EQUIVALENT:
         return 0
-    if result.status is HurwitzStatus.NOT_EQUIVALENT:
+    if result.status is pk.HurwitzStatus.NOT_EQUIVALENT:
         return 1
     return 3
 
 
 def _cmd_surface_invariants(args) -> int:
-    from .systems import (
-        boundary_braid,
-        branch_signs,
-        classify_degree_two,
-        is_two_dimensional,
-        normal_euler_number,
-        plat_euler_characteristic,
-    )
-
     system = _load_system(args)
     pairs: list[tuple[str, object]] = [
         ("degree", system.degree),
         ("r", system.r),
-        ("boundary", boundary_braid(system).free_reduced().text()),
-        ("two_dimensional", is_two_dimensional(system)),
+        ("boundary", pk.boundary_braid(system).free_reduced().text()),
+        ("two_dimensional", pk.is_two_dimensional(system)),
     ]
     if system.degree % 2 == 0:
-        pairs.append(("chi", plat_euler_characteristic(system)))
+        pairs.append(("chi", pk.plat_euler_characteristic(system)))
     try:
-        p, q = branch_signs(system)
+        p, q = pk.branch_signs(system)
         pairs.append(("positive_branch_points", p))
         pairs.append(("negative_branch_points", q))
     except ValueError:
         pass
-    euler = normal_euler_number(system)
+    euler = pk.normal_euler_number(system)
     if euler is not None:
         pairs.append(("normal_euler", euler))
     if system.degree == 2:
         try:
-            pairs.append(("classification", str(classify_degree_two(system))))
+            pairs.append(("classification", str(pk.classify_degree_two(system))))
         except ValueError:
             pass
     _emit(args, pairs)
@@ -293,33 +260,26 @@ def _cmd_surface_invariants(args) -> int:
 
 
 def _cmd_to_genuine_plat(args) -> int:
-    from .systems import is_two_dimensional, system_to_obj, to_genuine_plat
-
     system = _load_system(args)
-    if not is_two_dimensional(system):
+    if not pk.is_two_dimensional(system):
         _emit(args, [("two_dimensional", False)])
         return 1
-    genuine = to_genuine_plat(system)
-    _emit(args, _system_pairs(genuine), system_to_obj(genuine))
+    genuine = pk.to_genuine_plat(system)
+    _emit(args, _system_pairs(genuine), pk.system_to_obj(genuine))
     return 0
 
 
 def _cmd_ribbon_check(args) -> int:
-    from .systems import ribbon_criterion
-
     system = _load_system(args)
-    ok = ribbon_criterion(system)
+    ok = pk.ribbon_criterion(system)
     _emit(args, [("ribbon", ok)])
     return 0 if ok else 1
 
 
 def _cmd_banded_check(args) -> int:
-    from .bands import admissibility_report, band_surgery, banded_from_obj
-    from .plats import DEFAULT_BRACKET_BUDGET
-
-    bb = banded_from_obj(_read_json(args.file))
-    budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
-    report = admissibility_report(bb, budget)
+    bb = pk.banded_from_obj(_read_json(args.file))
+    budget = _pick(args.budget, pk.DEFAULT_BRACKET_BUDGET)
+    report = pk.admissibility_report(bb, budget)
     _emit(
         args,
         [
@@ -332,32 +292,21 @@ def _cmd_banded_check(args) -> int:
                 "realizing_euler",
                 report.base_components + report.surgered_components - len(bb.bands),
             ),
-            ("surgered_word", band_surgery(bb).text()),
+            ("surgered_word", pk.band_surgery(bb).text()),
         ],
     )
     return 0 if report.admissible else 1
 
 
 def _cmd_compile(args) -> int:
-    from .bands import (
-        banded_from_obj,
-        certificates_from_obj,
-        compile_surface,
-        plan_to_json,
-        plan_to_obj,
-        search_certificates,
-    )
-    from .hilden import preserves_pairing
-    from .plats import DEFAULT_BRACKET_BUDGET
-
-    bb = banded_from_obj(_read_json(args.file))
+    bb = pk.banded_from_obj(_read_json(args.file))
     if args.certs is not None:
-        certs = certificates_from_obj(_read_json(args.certs))
+        certs = pk.certificates_from_obj(_read_json(args.certs))
     elif args.search:
         bound = _pick(args.bound, DEFAULT_CERTIFICATE_BOUND)
-        budget = _pick(args.budget, DEFAULT_BRACKET_BUDGET)
+        budget = _pick(args.budget, pk.DEFAULT_BRACKET_BUDGET)
         try:
-            certs = search_certificates(bb, bound, budget)
+            certs = pk.search_certificates(bb, bound, budget)
         except ValueError as exc:
             _emit(args, [("admissible", False), ("reason", str(exc))], force_stdout=True)
             return 1
@@ -366,10 +315,10 @@ def _cmd_compile(args) -> int:
             return 3
     else:
         raise ValueError("provide --certs FILE or --search")
-    plan = compile_surface(bb, certs)
+    plan = pk.compile_surface(bb, certs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(plan_to_json(plan) + "\n")
+            fh.write(pk.plan_to_json(plan) + "\n")
     pairs: list[tuple[str, object]] = [
         ("degree", plan.degree),
         ("branch_points", len(plan.branch_points)),
@@ -377,29 +326,23 @@ def _cmd_compile(args) -> int:
         ("negative_branch_points", plan.negative_branch_points),
         ("chi", plan.chi),
         ("boundary", plan.boundary.text()),
-        ("boundary_adequate", preserves_pairing(plan.boundary)),
+        ("boundary_adequate", pk.preserves_pairing(plan.boundary)),
     ]
-    _emit(args, pairs, plan_to_obj(plan), force_stdout=True)
+    _emit(args, pairs, pk.plan_to_obj(plan), force_stdout=True)
     return 0
 
 
 def _cmd_export_mp(args) -> int:
-    from .motion import motion_svg, motion_to_obj, plan_motion, plat_motion, system_motion
-    from .plats import plat_closure
-    from .systems import system_from_obj
-
     if args.kind == "plat":
         if args.strands is None:
             raise ValueError("export-mp plat needs --strands")
-        picture = plat_motion(plat_closure(parse_braid(args.input, args.strands)))
+        picture = pk.plat_motion(pk.plat_closure(parse_braid(args.input, args.strands)))
     elif args.kind == "plan":
-        from .bands import plan_from_obj
-
-        picture = plan_motion(plan_from_obj(_read_json(args.input)))
+        picture = pk.plan_motion(pk.plan_from_obj(_read_json(args.input)))
     else:
-        picture = system_motion(system_from_obj(_read_json(args.input), promote=True))
+        picture = pk.system_motion(pk.system_from_obj(_read_json(args.input), promote=True))
     if args.out:
-        svg = motion_svg(picture)
+        svg = pk.motion_svg(picture)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     pairs: list[tuple[str, object]] = [
@@ -408,7 +351,7 @@ def _cmd_export_mp(args) -> int:
     ]
     for i, still in enumerate(picture.stills, start=1):
         pairs.append((f"still_{i}", f"{still.label} [{still.word.text()}]"))
-    _emit(args, pairs, motion_to_obj(picture), force_stdout=True)
+    _emit(args, pairs, pk.motion_to_obj(picture), force_stdout=True)
     return 0
 
 
@@ -423,11 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the output to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def word_cmd(name: str, func, help_text: str, extra=None):
+    def word_cmd(name: str, func, help_text: str):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("--strands", type=int, required=True)
-        if extra:
-            extra(p)
         p.set_defaults(func=func)
         return p
 

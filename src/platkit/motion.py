@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .plats import Pairing, PlatDiagram
 from .systems import BraidSystem, MonodromyEntry, entry_word
-from .words import BraidWord, BudgetError, json_field, parse_braid, product
+from .words import BraidWord, BudgetError, json_field, parse_braid
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
@@ -106,17 +106,26 @@ def system_motion(system: BraidSystem) -> MotionPicture:
 
     Level k shows the freely reduced product of the first k entries, with
     the k-th branch point marked as a band; levels run top (all entries)
-    down to zero (trivial section).
+    down to zero (trivial section).  Raises :class:`BudgetError` as soon as
+    the stills need more than ``MAX_SVG_POINTS`` points, the count
+    :func:`motion_svg` checks, so a picture too large to draw is not built.
     """
     n = system.degree
     if n % 2 != 0:
         raise ValueError("plat cross-sections need an even degree")
     ident = BraidWord.identity(n)
-    words = [entry_word(e) for e in system.entries]
+    # free reduction is confluent: reducing level k-1 times entry k again
+    # gives the reduced product of the first k entries
+    sections = [ident]
+    points = 3 * n  # caps, cups and level 0
+    for e in system.entries:
+        sections.append((sections[-1] * entry_word(e)).free_reduced())
+        points += n * (len(sections[-1]) + 2)
+        if points > MAX_SVG_POINTS:
+            raise BudgetError(f"the SVG needs more points than the limit of {MAX_SVG_POINTS}")
     wickets = Pairing.standard(n // 2).pairs()
     stills = [Still("caps", n, ident, caps=wickets)]
     for k in range(system.r, -1, -1):
-        section = product(words[:k], strands=n).free_reduced()
         marks = ()
         if k >= 1:
             e = system.entries[k - 1]
@@ -125,7 +134,7 @@ def system_motion(system: BraidSystem) -> MotionPicture:
             else:
                 index, sign = abs(e.letters[0]) if e.letters else 1, 1
             marks = (BandMark(index, sign, "branch"),)
-        stills.append(Still(f"level {k}", n, section, bands=marks))
+        stills.append(Still(f"level {k}", n, sections[k], bands=marks))
     stills.append(Still("cups", n, ident, cups=wickets))
     return MotionPicture(tuple(stills))
 
@@ -245,7 +254,6 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
                 if src == over_from:
                     runs[src].append((x2_, y2))
                 else:
-                    mx, my = (x1 + x2_) / 2, (y + y2) / 2
                     pre = (x1 + (x2_ - x1) * (0.5 - _GAP), y + (y2 - y) * (0.5 - _GAP))
                     post = (x1 + (x2_ - x1) * (0.5 + _GAP), y + (y2 - y) * (0.5 + _GAP))
                     break_run(src, pre, post)
@@ -256,7 +264,7 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
                 runs[p].append((x(p), y2))
         y = y2
 
-    # bands are painted after the strands so the rectangles sit on top
+    # bands are emitted before the strands, so the strands paint over the rectangles
     band_y = y - len(still.bands) * _DY if still.bands else y
     for m in still.bands:
         ry = band_y + _DY * 0.225

@@ -36,6 +36,9 @@ from .words import (
 )
 
 DEFAULT_SEARCH_BUDGET = 20000
+# to_genuine_plat's limit on the letters of the entries it builds: each carries
+# a staircase of m(m-1) letters, so degree 1000 with two entries just fits
+MAX_GENUINE_LETTERS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -350,11 +353,22 @@ def to_genuine_plat(system: BraidSystem) -> BraidSystem:
 
     Each entry b of the closed degree-m system becomes Delta b Delta^{-1}
     on 2m strands, with Delta the staircase braid; factored entries keep
-    their crossing index and sign, only the conjugator grows.
+    their crossing index and sign, only the conjugator grows.  Raises
+    :class:`BudgetError` before building anything when those entries would
+    hold more than ``MAX_GENUINE_LETTERS`` letters.
     """
     if not is_two_dimensional(system):
         raise ValueError("only closed (two-dimensional) systems convert to plats")
     m = system.degree
+    stair = m * (m - 1)
+    letters = sum(
+        stair + len(e.conjugator) if isinstance(e, MonodromyEntry) else 2 * stair + len(e)
+        for e in system.entries
+    )
+    if letters > MAX_GENUINE_LETTERS:
+        raise BudgetError(
+            f"the genuine plat needs {letters} letters, over the limit of {MAX_GENUINE_LETTERS}"
+        )
     delta = staircase(m)
     out: list[Entry] = []
     for e in system.entries:

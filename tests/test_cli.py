@@ -228,6 +228,22 @@ class TestSystems:
             "normal_euler=2\nclassification=NonorientableSum(2,1)\n"
         )
 
+    def test_surface_invariants_without_branch_data(self, capsys):
+        # an entry that is no conjugate of one crossing: no branch signs, no
+        # normal Euler number, no degree-two classification
+        code, out, _ = run(capsys, "surface-invariants", "--degree", "2", "--entries", "1 1")
+        assert code == 0
+        assert out == "degree=2\nr=1\nboundary=1 1\ntwo_dimensional=false\nchi=1\n"
+
+    def test_slide_keeps_a_plain_entry(self, capsys):
+        code, out, _ = run(capsys, "slide", "--degree", "3", "--entries", "1 2;2", "1")
+        assert code == 0
+        assert out == (
+            "degree=3\nr=2\n"
+            "entry_1=monodromy index=2 sign=+1 conjugator=[1 2]\n"
+            "entry_2=1 2\n"
+        )
+
     def test_surface_invariants_file(self, capsys, system22_file):
         code, out, _ = run(capsys, "surface-invariants", "--in", system22_file)
         assert code == 0
@@ -256,6 +272,18 @@ class TestSystems:
             f"entry_2=monodromy index=1 sign=-1 conjugator=[{conj}]\n"
         )
 
+    def test_to_genuine_plat_past_the_letter_limit_exits_3(self, capsys, monkeypatch):
+        import platkit.systems
+
+        # two factored entries, each conjugated by the 2-letter staircase
+        argv = ["to-genuine-plat", "--degree", "2", "--entries", "1;-1"]
+        monkeypatch.setattr(platkit.systems, "MAX_GENUINE_LETTERS", 4)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(platkit.systems, "MAX_GENUINE_LETTERS", 3)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "needs 4 letters, over the limit of 3" in err
+
     def test_to_genuine_plat_rejects_open_systems(self, capsys):
         code, out, _ = run(
             capsys, "to-genuine-plat", "--degree", "2", "--entries", "1"
@@ -277,6 +305,17 @@ class TestHurwitz:
         )
         assert code == 1
         assert out.startswith("status=NotEquivalent\n")
+
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [("1;-1", "exponent-sum multisets differ"), ("1 2;-2 -1", "cycle-type multisets differ")],
+        ids=["exponent_sums", "cycle_types"],
+    )
+    def test_not_equivalent_by_invariants(self, capsys, entries, reason):
+        argv = ["--degree", "3", "--entries", entries, "--entries2=1 1;-1 -1"]
+        code, out, _ = run(capsys, "hurwitz", *argv)
+        assert code == 1
+        assert out == f"status=NotEquivalent\nexplored=0\nreason={reason}\n"
 
     def test_unknown_budget(self, capsys):
         code, out, _ = run(
@@ -557,6 +596,18 @@ class TestExportMp:
         assert (code, out) == (3, "")
         assert "24 points" in err
         assert not path.exists()
+
+    def test_system_past_the_point_limit_exits_3(self, capsys, system22_file, monkeypatch):
+        import platkit.motion
+
+        # 4 strands: caps, level 2 (reduced to nothing), level 1 (7 letters),
+        # level 0 and cups need 4 * (1 + 2 + 9 + 1 + 1) = 56 points
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", 56)
+        assert run(capsys, "export-mp", "system", system22_file)[0] == 0
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", 55)
+        code, out, err = run(capsys, "export-mp", "system", system22_file)
+        assert (code, out) == (3, "")
+        assert "limit of 55" in err
 
     def test_plan_kind(self, capsys, toy_file, tmp_path):
         plan_path = tmp_path / "plan.json"

@@ -1,5 +1,6 @@
 """Motion pictures and their SVG rendering."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from platkit.motion import (
 )
 from platkit.plats import plat_closure
 from platkit.systems import BraidSystem, MonodromyEntry, staircase, to_genuine_plat
-from platkit.words import MAX_STRANDS, BraidWord, BudgetError, parse_braid
+from platkit.words import MAX_STRANDS, BraidWord, BudgetError, parse_braid, product
 
 import test_bands
 from test_bands import TOY, TOY_CERTS
@@ -113,6 +114,33 @@ class TestSystemMotion:
         picture = system_motion(system)
         marks = [s.bands for s in picture.stills if s.label == "level 1"]
         assert marks == [((BandMark(1, 1, "branch"),))]
+
+    def test_sections_are_reduced_prefix_products(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            words = [
+                BraidWord(4, tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(3)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            picture = system_motion(BraidSystem(4, tuple(words)))
+            for still in picture.stills[1:-1]:
+                k = int(still.label.split()[1])
+                assert still.word == product(words[:k], strands=4).free_reduced()
+
+    def test_point_limit(self, monkeypatch):
+        import platkit.motion
+
+        system = BraidSystem(4, (parse_braid("1 2 3", 4),) * 2)
+        picture = system_motion(system)
+        # caps, level 2 (6 letters and a band), level 1, level 0 and cups
+        points = 4 * sum(len(s.word) + len(s.bands) + 1 for s in picture.stills)
+        assert points == 4 * (1 + 8 + 5 + 1 + 1)
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", points)
+        assert system_motion(system) == picture
+        assert motion_svg(picture).endswith("</svg>\n")
+        monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", points - 1)
+        with pytest.raises(BudgetError, match=f"limit of {points - 1}"):
+            system_motion(system)
 
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):

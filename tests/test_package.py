@@ -53,12 +53,52 @@ def test_star_import_binds_all():
     assert namespace["braids_equal"] is platkit.braids_equal
 
 
+WORDS = {"words"}
+PLATS = {"laurent", "plats", "words"}
+SYSTEMS = {"search", "systems", "words"}
+BANDS = {"bands", "hilden", "laurent", "plats", "search", "stabilize", "systems", "words"}
+MOTION = {"laurent", "motion", "plats", "search", "systems", "words"}
+# every subcommand, its exit code and the platkit modules besides platkit.cli
+# one call of it loads; {banded}, {plan} and {system} name files
+COLD_START = {
+    "parse": (["parse", "--strands", "3", "1 2 -2"], 0, WORDS),
+    "equal": (["equal", "--strands", "4", "1 2", "2 1"], 1, WORDS),
+    "plat-components": (["plat-components", "--strands", "4", "1 2"], 0, PLATS),
+    "bracket": (["bracket", "--strands", "4", "2 2 2"], 0, PLATS),
+    "adequate": (["adequate", "--strands", "4", "1"], 0, {"hilden", "search", "words"}),
+    "stabilize": (["stabilize", "--strands", "2", "1", "--extra", "1"], 0, {"stabilize", "words"}),
+    "slide": (["slide", "--degree", "3", "--entries", "1;2", "1"], 0, SYSTEMS),
+    "hurwitz": (["hurwitz", "--degree", "2", "--entries", "1;-1", "--entries2=-1;1"], 0, SYSTEMS),
+    "surface-invariants": (
+        ["surface-invariants", "--degree", "2", "--entries", "1;1;-1"], 0, SYSTEMS
+    ),
+    "to-genuine-plat": (["to-genuine-plat", "--degree", "2", "--entries", "1;-1"], 0, SYSTEMS),
+    "ribbon-check": (["ribbon-check", "--degree", "2", "--entries", "1;-1"], 0, SYSTEMS),
+    "banded-check": (["banded-check", "{banded}"], 0, BANDS),
+    "compile": (["compile", "{banded}", "--search"], 0, BANDS),
+    "export-mp-plan": (["export-mp", "plan", "{plan}"], 0, BANDS | {"motion"}),
+    "export-mp-plat": (["export-mp", "plat", "--strands", "4", "1"], 0, MOTION),
+    "export-mp-system": (["export-mp", "system", "{system}"], 0, MOTION),
+}
+
+
 @pytest.mark.parametrize(
-    "argv, code",
-    [(["bracket", "--strands", "4", "2 2 2"], 0), (["equal", "--strands", "4", "1 2", "2 1"], 1)],
-    ids=["bracket", "equal"],
+    "argv, code, modules", list(COLD_START.values()), ids=list(COLD_START)
 )
-def test_word_commands_leave_heavy_modules_unloaded(argv, code):
+def test_word_commands_leave_heavy_modules_unloaded(argv, code, modules, tmp_path):
+    bb = platkit.banded_from_obj(
+        {"strands": 4, "base": "", "bands": [{"slot": 2, "sign": 1, "time": "1/2"}]}
+    )
+    files = {
+        "banded": platkit.banded_to_json(bb),
+        "plan": platkit.plan_to_json(
+            platkit.compile_surface(bb, platkit.search_certificates(bb, 3))
+        ),
+        "system": json.dumps({"degree": 2, "entries": ["1", "-1"]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
     loaded = fresh(
         "import json, sys\n"
         "from platkit.cli import main\n"
@@ -66,8 +106,9 @@ def test_word_commands_leave_heavy_modules_unloaded(argv, code):
         "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
     )
     assert loaded["code"] == code
-    for name in ("platkit.bands", "platkit.motion", "platkit.systems"):
-        assert name not in loaded["modules"]
+    assert {name for name in loaded["modules"] if name.startswith("platkit.")} == {
+        f"platkit.{name}" for name in modules | {"cli"}
+    }
 
 
 def test_submodule_imported_first_keeps_the_export():

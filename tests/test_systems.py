@@ -32,6 +32,7 @@ from platkit.systems import (
 )
 from platkit.words import (
     BraidWord,
+    BudgetError,
     artin_fingerprint,
     braids_equal,
     exponent_sum,
@@ -243,6 +244,23 @@ class TestHurwitz:
         assert res.status is HurwitzStatus.NOT_EQUIVALENT
         assert res.reason == "orbit enumerated"
         assert res.explored == 1
+
+    def test_not_equivalent_by_exponent_sums(self):
+        s1 = BraidSystem(3, (parse_braid("1", 3), parse_braid("-1", 3)))
+        s2 = BraidSystem(3, (parse_braid("1 1", 3), parse_braid("-1 -1", 3)))
+        res = hurwitz_search(s1, s2)
+        assert res.status is HurwitzStatus.NOT_EQUIVALENT
+        assert res.reason == "exponent-sum multisets differ"
+        assert res.explored == 0
+
+    def test_not_equivalent_by_cycle_types(self):
+        # exponent sums 2 and -2 on both sides; a 3-cycle against the identity
+        s1 = BraidSystem(3, (parse_braid("1 2", 3), parse_braid("-2 -1", 3)))
+        s2 = BraidSystem(3, (parse_braid("1 1", 3), parse_braid("-1 -1", 3)))
+        res = hurwitz_search(s1, s2)
+        assert res.status is HurwitzStatus.NOT_EQUIVALENT
+        assert res.reason == "cycle-type multisets differ"
+        assert res.explored == 0
 
     def test_unknown_on_budget(self):
         s1 = BraidSystem(3, (parse_braid("1", 3), parse_braid("2", 3)))
@@ -495,6 +513,24 @@ class TestGenuinePlat:
             out = to_genuine_plat(s)
             assert out.r == s.r
             assert plat_euler_characteristic(out) == 2 * m - s.r
+
+    def test_letter_limit(self, monkeypatch):
+        # the limit counts the letters the converted entries hold: one
+        # staircase in a factored entry's conjugator, two around a plain one
+        e = MonodromyEntry(parse_braid("1", 3), 2, 1)
+        w = parse_braid("1 2", 3)
+        s = BraidSystem(3, (e, e.inverse(), w, w.inverse()))
+        out = to_genuine_plat(s)
+        letters = sum(
+            len(x.conjugator) if isinstance(x, MonodromyEntry) else len(x)
+            for x in out.entries
+        )
+        assert letters == 2 * (6 + 1) + 2 * (12 + 2)
+        monkeypatch.setattr(systems, "MAX_GENUINE_LETTERS", letters)
+        assert to_genuine_plat(s) == out
+        monkeypatch.setattr(systems, "MAX_GENUINE_LETTERS", letters - 1)
+        with pytest.raises(BudgetError, match=f"needs {letters} letters"):
+            to_genuine_plat(s)
 
 
 class TestRibbon:

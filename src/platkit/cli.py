@@ -27,6 +27,7 @@ import platkit as pk
 from .words import (
     BudgetError,
     CertificateError,
+    OpenSystemError,
     braids_equal,
     exponent_sum,
     parse_braid,
@@ -261,10 +262,11 @@ def _cmd_surface_invariants(args) -> int:
 
 def _cmd_to_genuine_plat(args) -> int:
     system = _load_system(args)
-    if not pk.is_two_dimensional(system):
+    try:
+        genuine = pk.to_genuine_plat(system)
+    except OpenSystemError:
         _emit(args, [("two_dimensional", False)])
         return 1
-    genuine = pk.to_genuine_plat(system)
     _emit(args, _system_pairs(genuine), pk.system_to_obj(genuine))
     return 0
 

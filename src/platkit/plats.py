@@ -129,7 +129,7 @@ def _cupcap(matching: tuple[int, ...], a: int) -> tuple[tuple[int, ...], bool]:
 def _unpack(packed: int, width: int, base: int) -> dict[int, int]:
     """``{exponent: coefficient}`` of a packed polynomial, read as balanced digits.
 
-    Slot k, the k-th ``width``-bit digit, is the coefficient of A^(base + 2k).
+    Slot k, the k-th ``width``-bit digit, is the coefficient of A^(base + 4k).
     A digit of at least 2^(width-1) stands for a negative coefficient: it is
     taken minus 2^width and one is carried into the next slot.  A packed
     int of n bits has at most n // width + 1 balanced digits.
@@ -146,7 +146,7 @@ def _unpack(packed: int, width: int, base: int) -> dict[int, int]:
             packed += 1
         if c:
             coeffs[e] = c
-        e += 2
+        e += 4
     return coeffs
 
 
@@ -155,32 +155,55 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
 
     The sum over all 2^c smoothings is evaluated by sweeping the word once
     and carrying, for every planar matching of the current endpoints, the
-    total coefficient of the states that produce it.  All exponents of the
-    sweep share one parity, so each such polynomial is packed into one int
-    (Kronecker substitution): slot k, its k-th B-bit digit, holds the
-    coefficient of A^(base + 2k), with one running ``base`` shared by all
-    matchings.  A positive letter lowers ``base`` by 1 and a negative one by
-    3, so every smoothing becomes a left shift by 0, 1 or 2 slots:
+    total coefficient of the states that produce it.  Each matching is
+    interned as a small int id the first time it appears, and the cup-cap
+    at each position is worked out once per id: a rewired id, or -1 when it
+    closes a loop.  These transitions live for one call.
 
-        positive letter   straight  x          cup-cap  x << B
-        negative letter   straight  x << 2B    cup-cap  x << B
+    Packing.  A state is keyed by ``2 * id + p`` and its polynomial is
+    packed into one int (Kronecker substitution): slot j, its j-th B-bit
+    digit, holds the coefficient of A^(base + 2p + 4j), with one running
+    ``base`` shared by all keys.  A positive letter lowers ``base`` by 1 and
+    a negative one by 3.  Straight smoothings keep the key, cup-caps move to
+    the rewired id with the other parity, and each becomes a left shift by
+    0 or 1 slots (a cup-cap shifts only when it leaves parity 1):
+
+        positive letter   straight  x          cup-cap  x or x << B
+        negative letter   straight  x << B     cup-cap  x or x << B
 
     When the cup-cap closes a loop (-A^2 - A^-2) the matching is unchanged,
     and the straight and loop terms merge into one monomial (A^-1 - A^-1 -
-    A^3 = -A^3, and its mirror -A^-3): the update is -(x << 2B) or -x.
+    A^3 = -A^3, and its mirror -A^-3): the update is -(x << B) or -x.
 
-    Width.  A letter maps a state's polynomial x to x A^-s + x A^s, or to
+    One key per matching.  Let the bottom pairing be planar, and let s and
+    t be partial states of the first k letters that reach one matching M,
+    with a smoothings weighted A, b weighted A^-1 and l loops closed.  Their
+    polynomials are A^(a-b) (-A^2 - A^-2)^l, all of whose exponents are
+    a - b + 2l mod 4.  Close the prefix diagram by the mirror image of M
+    above it; M is planar, so this is a link diagram, and every state
+    reaching M closes with l + n/2 loops on n endpoints.  Flipping one
+    smoothing of a planar diagram is a saddle: it moves a - b by +-2 and
+    the loop count by exactly +-1, so a - b + 2(loops) mod 4 is the same
+    for every state of the closed diagram, and a - b + 2l mod 4 is the same
+    for s and t.  So a matching's polynomial lies in one class mod 4, that
+    class fixes p, and a single key holds the whole polynomial.  For
+    a non-planar bottom pairing a matching may hold both parities; each key
+    then holds the part of its polynomial in one class, every update maps a
+    class to a class, and the sum stays exact.
+
+    Width.  A letter maps a key's polynomial x to x A^-s + x A^s, or to
     the single term -x A^3s when a loop closes, so the L1 norm summed over
-    all matchings at most doubles per letter.  After c letters it is at
-    most 2^c, and so is every coefficient of every state and of any sum of
-    states.  With B = c + 2 each coefficient lies strictly inside
-    (-2^(B-1), 2^(B-1)), so the packed int, an exact Python int, decodes
-    uniquely as balanced base-2^B digits.  There are no right shifts, so
-    negative coefficients never lose bits.
+    all keys at most doubles per letter.  After c letters it is at most
+    2^c, and so is every coefficient of every key and of any sum of keys.
+    With B = c + 2 each coefficient lies strictly inside (-2^(B-1),
+    2^(B-1)), so the packed int, an exact Python int, decodes uniquely as
+    balanced base-2^B digits.  There are no right shifts, so negative
+    coefficients never lose bits.
 
-    The surviving matchings are capped off by the top pairing and summed
-    by loop count; each sum is decoded once and multiplied by its loop
-    power, and one :class:`Laurent` is built at the end.  Raises
+    The surviving keys are capped off by the top pairing and summed by
+    loop count and parity, the only keys whose slots mean the same
+    exponents; each sum is decoded once and multiplied by its loop power,
+    and one :class:`Laurent` is built at the end.  Raises
     :class:`BudgetError` when the diagram has more than ``budget`` crossings.
     """
     if len(diagram.word) > budget:
@@ -188,40 +211,66 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
             f"diagram has {len(diagram.word)} crossings, over the budget of {budget}"
         )
     width = len(diagram.word) + 2
-    double = 2 * width
     base = 0
     start = tuple(diagram.bottom(i + 1) - 1 for i in range(diagram.word.strands))
-    states: dict[tuple[int, ...], int] = {start: 1}
+    matchings = [start]
+    ids = {start: 0}
+    transitions: dict[int, dict[int, int]] = {}
+
+    def rewire(m: int, i: int) -> int:
+        rewired, closed = _cupcap(matchings[m], i)
+        if closed:
+            return -1
+        r = ids.get(rewired)
+        if r is None:
+            r = ids[rewired] = len(matchings)
+            matchings.append(rewired)
+        return r
+
+    states = {0: 1}
     for g in diagram.word.letters:
         i = abs(g) - 1
-        nxt: dict[tuple[int, ...], int] = {}
+        memo = transitions.setdefault(i, {})
+        nxt: dict[int, int] = {}
         get = nxt.get
         if g > 0:
             base -= 1
-            for matching, x in states.items():
-                rewired, closed = _cupcap(matching, i)
-                if closed:
-                    nxt[matching] = get(matching, 0) - (x << double)
+            for key, x in states.items():
+                r = memo.get(key >> 1)
+                if r is None:
+                    r = memo[key >> 1] = rewire(key >> 1, i)
+                if r < 0:
+                    nxt[key] = get(key, 0) - (x << width)
+                    continue
+                nxt[key] = get(key, 0) + x
+                if key & 1:
+                    r, x = 2 * r, x << width
                 else:
-                    nxt[matching] = get(matching, 0) + x
-                    nxt[rewired] = get(rewired, 0) + (x << width)
+                    r = 2 * r + 1
+                nxt[r] = get(r, 0) + x
         else:
             base -= 3
-            for matching, x in states.items():
-                rewired, closed = _cupcap(matching, i)
-                if closed:
-                    nxt[matching] = get(matching, 0) - x
+            for key, x in states.items():
+                r = memo.get(key >> 1)
+                if r is None:
+                    r = memo[key >> 1] = rewire(key >> 1, i)
+                if r < 0:
+                    nxt[key] = get(key, 0) - x
+                    continue
+                nxt[key] = get(key, 0) + (x << width)
+                if key & 1:
+                    r, x = 2 * r, x << width
                 else:
-                    nxt[matching] = get(matching, 0) + (x << double)
-                    nxt[rewired] = get(rewired, 0) + (x << width)
-        states = {matching: x for matching, x in nxt.items() if x}
-    by_loops: dict[int, int] = {}
-    for matching, x in states.items():
-        loops = _close_loops(matching, diagram.top)
-        by_loops[loops] = by_loops.get(loops, 0) + x
+                    r = 2 * r + 1
+                nxt[r] = get(r, 0) + x
+        states = {key: x for key, x in nxt.items() if x}
+    sums: dict[tuple[int, int], int] = {}
+    for key, x in states.items():
+        loops = _close_loops(matchings[key >> 1], diagram.top)
+        sums[loops, key & 1] = sums.get((loops, key & 1), 0) + x
     total: dict[int, int] = {}
-    for loops, x in by_loops.items():
-        coeffs = _unpack(x, width, base)
+    for (loops, p), x in sums.items():
+        coeffs = _unpack(x, width, base + 2 * p)
         for e2, c2 in loop_power(loops - 1).coeffs:
             for e, c in coeffs.items():
                 total[e + e2] = total.get(e + e2, 0) + c * c2

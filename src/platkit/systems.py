@@ -23,6 +23,7 @@ from .search import bfs
 from .words import (
     BraidWord,
     BudgetError,
+    OpenSystemError,
     _free_inv,
     artin_apply,
     braids_equal,
@@ -354,11 +355,12 @@ def to_genuine_plat(system: BraidSystem) -> BraidSystem:
     Each entry b of the closed degree-m system becomes Delta b Delta^{-1}
     on 2m strands, with Delta the staircase braid; factored entries keep
     their crossing index and sign, only the conjugator grows.  Raises
+    :class:`OpenSystemError` when the boundary braid is not trivial, and
     :class:`BudgetError` before building anything when those entries would
     hold more than ``MAX_GENUINE_LETTERS`` letters.
     """
     if not is_two_dimensional(system):
-        raise ValueError("only closed (two-dimensional) systems convert to plats")
+        raise OpenSystemError("only closed (two-dimensional) systems convert to plats")
     m = system.degree
     stair = m * (m - 1)
     letters = sum(

@@ -57,6 +57,10 @@ class CertificateError(ValueError):
     """A claimed compilation certificate failed verification."""
 
 
+class OpenSystemError(ValueError):
+    """A braid system's boundary braid is not trivial where a closed one is needed."""
+
+
 def check_strands(strands: int) -> int:
     """``strands``, once it is a count that per-strand tables may be built for.
 

@@ -284,6 +284,29 @@ class TestSystems:
         assert (code, out) == (3, "")
         assert "needs 4 letters, over the limit of 3" in err
 
+    def test_to_genuine_plat_decides_the_boundary_once(self, capsys, monkeypatch):
+        import platkit
+        import platkit.systems
+
+        calls = []
+        decide = platkit.systems.is_two_dimensional
+
+        def counted(system):
+            calls.append(system)
+            return decide(system)
+
+        # the package caches its lazy exports, so patch both lookups
+        monkeypatch.setattr(platkit.systems, "is_two_dimensional", counted)
+        monkeypatch.setattr(platkit, "is_two_dimensional", counted, raising=False)
+        for entries, want in (("1;-1", 0), ("1", 1)):
+            calls.clear()
+            code = run(capsys, "to-genuine-plat", "--degree", "2", "--entries", entries)[0]
+            assert (code, len(calls)) == (want, 1)
+        # a degree-0 system is bad input, not an open one
+        code, out, err = run(capsys, "to-genuine-plat", "--degree", "0", "--entries", "")
+        assert (code, out) == (2, "")
+        assert "strand count must be positive" in err
+
     def test_to_genuine_plat_rejects_open_systems(self, capsys):
         code, out, _ = run(
             capsys, "to-genuine-plat", "--degree", "2", "--entries", "1"

@@ -429,6 +429,18 @@ class TestBracketCrossCheck:
             diagram = plat_closure(w)
             assert kauffman_bracket(diagram, budget=40) == reference_bracket(diagram)
 
+    def test_matches_oracle_on_arbitrary_pairings(self):
+        # with a non-planar pairing one matching can hold exponents of both
+        # classes mod 4, so the sweep must keep them apart to the end
+        rng = random.Random(56)
+        for _ in range(300):
+            strands = 2 * rng.randint(1, 6)
+            w = random_word(rng, strands, rng.randint(0, 18))
+            diagram = PlatDiagram(
+                w, random_pairing(rng, strands), random_pairing(rng, strands)
+            )
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
     def test_mirror_substitutes_inverse(self):
         for w in self.cases(53, 30):
             mirror = BraidWord(w.strands, tuple(-g for g in w.letters))

@@ -57,6 +57,7 @@ from .words import (
     BraidWord,
     BudgetError,
     CertificateError,
+    _free_inv,
     artin_fingerprint,
     braids_equal,
     json_field,
@@ -254,7 +255,7 @@ def _tail_with_events(
     offset = 0
     for lo, hi, chain in profile_blocks(profile):
         scaffold.extend(chain.letters)
-        scaffold.extend(-g for g in reversed(chain.letters))
+        scaffold.extend(chain.inverse().letters)
         for j, k in enumerate(range(lo, hi)):
             events.append((offset + len(chain) + j, 2 * k))
         offset += 2 * len(chain) + (hi - lo)
@@ -333,7 +334,7 @@ def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
             if removing:
                 letter = letters.pop(pos)
             sign = (1 if letter > 0 else -1) * (-1 if removing else 1)
-            right_inv = tuple(-g for g in reversed(letters[pos:]))
+            right_inv = _free_inv(letters[pos:])
             u = BraidWord(n, r_below + right_inv).free_reduced()
             branch_points.append(MonodromyEntry(u, abs(letter), sign))
             bands.append(PlanBand(abs(letter), sign, pos, kind))

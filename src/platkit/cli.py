@@ -290,10 +290,7 @@ def _cmd_banded_check(args) -> int:
             ("base_verdict", report.base_verdict.value),
             ("surgered_verdict", report.surgered_verdict.value),
             ("admissible", report.admissible),
-            (
-                "realizing_euler",
-                report.base_components + report.surgered_components - len(bb.bands),
-            ),
+            ("realizing_euler", pk.realizing_euler_characteristic(bb)),
             ("surgered_word", pk.band_surgery(bb).text()),
         ],
     )

@@ -228,9 +228,6 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
         )
     y += _ARC if still.caps else 0
 
-    levels: list[tuple[str, object]] = [("letter", g) for g in still.word.letters]
-    levels.extend(("band", m) for m in still.bands)
-
     # one polyline per unbroken strand run; under strands break at crossings
     runs: dict[int, list[tuple[float, float]]] = {p: [(x(p), y)] for p in range(1, n + 1)}
     finished: list[list[tuple[float, float]]] = []
@@ -240,34 +237,28 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
         finished.append(runs[pos])
         runs[pos] = [post]
 
-    for kind, item in levels:
+    for g in still.word.letters:
         y2 = y + _DY
-        if kind == "letter":
-            g = item
-            j = abs(g)
-            for p in range(1, n + 1):
-                if p not in (j, j + 1):
-                    runs[p].append((x(p), y2))
-            over_from = j if g > 0 else j + 1
-            for src, dst in ((j, j + 1), (j + 1, j)):
-                x1, x2_ = x(src), x(dst)
-                if src == over_from:
-                    runs[src].append((x2_, y2))
-                else:
-                    pre = (x1 + (x2_ - x1) * (0.5 - _GAP), y + (y2 - y) * (0.5 - _GAP))
-                    post = (x1 + (x2_ - x1) * (0.5 + _GAP), y + (y2 - y) * (0.5 + _GAP))
-                    break_run(src, pre, post)
-                    runs[src].append((x2_, y2))
-            runs[j], runs[j + 1] = runs[j + 1], runs[j]
-        else:
-            for p in range(1, n + 1):
+        j = abs(g)
+        for p in range(1, n + 1):
+            if p not in (j, j + 1):
                 runs[p].append((x(p), y2))
+        over_from = j if g > 0 else j + 1
+        for src, dst in ((j, j + 1), (j + 1, j)):
+            x1, x2_ = x(src), x(dst)
+            if src == over_from:
+                runs[src].append((x2_, y2))
+            else:
+                pre = (x1 + (x2_ - x1) * (0.5 - _GAP), y + (y2 - y) * (0.5 - _GAP))
+                post = (x1 + (x2_ - x1) * (0.5 + _GAP), y + (y2 - y) * (0.5 + _GAP))
+                break_run(src, pre, post)
+                runs[src].append((x2_, y2))
+        runs[j], runs[j + 1] = runs[j + 1], runs[j]
         y = y2
 
     # bands are emitted before the strands, so the strands paint over the rectangles
-    band_y = y - len(still.bands) * _DY if still.bands else y
     for m in still.bands:
-        ry = band_y + _DY * 0.225
+        ry = y + _DY * 0.225
         parts.append(
             f'<rect x="{_fmt(x(m.slot) - 4)}" y="{_fmt(ry)}" '
             f'width="{_fmt(_DX + 8)}" height="{_fmt(_DY * 0.55)}" class="b"/>'
@@ -277,7 +268,9 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
             f'<text x="{_fmt(x(m.slot) + _DX / 2)}" y="{_fmt(ry + _DY * 0.38)}" '
             f'class="bt">{text}</text>'
         )
-        band_y += _DY
+        y += _DY
+        for p in range(1, n + 1):
+            runs[p].append((x(p), y))
 
     for run in runs.values():
         finished.append(run)

@@ -93,11 +93,11 @@ def component_count(diagram: PlatDiagram) -> int:
     matching = [0] * diagram.word.strands
     for x in range(1, diagram.word.strands + 1):
         matching[pi(x) - 1] = pi(diagram.bottom(x)) - 1
-    return _close_loops(tuple(matching), diagram.top)
+    return _close_loops(tuple(matching), tuple(p - 1 for p in diagram.top.partner))
 
 
-def _close_loops(matching: tuple[int, ...], top: Pairing) -> int:
-    """Loops formed when a planar matching is capped off by the top pairing."""
+def _close_loops(matching: tuple[int, ...], top: tuple[int, ...]) -> int:
+    """Loops formed when a planar matching is capped off by the top pairing, both 0-based."""
     n = len(matching)
     seen = [False] * n
     loops = 0
@@ -110,7 +110,7 @@ def _close_loops(matching: tuple[int, ...], top: Pairing) -> int:
             seen[x] = True
             y = matching[x]  # travel the diagram below
             seen[y] = True
-            x = top(y + 1) - 1  # hop across a top arc
+            x = top[y]  # hop across a top arc
     return loops
 
 
@@ -212,7 +212,8 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
         )
     width = len(diagram.word) + 2
     base = 0
-    start = tuple(diagram.bottom(i + 1) - 1 for i in range(diagram.word.strands))
+    start = tuple(p - 1 for p in diagram.bottom.partner)
+    top = tuple(p - 1 for p in diagram.top.partner)
     matchings = [start]
     ids = {start: 0}
     transitions: dict[int, dict[int, int]] = {}
@@ -266,7 +267,7 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
         states = {key: x for key, x in nxt.items() if x}
     sums: dict[tuple[int, int], int] = {}
     for key, x in states.items():
-        loops = _close_loops(matchings[key >> 1], diagram.top)
+        loops = _close_loops(matchings[key >> 1], top)
         sums[loops, key & 1] = sums.get((loops, key & 1), 0) + x
     total: dict[int, int] = {}
     for (loops, p), x in sums.items():

@@ -31,13 +31,6 @@ from .words import BraidWord, BudgetError, embed, product
 MAX_STABILIZED_STRANDS = 1024
 
 
-def _check_size(strands: int) -> None:
-    if strands > MAX_STABILIZED_STRANDS:
-        raise BudgetError(
-            f"stabilizing to {strands} strands is over the limit of {MAX_STABILIZED_STRANDS}"
-        )
-
-
 @dataclass(frozen=True)
 class StabilizationProfile:
     """How many new pairs to insert after each of the m original pairs."""
@@ -79,18 +72,17 @@ class StabilizationProfile:
 def stabilize(word: BraidWord, extra_pairs: int) -> BraidWord:
     """Append ``extra_pairs`` trivial pairs on the right of a 2m-plat word.
 
-    Raises :class:`BudgetError`, before building anything, when the result
-    would have more than ``MAX_STABILIZED_STRANDS`` strands.
+    This is the profile (0, ..., 0, l): its one block, when l > 0, has the
+    empty swap chain swap_chain(m, m - 1, m, .), so the tail is the run
+    sigma_2m ... sigma_2(m+l-1); when l = 0 the word comes back unchanged.
+    Raises :class:`BudgetError` like :func:`stabilize_by_profile`.
     """
     if word.strands % 2 != 0:
         raise ValueError("stabilization needs an even strand count")
     if extra_pairs < 0:
         raise ValueError("cannot remove pairs")
     m = word.strands // 2
-    n = 2 * (m + extra_pairs)
-    _check_size(n)
-    tail = tuple(2 * k for k in range(m, m + extra_pairs))
-    return BraidWord(n, embed(word, n).letters + tail)
+    return stabilize_by_profile(word, StabilizationProfile((0,) * (m - 1) + (extra_pairs,)))
 
 
 def pair_swap(i: int, strands: int) -> BraidWord:
@@ -153,7 +145,8 @@ def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
 def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> BraidWord:
     """Generalized stabilization of a 2m-plat word by a length-m profile.
 
-    Raises :class:`BudgetError` like :func:`stabilize`.
+    Raises :class:`BudgetError`, before building anything, when the result
+    would have more than ``MAX_STABILIZED_STRANDS`` strands.
     """
     if word.strands != 2 * profile.pairs:
         raise ValueError(
@@ -161,5 +154,8 @@ def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> Brai
             f"{word.strands} strands"
         )
     n = 2 * profile.total
-    _check_size(n)
+    if n > MAX_STABILIZED_STRANDS:
+        raise BudgetError(
+            f"stabilizing to {n} strands is over the limit of {MAX_STABILIZED_STRANDS}"
+        )
     return embed(word, n) * stabilization_tail(profile)

@@ -104,6 +104,8 @@ class BraidSystem:
     entries: tuple[Entry, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError("strand count must be positive")
         object.__setattr__(self, "entries", tuple(self.entries))
         for e in self.entries:
             if e.strands != self.degree:
@@ -208,18 +210,12 @@ def hurwitz_search(
             return HurwitzResult(
                 HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ"
             )
-        sums1 = sorted(exponent_sum(w) for w in words1)
-        sums2 = sorted(exponent_sum(w) for w in words2)
-        if sums1 != sums2:
-            return HurwitzResult(
-                HurwitzStatus.NOT_EQUIVALENT, reason="exponent-sum multisets differ"
-            )
-        cycles1 = sorted(strand_permutation(w).cycle_type() for w in words1)
-        cycles2 = sorted(strand_permutation(w).cycle_type() for w in words2)
-        if cycles1 != cycles2:
-            return HurwitzResult(
-                HurwitzStatus.NOT_EQUIVALENT, reason="cycle-type multisets differ"
-            )
+        for invariant, reason in (
+            (exponent_sum, "exponent-sum multisets differ"),
+            (lambda w: strand_permutation(w).cycle_type(), "cycle-type multisets differ"),
+        ):
+            if sorted(map(invariant, words1)) != sorted(map(invariant, words2)):
+                return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
         basis = identity_images(degree)
         target = tuple(artin_apply(basis, w.letters) for w in words2)
         moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]

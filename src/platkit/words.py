@@ -195,7 +195,7 @@ class BraidWord:
         return BraidWord(self.strands, self.letters * k)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.letters)))
+        return BraidWord(self.strands, _free_inv(self.letters))
 
     def free_reduced(self) -> "BraidWord":
         """Cancel adjacent sigma_i sigma_i^{-1} pairs (an exact isotopy of the word)."""

@@ -732,6 +732,26 @@ class TestMalformedInput:
         assert code == 2
         assert "'strips' must be of type list" in err
 
+    @pytest.mark.parametrize("degree", [0, -2])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ribbon-check", "--in", "{path}"],
+            ["surface-invariants", "--in", "{path}"],
+            ["to-genuine-plat", "--in", "{path}"],
+            ["slide", "--in", "{path}", "1"],
+            ["hurwitz", "--in", "{path}", "--in2", "{path}"],
+            ["export-mp", "system", "{path}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_system_degree_below_one(self, capsys, tmp_path, argv, degree):
+        # bad input, never a verdict: every system reader rejects the file
+        path = self.write(tmp_path, json.dumps({"degree": degree, "entries": []}))
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert "strand count must be positive" in err
+
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 """Motion pictures and their SVG rendering."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -206,6 +207,23 @@ class TestSvg:
         monkeypatch.setattr(platkit.motion, "MAX_SVG_POINTS", 7)
         with pytest.raises(BudgetError, match="8 points, over the limit of 7"):
             motion_svg(picture)
+
+    def test_pinned_bytes(self):
+        # letters, two bands, caps and cups: any change to the layout shows here
+        picture = MotionPicture(
+            (
+                Still("caps", 6, BraidWord.identity(6), caps=((1, 2), (3, 4), (5, 6))),
+                Still(
+                    "mid",
+                    6,
+                    parse_braid("1 -3 5 2 -4", 6),
+                    bands=(BandMark(2, 1, "a"), BandMark(4, -1)),
+                ),
+                Still("cups", 6, parse_braid("-2 3", 6), cups=((1, 4), (2, 3), (5, 6))),
+            )
+        )
+        digest = hashlib.sha256(motion_svg(picture).encode()).hexdigest()
+        assert digest == "aae44690ddaf95c029f39f0feda571e8688264d6bd4cbf96d20040c5a0b828cb"
 
     def test_no_external_references(self):
         svg = motion_svg(plat_motion(plat_closure(parse_braid("1", 2))))

@@ -180,6 +180,14 @@ class TestStabilizeByProfile:
             profile = StabilizationProfile((0,) * (m - 1) + (extra,))
             assert braids_equal(stabilize_by_profile(w, profile), stabilize(w, extra))
 
+    def test_plain_is_the_trailing_profile_letter_for_letter(self):
+        rng = random.Random(65)
+        for m in range(1, 6):
+            for extra in range(5):
+                w = random_word(rng, 2 * m, rng.randint(0, 8))
+                profile = StabilizationProfile((0,) * (m - 1) + (extra,))
+                assert stabilize(w, extra).letters == stabilize_by_profile(w, profile).letters
+
     def test_preserves_components(self):
         rng = random.Random(63)
         for _ in range(40):

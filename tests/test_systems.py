@@ -118,6 +118,11 @@ class TestSystems:
         with pytest.raises(ValueError):
             BraidSystem(3, (parse_braid("1", 2),))
 
+    def test_degree_below_one(self):
+        for degree in (0, -2):
+            with pytest.raises(ValueError, match="strand count must be positive"):
+                BraidSystem(degree, ())
+
     def test_r_and_words(self):
         s = BraidSystem(3, (parse_braid("1", 3), MonodromyEntry(BraidWord.identity(3), 2, 1)))
         assert s.r == 2

@@ -9,7 +9,8 @@ usage or unparsable input, 3 a search or bracket budget ran out.
 Words are whitespace-separated signed generator indices; when a word
 starts with a negative letter, put ``--`` before it so it is not read as
 a flag.  The PLATKIT_BUDGET environment variable supplies the default
-for --budget, --max-len, and --bound when the flag is omitted.
+for --budget, --max-len, and --bound when the flag is omitted; a negative
+value from either is bad usage.
 """
 
 from __future__ import annotations
@@ -39,15 +40,19 @@ DEFAULT_CERTIFICATE_BOUND = 3
 
 
 def _pick(flag_value: int | None, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get("PLATKIT_BUDGET")
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PLATKIT_BUDGET must be an integer, got {raw!r}") from exc
+    """The flag, else PLATKIT_BUDGET, else ``fallback``; a negative value is bad input."""
+    value = flag_value
+    if value is None:
+        raw = os.environ.get("PLATKIT_BUDGET")
+        if not raw:
+            return fallback
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"PLATKIT_BUDGET must be an integer, got {raw!r}") from exc
+    if value < 0:
+        raise ValueError(f"a budget must not be negative, got {value}")
+    return value
 
 
 def _read_json(path: str):

@@ -114,18 +114,6 @@ def _close_loops(matching: tuple[int, ...], top: tuple[int, ...]) -> int:
     return loops
 
 
-def _cupcap(matching: tuple[int, ...], a: int) -> tuple[tuple[int, ...], bool]:
-    """Apply a cap-then-cup at positions a, a+1; report whether a loop closed."""
-    b = a + 1
-    m = list(matching)
-    if m[a] == b:
-        return matching, True
-    x, y = m[a], m[b]
-    m[x], m[y] = y, x
-    m[a], m[b] = b, a
-    return tuple(m), False
-
-
 def _unpack(packed: int, width: int, base: int) -> dict[int, int]:
     """``{exponent: coefficient}`` of a packed polynomial, read as balanced digits.
 
@@ -219,9 +207,14 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     transitions: dict[int, dict[int, int]] = {}
 
     def rewire(m: int, i: int) -> int:
-        rewired, closed = _cupcap(matchings[m], i)
-        if closed:
+        """The id of matching m after a cap-then-cup at i, i+1, or -1 if a loop closes."""
+        matching = list(matchings[m])
+        x, y = matching[i], matching[i + 1]
+        if x == i + 1:
             return -1
+        matching[x], matching[y] = y, x
+        matching[i], matching[i + 1] = i + 1, i
+        rewired = tuple(matching)
         r = ids.get(rewired)
         if r is None:
             r = ids[rewired] = len(matchings)
@@ -234,36 +227,23 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
         memo = transitions.setdefault(i, {})
         nxt: dict[int, int] = {}
         get = nxt.get
-        if g > 0:
-            base -= 1
-            for key, x in states.items():
-                r = memo.get(key >> 1)
-                if r is None:
-                    r = memo[key >> 1] = rewire(key >> 1, i)
-                if r < 0:
-                    nxt[key] = get(key, 0) - (x << width)
-                    continue
-                nxt[key] = get(key, 0) + x
-                if key & 1:
-                    r, x = 2 * r, x << width
-                else:
-                    r = 2 * r + 1
-                nxt[r] = get(r, 0) + x
-        else:
-            base -= 3
-            for key, x in states.items():
-                r = memo.get(key >> 1)
-                if r is None:
-                    r = memo[key >> 1] = rewire(key >> 1, i)
-                if r < 0:
-                    nxt[key] = get(key, 0) - x
-                    continue
-                nxt[key] = get(key, 0) + (x << width)
-                if key & 1:
-                    r, x = 2 * r, x << width
-                else:
-                    r = 2 * r + 1
-                nxt[r] = get(r, 0) + x
+        # a negative letter shifts the straight term one slot, a positive one
+        # the loop term; the other is x itself, as a shift by 0 copies x
+        negative = g < 0
+        base -= 3 if negative else 1
+        for key, x in states.items():
+            r = memo.get(key >> 1)
+            if r is None:
+                r = memo[key >> 1] = rewire(key >> 1, i)
+            if r < 0:
+                nxt[key] = get(key, 0) - (x if negative else x << width)
+                continue
+            nxt[key] = get(key, 0) + (x << width if negative else x)
+            if key & 1:
+                r, x = 2 * r, x << width
+            else:
+                r = 2 * r + 1
+            nxt[r] = get(r, 0) + x
         states = {key: x for key, x in nxt.items() if x}
     sums: dict[tuple[int, int], int] = {}
     for key, x in states.items():

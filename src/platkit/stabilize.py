@@ -12,9 +12,10 @@ per original pair: the appended tail conjugates each run of new crossings
 into position with pair-swap braids, so the plat closure changes by the
 same trivial-pair insertions but at chosen locations.
 
-Tails of both moves always preserve the standard pairing, and the plat
-closure of the result has the same component count and the same bracket up
-to a unit, which is what makes the move a stabilization.
+The tails need not preserve the standard pairing: the basic tail sigma_2
+on 4 strands does not, nor does the tail ``2 4`` of the profile (2,) on 6
+strands.  What the move keeps is the plat closure's component count and
+its bracket up to a unit, which is what makes it a stabilization.
 """
 
 from __future__ import annotations

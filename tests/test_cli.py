@@ -752,6 +752,26 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert "strand count must be positive" in err
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            (None, ["bracket", "--strands", "4", "--budget", "-1", "2 2 2"]),
+            (None, ["adequate", "--strands", "4", "--max-len", "-1", "1 -1"]),
+            (None, ["compile", "{toy}", "--search", "--bound", "-1"]),
+            ("-1", ["adequate", "--strands", "4", "1"]),
+        ],
+        ids=["budget", "max-len", "bound", "env"],
+    )
+    def test_negative_budget(self, capsys, monkeypatch, toy_file, env, argv):
+        # bad input, never a verdict or an exhausted budget
+        if env is None:
+            monkeypatch.delenv("PLATKIT_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("PLATKIT_BUDGET", env)
+        code, out, err = run(capsys, *(arg.format(toy=toy_file) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == "error: a budget must not be negative, got -1\n"
+
 
     @pytest.mark.parametrize(
         "argv",

@@ -38,10 +38,10 @@ from itertools import combinations, groupby
 from .hilden import (
     HildenExpression,
     _hilden_ball,
+    _pair_images,
     expand_expression,
     format_expression,
     parse_expression,
-    preserves_pairing,
 )
 from .plats import (
     DEFAULT_BRACKET_BUDGET,
@@ -51,15 +51,17 @@ from .plats import (
     kauffman_bracket,
     plat_closure,
 )
-from .stabilize import StabilizationProfile, profile_blocks, stabilize_by_profile
+from .stabilize import StabilizationProfile, profile_blocks, stabilization_tail, stabilize_by_profile
 from .systems import BraidSystem, MonodromyEntry
 from .words import (
     BraidWord,
     BudgetError,
     CertificateError,
     _free_inv,
-    artin_fingerprint,
+    _free_reduce,
+    artin_apply,
     braids_equal,
+    identity_images,
     json_field,
     parse_braid,
 )
@@ -335,7 +337,7 @@ def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
                 letter = letters.pop(pos)
             sign = (1 if letter > 0 else -1) * (-1 if removing else 1)
             right_inv = _free_inv(letters[pos:])
-            u = BraidWord(n, r_below + right_inv).free_reduced()
+            u = BraidWord(n, _free_reduce(r_below + right_inv))
             branch_points.append(MonodromyEntry(u, abs(letter), sign))
             bands.append(PlanBand(abs(letter), sign, pos, kind))
             if not removing:
@@ -410,21 +412,25 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 def _find_sides(
-    target: BraidWord,
-    middles: list[tuple[StabilizationProfile, BraidWord]],
-    ball: dict[tuple, tuple[HildenExpression, BraidWord]],
+    target: tuple[int, ...],
+    pairs: int,
+    m: int,
+    ball: dict[tuple, tuple[HildenExpression, tuple[int, ...]]],
 ) -> tuple[StabilizationProfile, HildenExpression, HildenExpression] | None:
     """The first (profile, left, right) with target = left * middle * right, left in ball order.
 
-    The ball maps each fingerprint to its expression and that expression's
-    inverse word.
+    ``target`` is the letters of a word on 2m strands.  The middles are the
+    stabilizations of the trivial ``pairs``-pair plat to m pairs, each built
+    as its profile comes up.  The ball maps each fingerprint to its
+    expression and the letters of that expression's inverse.
     """
-    for profile, middle in middles:
-        middle_inverse = middle.inverse()
+    start = identity_images(2 * m)
+    for profile in map(StabilizationProfile, _compositions(m - pairs, pairs)):
+        middle_inverse = _free_inv(stabilization_tail(profile).letters)
         for left, left_inverse in ball.values():
-            needed = (middle_inverse * left_inverse * target).free_reduced()
-            if preserves_pairing(needed):
-                right = ball.get(artin_fingerprint(needed))
+            needed = _free_reduce(middle_inverse + left_inverse + target)
+            if _pair_images(2 * m, needed) is not None:
+                right = ball.get(artin_apply(start, needed))
                 if right is not None:
                     return profile, left, right[0]
     return None
@@ -450,25 +456,17 @@ def search_certificates(
     if not admissibility_report(bb, budget).admissible:
         raise ValueError("banded braid is not admissible")
 
-    def stabilized(word: BraidWord, m: int) -> list[tuple[StabilizationProfile, BraidWord]]:
-        pairs = word.strands // 2
-        profiles = map(StabilizationProfile, _compositions(m - pairs, pairs))
-        return [(lam, stabilize_by_profile(word, lam)) for lam in profiles]
-
     for m in range(max(m0, c1, c2), max_pairs + 1):
-        betas = list(zip(stabilized(bb.base, m), stabilized(surgered, m)))
-        alpha1s = stabilized(BraidWord.identity(2 * c1), m)
-        alpha2s = stabilized(BraidWord.identity(2 * c2), m)
         # one ball per m, grown a factor at a time: depth d searches radius d
-        ball: dict[tuple, tuple[HildenExpression, BraidWord]] = {}
+        ball: dict[tuple, tuple[HildenExpression, tuple[int, ...]]] = {}
         entries = _hilden_ball(m, _CERTIFICATE_FACTORS)
         for _, layer in groupby(entries, key=lambda entry: len(entry[1].factors)):
             ball.update((fp, (expr, inverse)) for fp, expr, inverse in layer)
-            for (lam, beta1), (_, beta2) in betas:
-                first = _find_sides(beta1, alpha1s, ball)
+            for lam in map(StabilizationProfile, _compositions(m - m0, m0)):
+                first = _find_sides(stabilize_by_profile(bb.base, lam).letters, c1, m, ball)
                 if first is None:
                     continue
-                second = _find_sides(beta2, alpha2s, ball)
+                second = _find_sides(stabilize_by_profile(surgered, lam).letters, c2, m, ball)
                 if second is None:
                     continue
                 return Certificates(

@@ -23,13 +23,13 @@ from .search import bfs
 from .words import (
     BraidWord,
     Permutation,
+    _strand_images,
     artin_apply,
     artin_fingerprint,
     braids_equal,
     exponent_sum,
     identity_images,
     product,
-    strand_permutation,
 )
 
 
@@ -56,13 +56,13 @@ def _factor_table(m: int) -> dict[tuple[int, int], BraidWord]:
     return table
 
 
-def _pair_images(word: BraidWord) -> tuple[int, ...] | None:
-    """Where the word's permutation sends each standard pair, or None when it breaks one."""
-    if word.strands % 2 != 0:
+def _pair_images(strands: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Where the letters' permutation sends each standard pair, or None when it breaks one."""
+    if strands % 2 != 0:
         raise ValueError("pairing test needs an even strand count")
-    pi = strand_permutation(word).images
+    pi = _strand_images(strands, letters)
     images = []
-    for k in range(word.strands // 2):
+    for k in range(strands // 2):
         a, b = pi[2 * k], pi[2 * k + 1]
         if abs(a - b) != 1 or (min(a, b) % 2) != 1:
             return None
@@ -76,12 +76,12 @@ def preserves_pairing(word: BraidWord) -> bool:
     This is a necessary condition for Hilden membership, cheap enough to use
     as a search prefilter.
     """
-    return _pair_images(word) is not None
+    return _pair_images(word.strands, word.letters) is not None
 
 
 def pair_permutation(word: BraidWord) -> Permutation:
     """The induced permutation of the m standard pairs (word must preserve them)."""
-    images = _pair_images(word)
+    images = _pair_images(word.strands, word.letters)
     if images is None:
         raise ValueError("word does not preserve the standard pairing")
     return Permutation(images)
@@ -193,14 +193,14 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     """
     if word.strands % 2 != 0:
         raise ValueError("membership search needs an even strand count")
-    target_pairs = _pair_images(word)
+    target_pairs = _pair_images(word.strands, word.letters)
     if target_pairs is None:
         return None
     m = word.strands // 2
     target_fp = artin_fingerprint(word)
     target_sum = exponent_sum(word)
     steps = [
-        (move, factor.letters, exponent_sum(factor), _pair_images(factor))
+        (move, factor.letters, exponent_sum(factor), _pair_images(2 * m, factor.letters))
         for move, factor in _factor_table(m).items()
     ]
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
@@ -232,20 +232,19 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     return None
 
 
-def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, BraidWord]]:
-    """(fingerprint, least expression, inverse word) of each Hilden element within ``depth`` factors.
+def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, tuple[int, ...]]]:
+    """(fingerprint, least expression, inverse letters) of each Hilden element within ``depth`` factors.
 
     Lazily and in breadth-first order, so by factor count: the entries with
-    at most d factors come first and are the ball of radius d.  The inverse
-    word is built once, from the one factor table, as the entry appears.
+    at most d factors come first and are the ball of radius d.  The letters
+    of the inverse are read from the one factor table as the entry appears.
     """
-    table = _factor_table(m)
-    steps = [(move, factor.letters) for move, factor in table.items()]
+    table = {move: factor.letters for move, factor in _factor_table(m).items()}
 
     def successors(fp, _depth):
-        return [(move, artin_apply(fp, letters)) for move, letters in steps]
+        return [(move, artin_apply(fp, letters)) for move, letters in table.items()]
 
     start = identity_images(2 * m)
     for fp, _, factors in bfs(start, lambda fp: fp, successors, depth):
-        inverse = product([table[(idx, -exp)] for idx, exp in reversed(factors)], strands=2 * m)
+        inverse = tuple(g for idx, exp in reversed(factors) for g in table[(idx, -exp)])
         yield fp, HildenExpression(m, factors), inverse

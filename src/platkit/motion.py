@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .plats import Pairing, PlatDiagram
-from .systems import BraidSystem, MonodromyEntry, entry_word
-from .words import BraidWord, BudgetError, json_field, parse_braid
+from .systems import BraidSystem, MonodromyEntry, _entry_letters
+from .words import BraidWord, BudgetError, _free_reduce, json_field, parse_braid
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
@@ -119,7 +119,7 @@ def system_motion(system: BraidSystem) -> MotionPicture:
     sections = [ident]
     points = 3 * n  # caps, cups and level 0
     for e in system.entries:
-        sections.append((sections[-1] * entry_word(e)).free_reduced())
+        sections.append(BraidWord(n, _free_reduce(sections[-1].letters + _entry_letters(e))))
         points += n * (len(sections[-1]) + 2)
         if points > MAX_SVG_POINTS:
             raise BudgetError(f"the SVG needs more points than the limit of {MAX_SVG_POINTS}")

@@ -25,6 +25,7 @@ from .words import (
     BudgetError,
     OpenSystemError,
     _free_inv,
+    _free_reduce,
     artin_apply,
     braids_equal,
     embed,
@@ -129,13 +130,12 @@ def is_two_dimensional(system: BraidSystem) -> bool:
     return braids_equal(boundary_braid(system), BraidWord.identity(system.degree))
 
 
-def _conjugate_entry(by: Entry, target: Entry) -> Entry:
-    """by . target . by^{-1}, staying in factored form when target is factored."""
-    by_word = entry_word(by)
+def _conjugate_entry(by: tuple[int, ...], target: Entry) -> Entry:
+    """by . target . by^{-1} for letters ``by``, staying in factored form when target is factored."""
     if isinstance(target, MonodromyEntry):
-        conj = (by_word * target.conjugator).free_reduced()
+        conj = BraidWord(target.strands, _free_reduce(by + target.conjugator.letters))
         return MonodromyEntry(conj, target.index, target.sign)
-    return (by_word * target * by_word.inverse()).free_reduced()
+    return BraidWord(target.strands, _free_reduce(by + target.letters + _free_inv(by)))
 
 
 def slide(system: BraidSystem, j: int, inverse: bool = False) -> BraidSystem:
@@ -150,9 +150,9 @@ def slide(system: BraidSystem, j: int, inverse: bool = False) -> BraidSystem:
     a, b = entries[j - 1], entries[j]
     if inverse:
         entries[j - 1] = b
-        entries[j] = _conjugate_entry(b.inverse(), a)
+        entries[j] = _conjugate_entry(_free_inv(_entry_letters(b)), a)
     else:
-        entries[j - 1] = _conjugate_entry(a, b)
+        entries[j - 1] = _conjugate_entry(_entry_letters(a), b)
         entries[j] = a
     return BraidSystem(system.degree, tuple(entries))
 
@@ -191,11 +191,9 @@ def hurwitz_search(
     :class:`BudgetError` message, and ``explored`` counts the systems
     reached before it).
 
-    A state is ``(system, entry fingerprints)`` and its key is the tuple of
-    the r entry fingerprints, so systems are told apart exactly as by
-    fingerprinting every entry, and the moves and explored counts are those
-    of that search.  A slide moves one entry unchanged, whose fingerprint
-    is reused, and fingerprints only the new conjugated entry.
+    The key of a system is the tuple of its r entry fingerprints, read from
+    one memo that fingerprints each distinct entry once: a slide moves one
+    entry unchanged and makes one new conjugated entry.
     """
     if s1.degree != s2.degree:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
@@ -204,9 +202,7 @@ def hurwitz_search(
     explored = 0
     try:
         words1, words2 = s1.words(), s2.words()
-        degree = s1.degree
-        boundary1 = product(words1, strands=degree)
-        if not braids_equal(boundary1, product(words2, strands=degree)):
+        if not braids_equal(product(words1, strands=s1.degree), product(words2, strands=s1.degree)):
             return HurwitzResult(
                 HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ"
             )
@@ -216,27 +212,21 @@ def hurwitz_search(
         ):
             if sorted(map(invariant, words1)) != sorted(map(invariant, words2)):
                 return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
-        basis = identity_images(degree)
-        target = tuple(artin_apply(basis, w.letters) for w in words2)
+        basis = identity_images(s1.degree)
         moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
+        memo: dict[Entry, tuple] = {}
 
-        def successors(state, depth):
-            system, fps = state
-            children = []
-            for j, inv in moves_menu:
-                child = slide(system, j, inverse=inv)
-                # forward puts the conjugate at slot j and moves b_j to j + 1;
-                # the inverse moves b_{j+1} to slot j and puts the conjugate at j + 1
-                if inv:
-                    pair = (fps[j], artin_apply(basis, _entry_letters(child.entries[j])))
-                else:
-                    conj = artin_apply(basis, _entry_letters(child.entries[j - 1]))
-                    pair = (conj, fps[j - 1])
-                children.append(((j, inv), (child, fps[: j - 1] + pair + fps[j + 1 :])))
-            return children
+        def key(system: BraidSystem) -> tuple:
+            for e in system.entries:
+                if e not in memo:
+                    memo[e] = artin_apply(basis, _entry_letters(e))
+            return tuple(memo[e] for e in system.entries)
 
-        start = (s1, tuple(artin_apply(basis, w.letters) for w in words1))
-        for fp, _, moves in bfs(start, lambda state: state[1], successors):
+        def successors(system, depth):
+            return [((j, inv), slide(system, j, inverse=inv)) for j, inv in moves_menu]
+
+        target = key(s2)
+        for fp, _, moves in bfs(s1, key, successors):
             if explored >= budget:
                 return HurwitzResult(
                     HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored

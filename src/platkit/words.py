@@ -78,6 +78,28 @@ def _free_inv(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, u[::-1]))
 
 
+def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Cancel adjacent sigma_i sigma_i^{-1} pairs (an exact isotopy of the word)."""
+    out: list[int] = []
+    for g in letters:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _strand_images(strands: int, letters: tuple[int, ...]) -> list[int]:
+    """Where each bottom endpoint ends up at the top: the images of :func:`strand_permutation`."""
+    images = list(range(1, check_strands(strands) + 1))
+    # read bottom to top, letter i swaps the strands at positions i and i+1;
+    # the inverse of that walk makes the same swaps, top letter first
+    for g in reversed(letters):
+        i = abs(g) - 1
+        images[i], images[i + 1] = images[i + 1], images[i]
+    return images
+
+
 def _conjugate(w: tuple[int, ...], w_inv: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
     """The freely reduced w x w^-1, from freely reduced w, its inverse and x.
 
@@ -199,13 +221,7 @@ class BraidWord:
 
     def free_reduced(self) -> "BraidWord":
         """Cancel adjacent sigma_i sigma_i^{-1} pairs (an exact isotopy of the word)."""
-        out: list[int] = []
-        for g in self.letters:
-            if out and out[-1] == -g:
-                out.pop()
-            else:
-                out.append(g)
-        return BraidWord(self.strands, tuple(out))
+        return BraidWord(self.strands, _free_reduce(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -252,12 +268,7 @@ def embed(word: BraidWord, strands: int) -> BraidWord:
 
 def strand_permutation(word: BraidWord) -> Permutation:
     """Where each bottom endpoint ends up at the top of the braid."""
-    strand_at = list(range(1, check_strands(word.strands) + 1))
-    for g in word.letters:
-        i = abs(g) - 1
-        # the strands currently at positions i+1 and i+2 swap
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    return Permutation(tuple(strand_at)).inverse()
+    return Permutation(tuple(_strand_images(word.strands, word.letters)))
 
 
 def exponent_sum(word: BraidWord) -> int:
@@ -324,9 +335,9 @@ def braids_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GU
         raise ValueError("words live on different strand counts")
     if exponent_sum(a) != exponent_sum(b):
         return False
-    if strand_permutation(a) != strand_permutation(b):
+    if _strand_images(a.strands, a.letters) != _strand_images(b.strands, b.letters):
         return False
-    c = (a * b.inverse()).free_reduced().letters
+    c = _free_reduce(a.letters + _free_inv(b.letters))
     lo, hi = 0, len(c)
     while lo < hi and c[lo] == -c[hi - 1]:
         lo += 1

@@ -16,6 +16,7 @@ from platkit.bands import (
     admissibility_report,
     band_surgery,
     banded_from_json,
+    banded_from_obj,
     banded_to_json,
     certificates_from_obj,
     certificates_to_obj,
@@ -437,6 +438,28 @@ class TestSearch:
     def test_inadmissible_raises(self):
         with pytest.raises(ValueError, match="not admissible"):
             search_certificates(BandedBraid(parse_braid("2 2 2", 4)), 2)
+
+    def test_side_search_builds_few_words(self, monkeypatch):
+        # the side search runs on letter tuples: only the stabilized words and
+        # tails are built as BraidWords, not every candidate (49603 before)
+        two_bands = banded_from_obj({
+            "strands": 8,
+            "base": "1 3 5 7",
+            "bands": [
+                {"slot": 2, "sign": 1, "time": "1/2"},
+                {"slot": 6, "sign": -1, "time": "1/3"},
+            ],
+        })
+        built = [0]
+        post_init = BraidWord.__post_init__
+
+        def counting_post_init(word):
+            built[0] += 1
+            post_init(word)
+
+        monkeypatch.setattr(BraidWord, "__post_init__", counting_post_init)
+        assert search_certificates(two_bands, 5) is None
+        assert 0 < built[0] < 2000
 
     def test_found_certificates_always_compile(self):
         cases = [

@@ -28,6 +28,7 @@ from platkit.words import (
     identity_images,
     parse_braid,
     product,
+    strand_permutation,
 )
 
 
@@ -94,6 +95,41 @@ class TestPairing:
     def test_pair_permutation_requires_preservation(self):
         with pytest.raises(ValueError):
             pair_permutation(parse_braid("2", 4))
+
+
+def reference_pair_images(word: BraidWord):
+    """The pair images read off ``strand_permutation(word).images``."""
+    pi = strand_permutation(word).images
+    images = []
+    for k in range(word.strands // 2):
+        ends = sorted(pi[2 * k : 2 * k + 2])
+        if ends[1] != ends[0] + 1 or ends[0] % 2 != 1:
+            return None
+        images.append(ends[1] // 2)
+    return tuple(images)
+
+
+class TestPairImages:
+    def test_matches_the_strand_permutation(self):
+        rng = random.Random(812)
+        kept = broken = 0
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            if rng.random() < 0.5:
+                word = expand_expression(random_expression(rng, m, rng.randint(0, 5)))
+            else:
+                letters = (rng.randint(1, 2 * m - 1) for _ in range(rng.randint(0, 12)))
+                word = BraidWord(2 * m, tuple(g if rng.random() < 0.5 else -g for g in letters))
+            got = hilden._pair_images(word.strands, word.letters)
+            assert got == reference_pair_images(word)
+            kept += got is not None
+            broken += got is None
+        assert kept >= 100 and broken >= 100
+
+    @pytest.mark.parametrize("strands", [1, 3, 5, 11])
+    def test_odd_strand_count_raises(self, strands):
+        with pytest.raises(ValueError, match="even strand count"):
+            hilden._pair_images(strands, (1,))
 
 
 class TestExpressions:

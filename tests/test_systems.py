@@ -373,6 +373,27 @@ class TestHurwitzOracle:
         assert statuses == set(HurwitzStatus)
         assert {"orbit enumerated", "budget exhausted", "boundary braids differ"} <= reasons
 
+    def test_equal_and_look_alike_entries(self):
+        # the search memoizes fingerprints by entry equality: a repeated entry,
+        # a plain word spelling out a factored entry, and a plain word equal to
+        # a factored entry's conjugator are each fingerprinted as their own letters
+        rng = random.Random(810)
+        for kind in range(90):
+            degree, r = rng.randint(3, 4), rng.randint(3, 5)
+            entries = list(random_system(rng, degree, r).entries)
+            factored = MonodromyEntry(
+                random_word(rng, degree, rng.randint(1, 3)),
+                rng.randint(1, degree - 1),
+                rng.choice((1, -1)),
+            )
+            i, j = rng.sample(range(r), 2)
+            entries[i] = factored
+            entries[j] = (factored, factored.word(), factored.conjugator)[kind % 3]
+            s1 = BraidSystem(degree, tuple(entries))
+            moves = [(rng.randint(1, r - 1), rng.random() < 0.5) for _ in range(rng.randint(0, 3))]
+            for s2 in (apply_slides(s1, moves), s1):
+                assert hurwitz_search(s1, s2, 300) == reference_hurwitz_search(s1, s2, 300)
+
     def test_one_new_entry_fingerprint_per_child(self, monkeypatch):
         # every fingerprint of the search goes through systems.artin_apply;
         # every child comes from one systems.slide call
@@ -410,6 +431,25 @@ class TestHurwitzOracle:
         assert result.status is HurwitzStatus.UNKNOWN
         assert result.reason == "free-group fingerprint grew past 1000000 letters"
         assert 0 < result.explored < DEFAULT_SEARCH_BUDGET
+
+
+    def test_guard_counts_every_system_reached_before_it(self):
+        # explored is the number of systems the whole-system fingerprint
+        # search yields before the fingerprint that passes the guard
+        rng = random.Random(809)
+        for _ in range(14):
+            s1 = random_system(rng, 4, 5)
+            s2 = apply_slides(s1, [(rng.randint(1, 4), rng.random() < 0.5) for _ in range(3)])
+        menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
+        reached = 0
+        with pytest.raises(BudgetError):
+            for _ in bfs(
+                s1,
+                lambda system: tuple(artin_fingerprint(w) for w in system.words()),
+                lambda system, depth: [((j, inv), slide(system, j, inverse=inv)) for j, inv in menu],
+            ):
+                reached += 1
+        assert hurwitz_search(s1, s2).explored == reached
 
 
 class TestInvariants:

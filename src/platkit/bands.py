@@ -457,16 +457,21 @@ def search_certificates(
         raise ValueError("banded braid is not admissible")
 
     for m in range(max(m0, c1, c2), max_pairs + 1):
+        # both betas per profile, before the ball: an m past the limit stops here
+        betas = [
+            (lam, stabilize_by_profile(bb.base, lam).letters, stabilize_by_profile(surgered, lam).letters)
+            for lam in map(StabilizationProfile, _compositions(m - m0, m0))
+        ]
         # one ball per m, grown a factor at a time: depth d searches radius d
         ball: dict[tuple, tuple[HildenExpression, tuple[int, ...]]] = {}
         entries = _hilden_ball(m, _CERTIFICATE_FACTORS)
         for _, layer in groupby(entries, key=lambda entry: len(entry[1].factors)):
             ball.update((fp, (expr, inverse)) for fp, expr, inverse in layer)
-            for lam in map(StabilizationProfile, _compositions(m - m0, m0)):
-                first = _find_sides(stabilize_by_profile(bb.base, lam).letters, c1, m, ball)
+            for lam, beta1, beta2 in betas:
+                first = _find_sides(beta1, c1, m, ball)
                 if first is None:
                     continue
-                second = _find_sides(stabilize_by_profile(surgered, lam).letters, c2, m, ball)
+                second = _find_sides(beta2, c2, m, ball)
                 if second is None:
                     continue
                 return Certificates(

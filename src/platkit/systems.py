@@ -203,9 +203,7 @@ def hurwitz_search(
     try:
         words1, words2 = s1.words(), s2.words()
         if not braids_equal(product(words1, strands=s1.degree), product(words2, strands=s1.degree)):
-            return HurwitzResult(
-                HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ"
-            )
+            return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ")
         for invariant, reason in (
             (exponent_sum, "exponent-sum multisets differ"),
             (lambda w: strand_permutation(w).cycle_type(), "cycle-type multisets differ"),
@@ -233,9 +231,7 @@ def hurwitz_search(
                 )
             explored += 1
             if fp == target:
-                return HurwitzResult(
-                    HurwitzStatus.EQUIVALENT, moves=moves, explored=explored
-                )
+                return HurwitzResult(HurwitzStatus.EQUIVALENT, moves=moves, explored=explored)
         return HurwitzResult(
             HurwitzStatus.NOT_EQUIVALENT, reason="orbit enumerated", explored=explored
         )

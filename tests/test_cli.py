@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import platkit.bands
 from platkit.bands import Band, BandedBraid, banded_to_json
 from platkit.cli import main
 from platkit.motion import motion_from_obj
@@ -438,6 +439,20 @@ class TestBanded:
 
     def test_search_on_many_pairs_exits_3(self, capsys, tmp_path):
         # 1200 pairs: more than the recursion limit, past the stabilization limit
+        path = tmp_path / "wide.json"
+        path.write_text('{"strands": 2400, "base": "", "bands": []}')
+        code, out, err = run(capsys, "compile", str(path), "--search", "--bound", "1200")
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exhausted: stabilizing to 2400 strands is over the limit of 1024\n"
+        )
+
+    def test_search_stops_at_the_limit_before_the_ball(self, capsys, tmp_path, monkeypatch):
+        # an m past the stabilization limit is refused before any Hilden move is made
+        def no_ball(m, depth):
+            raise AssertionError(f"Hilden ball on {2 * m} strands")
+
+        monkeypatch.setattr(platkit.bands, "_hilden_ball", no_ball)
         path = tmp_path / "wide.json"
         path.write_text('{"strands": 2400, "base": "", "bands": []}')
         code, out, err = run(capsys, "compile", str(path), "--search", "--bound", "1200")

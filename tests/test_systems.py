@@ -431,25 +431,12 @@ class TestHurwitzOracle:
         assert result.status is HurwitzStatus.UNKNOWN
         assert result.reason == "free-group fingerprint grew past 1000000 letters"
         assert 0 < result.explored < DEFAULT_SEARCH_BUDGET
-
-
-    def test_guard_counts_every_system_reached_before_it(self):
-        # explored is the number of systems the whole-system fingerprint
-        # search yields before the fingerprint that passes the guard
-        rng = random.Random(809)
-        for _ in range(14):
-            s1 = random_system(rng, 4, 5)
-            s2 = apply_slides(s1, [(rng.randint(1, 4), rng.random() < 0.5) for _ in range(3)])
-        menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
-        reached = 0
+        # explored counts every system the whole-system fingerprint search
+        # yields before it meets the guard
+        short = reference_hurwitz_search(s1, s2, result.explored - 1)
+        assert (short.reason, short.explored) == ("budget exhausted", result.explored - 1)
         with pytest.raises(BudgetError):
-            for _ in bfs(
-                s1,
-                lambda system: tuple(artin_fingerprint(w) for w in system.words()),
-                lambda system, depth: [((j, inv), slide(system, j, inverse=inv)) for j, inv in menu],
-            ):
-                reached += 1
-        assert hurwitz_search(s1, s2).explored == reached
+            reference_hurwitz_search(s1, s2, result.explored)
 
 
 class TestInvariants:

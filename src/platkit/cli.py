@@ -238,12 +238,17 @@ def _cmd_hurwitz(args) -> int:
 
 
 def _cmd_surface_invariants(args) -> int:
+    # the normal Euler number reuses the boundary verdict, so the word
+    # problem is decided once per call
+    from .systems import _normal_euler_number
+
     system = _load_system(args)
+    closed = pk.is_two_dimensional(system)
     pairs: list[tuple[str, object]] = [
         ("degree", system.degree),
         ("r", system.r),
         ("boundary", pk.boundary_braid(system).free_reduced().text()),
-        ("two_dimensional", pk.is_two_dimensional(system)),
+        ("two_dimensional", closed),
     ]
     if system.degree % 2 == 0:
         pairs.append(("chi", pk.plat_euler_characteristic(system)))
@@ -253,7 +258,7 @@ def _cmd_surface_invariants(args) -> int:
         pairs.append(("negative_branch_points", q))
     except ValueError:
         pass
-    euler = pk.normal_euler_number(system)
+    euler = _normal_euler_number(system, closed)
     if euler is not None:
         pairs.append(("normal_euler", euler))
     if system.degree == 2:

@@ -138,6 +138,65 @@ def _unpack(packed: int, width: int, base: int) -> dict[int, int]:
     return coeffs
 
 
+def _shrink(
+    diagram: PlatDiagram,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
+    """``(letters, bottom, top, kinks, loops)``: the pre-pass of :func:`kauffman_bracket`.
+
+    The pairings are 0-based partner tuples.  The bracket of ``diagram`` is
+    (-A^3)^kinks times the state sum of the smaller diagram with ``loops``
+    added to every state's loop count; the bracket's docstring proves it.
+    """
+    # cancel g ... g^-1 across letters that all commute with g
+    kept: list[int] = []
+    for g in diagram.word.letters:
+        i = abs(g)
+        k = len(kept) - 1
+        while k >= 0 and abs(abs(kept[k]) - i) >= 2:
+            k -= 1
+        if k >= 0 and kept[k] == -g:
+            del kept[k]
+        else:
+            kept.append(g)
+
+    # strip the kinks under top caps, walking down from the top, then those
+    # over bottom cups, walking up; each pass reverses the letters
+    bottom = [p - 1 for p in diagram.bottom.partner]
+    top = [p - 1 for p in diagram.top.partner]
+    kinks = 0
+    for pairing in (top, bottom):
+        touched: set[int] = set()
+        letters = []
+        for g in reversed(kept):
+            i = abs(g) - 1
+            if pairing[i] == i + 1 and i not in touched and i + 1 not in touched:
+                kinks += 1 if g > 0 else -1
+            else:
+                touched.update((i, i + 1))
+                letters.append(g)
+        kept = letters
+
+    # drop the closed pairs no letter touches, renumbering what is left
+    n = len(bottom)
+    new = [-1] * n
+    loops = p = 0
+    while p < n:
+        if bottom[p] == p + 1 == top[p] and p not in touched and p + 1 not in touched:
+            loops += 1
+            p += 2
+        else:
+            new[p] = p - 2 * loops
+            p += 1
+    letters = tuple((new[abs(g) - 1] + 1) * (1 if g > 0 else -1) for g in kept)
+    return (
+        letters,
+        tuple(new[bottom[p]] for p in range(n) if new[p] >= 0),
+        tuple(new[top[p]] for p in range(n) if new[p] >= 0),
+        kinks,
+        loops,
+    )
+
+
 def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET) -> Laurent:
     """Bracket polynomial of the plat closure, by the smoothing state sum.
 
@@ -147,6 +206,35 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     interned as a small int id the first time it appears, and the cup-cap
     at each position is worked out once per id: a rewired id, or -1 when it
     closes a loop.  These transitions live for one call.
+
+    Pre-pass.  The sweep runs on a smaller diagram with the same bracket up
+    to a known unit and loop power.  Read the letter i as A e_i + A^-1 and
+    -i as A^-1 e_i + A, with e_i the cup-cap at i, i+1; the state sum is
+    linear in the product of the letters and counts loops as the
+    Temperley-Lieb relations do: e_i e_j = e_j e_i for |i - j| >= 2, and
+    e_i^2 = d e_i with d = -A^2 - A^-2.  Both also hold for non-planar
+    pairings, which count loops the same way.  Three exact steps follow.
+
+    1. Cancel commuting inverse pairs: drop g ... g^-1 when every letter
+       between them sits at distance >= 2 from g, scanning a stack of kept
+       letters back while they commute.  This is far commutation and
+       Reidemeister II: (A e + A^-1)(A^-1 e + A) = e^2 + (A^2 + A^-2) e + 1
+       = 1 because e^2 = d e.
+    2. Strip end kinks.  A letter at i on a bottom cup (the bottom pairing
+       joins i and i+1) with no kept letter at i-1, i or i+1 before it
+       meets that cup in every state, where e_i closes a loop: the letter
+       is (A d + A^-1) = -A^3 times the cup, the sweep's merged-monomial
+       rule, or -A^-3 for a negative letter.  The same holds for a letter
+       under a top cap with no kept letter near it after it.  The cup or
+       cap stays, so one backward pass strips the top kinks and one
+       forward pass the bottom ones, runs of kinks included.
+    3. Drop untouched closed pairs: positions p, p+1 that both pairings
+       join and no letter touches close into one split loop in every
+       state.  They are removed, the letters and pairings renumbered, and
+       the number of pairs dropped is added to every state's loop count.
+
+    With kinks counted +1 for a positive and -1 for a negative letter, the
+    sweep starts from the unit (-A^3)^kinks instead of 1.
 
     Packing.  A state is keyed by ``2 * id + p`` and its polynomial is
     packed into one int (Kronecker substitution): slot j, its j-th B-bit
@@ -181,9 +269,10 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
 
     Width.  A letter maps a key's polynomial x to x A^-s + x A^s, or to
     the single term -x A^3s when a loop closes, so the L1 norm summed over
-    all keys at most doubles per letter.  After c letters it is at most
-    2^c, and so is every coefficient of every key and of any sum of keys.
-    With B = c + 2 each coefficient lies strictly inside (-2^(B-1),
+    all keys at most doubles per letter, and the unit it starts from has
+    norm 1.  After the c' letters left by the pre-pass it is at most 2^c',
+    and so is every coefficient of every key and of any sum of keys.
+    With B = c' + 2 each coefficient lies strictly inside (-2^(B-1),
     2^(B-1)), so the packed int, an exact Python int, decodes uniquely as
     balanced base-2^B digits.  There are no right shifts, so negative
     coefficients never lose bits.
@@ -192,16 +281,17 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     loop count and parity, the only keys whose slots mean the same
     exponents; each sum is decoded once and multiplied by its loop power,
     and one :class:`Laurent` is built at the end.  Raises
-    :class:`BudgetError` when the diagram has more than ``budget`` crossings.
+    :class:`BudgetError` when the diagram has more than ``budget`` crossings,
+    counted as written, before the pre-pass.
     """
     if len(diagram.word) > budget:
         raise BudgetError(
             f"diagram has {len(diagram.word)} crossings, over the budget of {budget}"
         )
-    width = len(diagram.word) + 2
-    base = 0
-    start = tuple(p - 1 for p in diagram.bottom.partner)
-    top = tuple(p - 1 for p in diagram.top.partner)
+    letters, start, top, kinks, split = _shrink(diagram)
+    width = len(letters) + 2
+    # the sweep starts from the unit (-A^3)^kinks rather than from 1
+    base = 3 * kinks
     matchings = [start]
     ids = {start: 0}
     transitions: dict[int, dict[int, int]] = {}
@@ -221,8 +311,8 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
             matchings.append(rewired)
         return r
 
-    states = {0: 1}
-    for g in diagram.word.letters:
+    states = {0: -1 if kinks & 1 else 1}
+    for g in letters:
         i = abs(g) - 1
         memo = transitions.setdefault(i, {})
         nxt: dict[int, int] = {}
@@ -252,7 +342,7 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     total: dict[int, int] = {}
     for (loops, p), x in sums.items():
         coeffs = _unpack(x, width, base + 2 * p)
-        for e2, c2 in loop_power(loops - 1).coeffs:
+        for e2, c2 in loop_power(loops + split - 1).coeffs:
             for e, c in coeffs.items():
                 total[e + e2] = total.get(e + e2, 0) + c * c2
     return Laurent.from_dict(total)

@@ -303,6 +303,13 @@ def normal_euler_number(system: BraidSystem) -> int | None:
     Degree-2 systems give 2(p - q); closed (two-dimensional) systems with
     factored entries give 0; anything else is undetermined here.
     """
+    return _normal_euler_number(system, None)
+
+
+def _normal_euler_number(system: BraidSystem, closed: bool | None) -> int | None:
+    """:func:`normal_euler_number`, given ``closed``, the verdict of
+    :func:`is_two_dimensional` when the caller holds it already; with None
+    the word problem is decided here, and only when the answer needs it."""
     if system.degree == 2:
         try:
             t = classify_degree_two(system)
@@ -310,8 +317,8 @@ def normal_euler_number(system: BraidSystem) -> int | None:
             pass
         else:
             return 2 * (t.positive - t.negative)
-    if all(isinstance(e, MonodromyEntry) for e in system.entries) and is_two_dimensional(
-        system
+    if all(isinstance(e, MonodromyEntry) for e in system.entries) and (
+        is_two_dimensional(system) if closed is None else closed
     ):
         return 0
     return None

@@ -285,6 +285,22 @@ class TestSystems:
         assert (code, out) == (3, "")
         assert "needs 4 letters, over the limit of 3" in err
 
+    def test_surface_invariants_decides_the_boundary_once(self, capsys, monkeypatch):
+        import platkit.systems
+
+        calls = []
+        decide = platkit.systems.braids_equal
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(platkit.systems, "braids_equal", counted)
+        code, out, _ = run(capsys, "surface-invariants", "--degree", "3", "--entries", "1;-1")
+        assert code == 0
+        assert "two_dimensional=true\n" in out and out.endswith("normal_euler=0\n")
+        assert len(calls) == 1
+
     def test_to_genuine_plat_decides_the_boundary_once(self, capsys, monkeypatch):
         import platkit
         import platkit.systems

@@ -9,6 +9,7 @@ from platkit.plats import (
     Pairing,
     PlatDiagram,
     Triviality,
+    _shrink,
     component_count,
     kauffman_bracket,
     pd_lines,
@@ -490,6 +491,131 @@ class TestBracketCrossCheck:
         bracket = kauffman_bracket(diagram)
         assert bracket == Laurent.from_dict({-10: -1, -6: 1, -2: -1, 6: -1})
         assert bracket == reference_bracket(diagram)
+
+
+def adjacent_pairing(rng: random.Random, size: int) -> Pairing:
+    """A random pairing that joins at least one pair of adjacent positions."""
+    p = rng.randint(1, size - 1)
+    rest = [q for q in range(1, size + 1) if q not in (p, p + 1)]
+    rng.shuffle(rest)
+    partner = [0] * size
+    partner[p - 1], partner[p] = p + 1, p
+    for a, b in zip(rest[::2], rest[1::2]):
+        partner[a - 1], partner[b - 1] = b, a
+    return Pairing(tuple(partner))
+
+
+class TestBracketPrePass:
+    """Diagrams aimed at each step of the bracket's pre-pass, against the oracle."""
+
+    def test_inverse_pairs_across_commuting_letters(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            strands = 2 * rng.randint(3, 6)
+            g = rng.randint(1, strands - 1) * rng.choice((1, -1))
+            far = [j for j in range(1, strands) if abs(j - abs(g)) >= 2]
+            middle = tuple(rng.choice(far) * rng.choice((1, -1)) for _ in range(rng.randint(0, 4)))
+            pair = (g, *middle, -g) if rng.random() < 0.5 else (-g, *middle, g)
+            w = random_word(rng, strands, rng.randint(0, 10))
+            pos = rng.randint(0, len(w))
+            diagram = plat_closure(BraidWord(strands, w.letters[:pos] + pair + w.letters[pos:]))
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+            rest = BraidWord(strands, w.letters[:pos] + middle + w.letters[pos:])
+            assert kauffman_bracket(diagram) == kauffman_bracket(plat_closure(rest))
+        # a neighbour of g between the two blocks the cancellation
+        diagram = plat_closure(parse_braid("2 1 -2", 4))
+        assert len(_shrink(diagram)[0]) == 3
+        assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_words_that_reduce_to_nothing(self):
+        rng = random.Random(62)
+        for text, strands in (("1 3 -1 -3", 4), ("2 5 4 -2 -4 -5", 8), ("1 -1 " * 12, 2)):
+            word = parse_braid(text, strands)
+            assert _shrink(plat_closure(word))[0] == ()
+            mixed = PlatDiagram(word, random_pairing(rng, strands), random_pairing(rng, strands))
+            for diagram in (plat_closure(word), mixed):
+                assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        for _ in range(30):
+            u = random_word(rng, 2 * rng.randint(1, 5), rng.randint(1, 9))
+            diagram = plat_closure(u * u.inverse())
+            assert _shrink(diagram)[0] == ()
+            assert kauffman_bracket(diagram) == LOOP ** (u.strands // 2 - 1)
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_runs_of_kinks_at_both_ends(self):
+        rng = random.Random(63)
+        # letters at 1 or 3 before the 2 are bottom kinks, after it top kinks;
+        # each counts +1 when positive and -1 when negative
+        for text, kinks in (("1 1 -1 1 2 1 1 1", 5), ("3 3 2 -3 -3 -3", -1), ("-1 -1 -1", -3)):
+            diagram = plat_closure(parse_braid(text, 4))
+            assert _shrink(diagram)[3] == kinks
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        for k in range(120):
+            strands = 2 * rng.randint(1, 5)
+            bottom = adjacent_pairing(rng, strands) if k % 2 else Pairing.standard(strands // 2)
+            top = adjacent_pairing(rng, strands) if k % 3 else Pairing.standard(strands // 2)
+            cups = [i for i in range(1, strands) if bottom(i) == i + 1]
+            caps = [i for i in range(1, strands) if top(i) == i + 1]
+            runs = []
+            for ends in (cups, caps):
+                i = rng.choice(ends)
+                runs.append(tuple(i * rng.choice((1, -1)) for _ in range(rng.randint(1, 4))))
+            middle = random_word(rng, strands, rng.randint(0, 8)).letters
+            word = BraidWord(strands, runs[0] + middle + runs[1])
+            diagram = PlatDiagram(word, bottom, top)
+            assert len(_shrink(diagram)[0]) < len(word)
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_every_pair_untouched(self):
+        rng = random.Random(64)
+        for m in range(1, 9):
+            for letters in ((), (1,), (-1, -1)):
+                diagram = plat_closure(BraidWord(2 * m, letters))
+                assert _shrink(diagram)[:3] == ((), (), ())
+                assert _shrink(diagram)[4] == m
+                assert kauffman_bracket(diagram) == reference_bracket(diagram)
+            assert kauffman_bracket(plat_closure(BraidWord.identity(2 * m))) == LOOP ** (m - 1)
+            # the same non-standard pairing at both ends: only its adjacent
+            # pairs are dropped, the rest still close up in the sweep
+            pairing = random_pairing(rng, 2 * m)
+            diagram = PlatDiagram(BraidWord.identity(2 * m), pairing, pairing)
+            assert kauffman_bracket(diagram) == LOOP ** (m - 1)
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_random_diagrams(self):
+        # half with random pairings at both ends, some with letters on a
+        # few positions only, so that untouched pairs are common
+        rng = random.Random(65)
+        for k in range(1000):
+            strands = 2 * rng.randint(1, 7)
+            spots = list(range(1, strands))
+            if k % 4 == 1 and strands > 2:
+                spots = rng.sample(spots, rng.randint(1, min(3, strands - 1)))
+            length = rng.randint(0, 14)
+            letters = tuple(rng.choice(spots) * rng.choice((1, -1)) for _ in range(length))
+            diagram = plat_closure(BraidWord(strands, letters))
+            if k % 2:
+                diagram = PlatDiagram(
+                    diagram.word, random_pairing(rng, strands), random_pairing(rng, strands)
+                )
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_budget_counts_the_letters_as_written(self):
+        word = BraidWord(4, (1, -1) * 13)
+        assert _shrink(plat_closure(word))[0] == ()
+        with pytest.raises(BudgetError):
+            kauffman_bracket(plat_closure(word), budget=24)
+        assert kauffman_bracket(plat_closure(word), budget=26) == LOOP
+
+    def test_untouched_pairs_of_a_wide_plat(self):
+        # twelve letters on 2048 strands touch 24 pairs; the other 1000 are
+        # split loops, each one more component and one more loop factor
+        letters = tuple(range(2, 47, 4))
+        wide = plat_closure(BraidWord(2048, letters))
+        narrow = plat_closure(BraidWord(48, letters))
+        assert component_count(wide) == 1012
+        assert component_count(narrow) == 12
+        assert kauffman_bracket(wide) == kauffman_bracket(narrow) * loop_power(1000)
 
 
 class TestTriviality:

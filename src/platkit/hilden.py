@@ -97,6 +97,7 @@ class HildenExpression:
     def __post_init__(self) -> None:
         if self.pairs < 1:
             raise ValueError("need at least one pair of strands")
+        object.__setattr__(self, "factors", tuple(map(tuple, self.factors)))
         # the count of hilden_generators(m), without building them
         count = 1 if self.pairs == 1 else self.pairs + 1
         for idx, exp in self.factors:

@@ -34,6 +34,7 @@ class Pairing:
     partner: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "partner", tuple(self.partner))
         n = len(self.partner)
         if n % 2 != 0:
             raise ValueError("a pairing needs an even number of endpoints")
@@ -197,6 +198,10 @@ def _shrink(
     )
 
 
+# the last diagram the sweep ran on and its bracket; see kauffman_bracket
+_last: tuple[PlatDiagram, Laurent] | None = None
+
+
 def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET) -> Laurent:
     """Bracket polynomial of the plat closure, by the smoothing state sum.
 
@@ -283,11 +288,23 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     and one :class:`Laurent` is built at the end.  Raises
     :class:`BudgetError` when the diagram has more than ``budget`` crossings,
     counted as written, before the pre-pass.
+
+    Memo.  The last diagram swept and its bracket are kept in one module
+    slot.  After the budget check, a diagram equal to it by value (the
+    same word and pairings, so a rebuilt ``plat_closure(w)`` counts) gets
+    the stored bracket back without a sweep; any other diagram replaces
+    it.  So :func:`triviality_check` right after this call on the same
+    diagram sweeps nothing, while a pass over many diagrams keeps at most
+    one and reuses nothing from an earlier pass.
     """
+    global _last
     if len(diagram.word) > budget:
         raise BudgetError(
             f"diagram has {len(diagram.word)} crossings, over the budget of {budget}"
         )
+    last = _last
+    if last is not None and last[0] == diagram:
+        return last[1]
     letters, start, top, kinks, split = _shrink(diagram)
     width = len(letters) + 2
     # the sweep starts from the unit (-A^3)^kinks rather than from 1
@@ -345,7 +362,9 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
         for e2, c2 in loop_power(loops + split - 1).coeffs:
             for e, c in coeffs.items():
                 total[e + e2] = total.get(e + e2, 0) + c * c2
-    return Laurent.from_dict(total)
+    bracket = Laurent.from_dict(total)
+    _last = (diagram, bracket)
+    return bracket
 
 
 class Triviality(Enum):
@@ -366,6 +385,11 @@ def triviality_check(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     Returns CONSISTENT_WITH_TRIVIAL exactly when the bracket is a unit
     multiple of the c-component trivial link's bracket.  A NOT_TRIVIAL
     verdict is conclusive; the other direction is only a consistency check.
+
+    Right after :func:`kauffman_bracket` on the same diagram the bracket
+    comes from its memo, so this costs a component count and one unit
+    comparison.  A caller that holds the bracket and the component count
+    already gets the same verdict from ``bracket_triviality(bracket, c)``.
     """
     return bracket_triviality(kauffman_bracket(diagram, budget), component_count(diagram))
 

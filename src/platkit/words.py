@@ -130,6 +130,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")

@@ -177,6 +177,16 @@ class TestExpressions:
             with pytest.raises(ValueError, match=f"generator index {count} out of range"):
                 HildenExpression(m, ((count, 1),))
 
+    def test_factors_are_tuples(self):
+        factors = [[0, 1], [2, -1]]
+        expr = HildenExpression(2, factors)
+        assert expr == HildenExpression(2, ((0, 1), (2, -1))) == parse_expression("m=2 g0 g2^-1")
+        assert hash(expr) == hash(HildenExpression(2, ((0, 1), (2, -1))))
+        factors[0][0] = 1
+        factors.append([1, 1])
+        assert expr.factors == ((0, 1), (2, -1))
+        assert format_expression(expr) == "m=2 g0 g2^-1"
+
     def test_needs_a_pair(self):
         for m in (0, -1):
             with pytest.raises(ValueError, match="need at least one pair of strands"):

@@ -2,7 +2,10 @@
 
 The compiler's certificates prove a plat trivial because both moves keep
 the plat closure's link type; here the component count and the bracket up
-to a unit stand in for it.
+to a unit stand in for it.  The last property runs the bracket and the
+triviality check in random call orders over two diagrams, against the
+state-sum oracle of ``test_plats``, so that the bracket's one-slot memo
+never answers for another diagram.
 """
 
 import pytest
@@ -14,9 +17,18 @@ from hypothesis import strategies as st
 
 from platkit.hilden import HildenExpression, expand_expression
 from platkit.laurent import equal_up_to_unit
-from platkit.plats import component_count, kauffman_bracket, plat_closure
+from platkit.plats import (
+    Pairing,
+    PlatDiagram,
+    bracket_triviality,
+    component_count,
+    kauffman_bracket,
+    plat_closure,
+    triviality_check,
+)
 from platkit.stabilize import StabilizationProfile, stabilize_by_profile
 from platkit.words import BraidWord
+from test_plats import reference_bracket
 
 # crossings the bracket may sum over: a word of 8 letters plus a tail of at
 # most two new pairs (34 letters) or two expressions of 3 factors (24 letters)
@@ -61,3 +73,38 @@ def test_hilden_double_coset_keeps_the_plat(data):
     left = expand_expression(data.draw(expressions(word.strands // 2)))
     right = expand_expression(data.draw(expressions(word.strands // 2)))
     assert_same_plat(word, left * word * right)
+
+
+@st.composite
+def pairings(draw, size: int) -> Pairing:
+    order = draw(st.permutations(range(1, size + 1)))
+    partner = [0] * size
+    for a, b in zip(order[::2], order[1::2]):
+        partner[a - 1], partner[b - 1] = b, a
+    return Pairing(tuple(partner))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bracket_memo_follows_any_call_order(data):
+    # two diagrams on one word length, the second often the first word under
+    # other pairings; each call rebuilds its diagram or reuses the object
+    n = 2 * data.draw(st.integers(1, 4))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    words = st.lists(letter, max_size=10).map(lambda letters: BraidWord(n, tuple(letters)))
+    first = plat_closure(data.draw(words))
+    word = data.draw(st.one_of(st.just(first.word), words))
+    second = PlatDiagram(word, data.draw(pairings(n)), data.draw(pairings(n)))
+    diagrams = (first, second)
+    brackets = [reference_bracket(d) for d in diagrams]
+    verdicts = [bracket_triviality(b, component_count(d)) for b, d in zip(brackets, diagrams)]
+    calls = st.tuples(st.integers(0, 1), st.booleans(), st.booleans())
+    for k, verdict_call, rebuild in data.draw(st.lists(calls, min_size=1, max_size=8)):
+        d = diagrams[k]
+        if rebuild:
+            copy = BraidWord(n, list(d.word.letters))
+            d = PlatDiagram(copy, Pairing(list(d.bottom.partner)), d.top)
+        if verdict_call:
+            assert triviality_check(d) is verdicts[k]
+        else:
+            assert kauffman_bracket(d) == brackets[k]

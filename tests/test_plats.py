@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import platkit.plats as plats
 from platkit.laurent import LOOP, Laurent, equal_up_to_unit, loop_power
 from platkit.plats import (
     Pairing,
@@ -232,6 +233,17 @@ class TestPlatClosure:
     def test_diagram_validation(self):
         with pytest.raises(ValueError):
             PlatDiagram(parse_braid("1", 2), Pairing.standard(1), Pairing.standard(2))
+
+    def test_pairing_holds_a_tuple(self):
+        partner = [2, 1, 4, 3]
+        pairing = Pairing(partner)
+        assert pairing == Pairing((2, 1, 4, 3)) == Pairing.standard(2)
+        assert hash(pairing) == hash(Pairing((2, 1, 4, 3)))
+        diagram = PlatDiagram(parse_braid("2", 4), pairing, pairing)
+        assert hash(diagram) == hash(plat_closure(parse_braid("2", 4)))
+        partner[:] = [3, 4, 1, 2]
+        assert pairing.partner == (2, 1, 4, 3)
+        assert diagram == plat_closure(parse_braid("2", 4))
 
 
 class TestComponents:
@@ -616,6 +628,65 @@ class TestBracketPrePass:
         assert component_count(wide) == 1012
         assert component_count(narrow) == 12
         assert kauffman_bracket(wide) == kauffman_bracket(narrow) * loop_power(1000)
+
+
+class TestBracketMemo:
+    """The one-slot memo of the last diagram swept and its bracket."""
+
+    def test_budget_is_checked_before_the_memo(self):
+        diagram = plat_closure(parse_braid("2 2 2", 4))
+        assert kauffman_bracket(diagram, 100) == reference_bracket(diagram)
+        with pytest.raises(BudgetError, match="diagram has 3 crossings, over the budget of 1"):
+            kauffman_bracket(diagram, 1)
+        with pytest.raises(BudgetError, match="diagram has 3 crossings, over the budget of 1"):
+            triviality_check(diagram, 1)
+
+    def test_call_orders_match_the_oracle(self):
+        d1 = plat_closure(parse_braid("2 2 2", 4))
+        d2 = plat_closure(parse_braid("1 2 -1 2 3 -2", 6))
+        for diagram in (d1, d2, d1):
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        # the same word under another bottom pairing, straight after its
+        # standard closure: a different link with a different bracket
+        other = PlatDiagram(d1.word, Pairing((3, 4, 1, 2)), d1.top)
+        assert kauffman_bracket(other) == reference_bracket(other) != kauffman_bracket(d1)
+        assert triviality_check(other) is Triviality.NOT_TRIVIAL
+        assert kauffman_bracket(d1) == reference_bracket(d1)
+
+    def test_one_sweep_per_diagram(self, monkeypatch):
+        sweeps = []
+        real = plats._shrink
+
+        def counted(diagram):
+            sweeps.append(diagram)
+            return real(diagram)
+
+        monkeypatch.setattr(plats, "_shrink", counted)
+        w1, w2 = parse_braid("2 2 2", 4), parse_braid("1 2 -1 2 3 -2", 6)
+        elsewhere = plat_closure(BraidWord.identity(2))
+
+        def count(calls) -> int:
+            kauffman_bracket(elsewhere)  # another diagram fills the slot first
+            sweeps.clear()
+            calls()
+            return len(sweeps)
+
+        def bracket_then_verdict():
+            d = plat_closure(w1)
+            kauffman_bracket(d)
+            triviality_check(d)
+
+        def rebuilt():
+            kauffman_bracket(plat_closure(w1))
+            triviality_check(plat_closure(BraidWord(4, list(w1.letters))))
+
+        def alternating():
+            for w in (w1, w2, w1):
+                kauffman_bracket(plat_closure(w))
+
+        assert count(bracket_then_verdict) == 1
+        assert count(rebuilt) == 1
+        assert count(alternating) == 3
 
 
 class TestTriviality:

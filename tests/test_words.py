@@ -110,6 +110,15 @@ class TestPermutation:
         assert strand_permutation(parse_braid("1 2", 3)).cycle_type() == (3,)
         assert Permutation.identity(3).cycle_type() == (1, 1, 1)
 
+    def test_images_are_a_tuple(self):
+        images = [2, 1, 3]
+        p = Permutation(images)
+        assert p == Permutation((2, 1, 3)) == strand_permutation(parse_braid("1", 3))
+        assert hash(p) == hash(Permutation((2, 1, 3)))
+        images[:] = [1, 2, 3]
+        assert p.images == (2, 1, 3)
+        assert not p.is_identity()
+
 
 def scanned_permutation(word: BraidWord) -> Permutation:
     """Strand permutation by rescanning every strand for each letter."""

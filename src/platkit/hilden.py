@@ -4,14 +4,17 @@ These are the braids that extend to the handlebody side of a plat: the
 plat closure of any word in this subgroup, with the standard pairing, is
 the m-component trivial link.  The subgroup is generated by
 
-    sigma_1,
-    sigma_2 sigma_1 sigma_3 sigma_2,
-    sigma_{2i} sigma_{2i-1} sigma_{2i+1}^{-1} sigma_{2i}^{-1}   (1 <= i <= m-1),
+    g0     = sigma_1,
+    g1     = sigma_2 sigma_1 sigma_3 sigma_2                            (m >= 2),
+    g(i+1) = sigma_{2i} sigma_{2i-1} sigma_{2i+1}^{-1} sigma_{2i}^{-1}   (1 <= i <= m-1),
 
-all of which map standard pairs to standard pairs.  Membership of a word
-is certified by an expression in these generators; a bounded breadth-first
-search finds the lexicographically least shortest expression when one
-exists within the length bound.
+all of which map standard pairs to standard pairs: g0 turns pair 1 over
+and fixes every pair, g1 swaps pairs 1 and 2, and g(i+1) swaps pairs i
+and i + 1.  Their exponent sums are 1, 4 and 0.  ``_factor_table`` is the
+one place these facts are written.  Membership of a word is certified by
+an expression in these generators; a bounded breadth-first search finds
+the lexicographically least shortest expression when one exists within
+the length bound.
 """
 
 from __future__ import annotations
@@ -29,31 +32,33 @@ from .words import (
     braids_equal,
     exponent_sum,
     identity_images,
-    product,
 )
+
+
+def _factor_table(m: int) -> list[tuple[tuple[int, int], tuple[int, ...], int, int]]:
+    """``(move, letters, exponent sum, swap)`` of each signed factor, in rank order.
+
+    The move is ``(idx, +1 or -1)``; each generator comes before its
+    inverse, by index.  ``swap`` is the i whose pairs i and i + 1 the
+    factor exchanges, or 0 for g0, which fixes every pair.  O(m).
+    """
+    if m < 1:
+        raise ValueError("need at least one pair of strands")
+    table = [((0, 1), (1,), 1, 0), ((0, -1), (-1,), -1, 0)]
+    if m >= 2:
+        table += [((1, 1), (2, 1, 3, 2), 4, 1), ((1, -1), (-2, -3, -1, -2), -4, 1)]
+    for i in range(1, m):
+        k = 2 * i
+        table += [
+            ((i + 1, 1), (k, k - 1, -(k + 1), -k), 0, i),
+            ((i + 1, -1), (k, k + 1, -(k - 1), -k), 0, i),
+        ]
+    return table
 
 
 def hilden_generators(m: int) -> list[BraidWord]:
     """Generators of the Hilden subgroup inside the braid group on 2m strands."""
-    if m < 1:
-        raise ValueError("need at least one pair of strands")
-    n = 2 * m
-    gens = [BraidWord(n, (1,))]
-    if m >= 2:
-        gens.append(BraidWord(n, (2, 1, 3, 2)))
-        for i in range(1, m):
-            k = 2 * i
-            gens.append(BraidWord(n, (k, k - 1, -(k + 1), -k)))
-    return gens
-
-
-def _factor_table(m: int) -> dict[tuple[int, int], BraidWord]:
-    """Each signed factor ``(idx, +1 or -1)`` and its word, in expression rank order."""
-    table = {}
-    for idx, gen in enumerate(hilden_generators(m)):
-        table[(idx, 1)] = gen
-        table[(idx, -1)] = gen.inverse()
-    return table
+    return [BraidWord(2 * m, letters) for (_, exp), letters, _, _ in _factor_table(m) if exp == 1]
 
 
 def _pair_images(strands: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -119,8 +124,8 @@ class HildenExpression:
 
 def expand_expression(expr: HildenExpression) -> BraidWord:
     """Multiply out an expression into a braid word on 2m strands."""
-    table = _factor_table(expr.pairs)
-    return product([table[f] for f in expr.factors], strands=2 * expr.pairs)
+    table = {move: letters for move, letters, _, _ in _factor_table(expr.pairs)}
+    return BraidWord(2 * expr.pairs, tuple(g for move in expr.factors for g in table[move]))
 
 
 def verify_membership(word: BraidWord, expr: HildenExpression) -> bool:
@@ -163,21 +168,6 @@ def parse_expression(text: str) -> HildenExpression:
     return HildenExpression(pairs, tuple(factors))
 
 
-def _pair_distance(pperm: tuple[int, ...], target: tuple[int, ...]) -> int:
-    """The Coxeter length of ``pperm^-1 target``: its inversions, which are the
-    fewest adjacent pair swaps that take ``pperm`` to ``target``."""
-    where = [0] * len(pperm)
-    for i, x in enumerate(pperm):
-        where[x - 1] = i
-    imgs = [target[i] for i in where]
-    return sum(
-        1
-        for a in range(len(imgs))
-        for b in range(a + 1, len(imgs))
-        if imgs[a] > imgs[b]
-    )
-
-
 def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     """Bounded breadth-first search for a Hilden expression equal to ``word``.
 
@@ -186,47 +176,54 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     least expression among the shortest ones, or None when the bound is
     exhausted.  The verdict None is therefore only "not found within budget".
 
-    A state is ``(fingerprint, exponent sum, pair permutation)``, the last a
-    plain tuple of pair images; the key is the fingerprint alone, so the
-    states visited and the expression returned do not depend on how the
-    pair permutation is stored.  The Coxeter distance to the target's pair
-    permutation is computed once per distinct pair permutation (at most m!).
+    A state is ``(fingerprint, exponent sum, gap, distance)``.  With p the
+    prefix's pair permutation and t the target's, in diagram order, ``gap``
+    is the images of p^-1 t and ``distance`` its inversion count, the
+    fewest adjacent pair swaps from p to t; at the start ``gap`` is t.  A
+    factor with swap i takes p to p s_i and ``gap`` to s_i p^-1 t: entries
+    i and i + 1 exchanged.  Only the order of those two entries flips, so
+    the distance moves by exactly one, +1 if entry i is the smaller, else
+    -1; g0 moves neither.  The key is the fingerprint alone, and ``gap``
+    is a function of the group element, so the states visited and the
+    expression returned do not depend on how the pairs are tracked.  The
+    factor table costs O(m), and each child kept costs a fingerprint
+    extension and an m-tuple copy.
     """
     if word.strands % 2 != 0:
         raise ValueError("membership search needs an even strand count")
-    target_pairs = _pair_images(word.strands, word.letters)
-    if target_pairs is None:
+    target_gap = _pair_images(word.strands, word.letters)
+    if target_gap is None:
         return None
     m = word.strands // 2
     target_fp = artin_fingerprint(word)
     target_sum = exponent_sum(word)
-    steps = [
-        (move, factor.letters, exponent_sum(factor), _pair_images(2 * m, factor.letters))
-        for move, factor in _factor_table(m).items()
-    ]
+    steps = _factor_table(m)
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
-    distance: dict[tuple[int, ...], int] = {}
 
     def successors(state, depth):
         # drop children that cannot reach the target in the factors left; each
-        # factor changes the pair permutation by one adjacent swap at most
-        fp, esum, pperm = state
+        # factor moves the exponent sum by max_step_sum and the distance by one at most
+        fp, esum, gap, dist = state
         remaining = max_len - depth - 1
         children = []
-        for move, letters, step_sum, step_pperm in steps:
+        for move, letters, step_sum, swap in steps:
             new_sum = esum + step_sum
             if abs(target_sum - new_sum) > remaining * max_step_sum:
                 continue
-            # diagram order, as Permutation.__mul__: (p * q)(i) = q(p(i))
-            new_pperm = tuple([step_pperm[x - 1] for x in pperm])
-            d = distance.get(new_pperm)
-            if d is None:
-                d = distance[new_pperm] = _pair_distance(new_pperm, target_pairs)
-            if d <= remaining:
-                children.append((move, (artin_apply(fp, letters), new_sum, new_pperm)))
+            new_gap, new_dist = gap, dist
+            if swap:
+                a, b = gap[swap - 1], gap[swap]
+                new_dist += 1 if a < b else -1
+                if new_dist > remaining:
+                    continue
+                new_gap = gap[: swap - 1] + (b, a) + gap[swap + 1 :]
+            elif dist > remaining:
+                continue
+            children.append((move, (artin_apply(fp, letters), new_sum, new_gap, new_dist)))
         return children
 
-    start = (identity_images(2 * m), 0, tuple(range(1, m + 1)))
+    inversions = sum(1 for j, x in enumerate(target_gap) for y in target_gap[j + 1 :] if x > y)
+    start = (identity_images(2 * m), 0, target_gap, inversions)
     for fp, _, factors in bfs(start, lambda state: state[0], successors, max_len):
         if fp == target_fp:
             return HildenExpression(m, factors)
@@ -240,7 +237,7 @@ def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, 
     at most d factors come first and are the ball of radius d.  The letters
     of the inverse are read from the one factor table as the entry appears.
     """
-    table = {move: factor.letters for move, factor in _factor_table(m).items()}
+    table = {move: letters for move, letters, _, _ in _factor_table(m)}
 
     def successors(fp, _depth):
         return [(move, artin_apply(fp, letters)) for move, letters in table.items()]

@@ -39,7 +39,7 @@ on a longer word than the two words themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import index, neg
 
 
 DEFAULT_FINGERPRINT_GUARD = 10**6
@@ -177,12 +177,21 @@ class Permutation:
         return tuple(sorted(lengths))
 
 
+def _int_letter(g) -> int:
+    """A letter as a plain int, by ``operator.index``; ValueError naming it when it is not an integer."""
+    try:
+        return index(g)
+    except TypeError:
+        raise ValueError(f"letter {g!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on ``strands`` strands.
 
     Letters are nonzero integers with absolute value below ``strands``; the
-    stored sequence is exactly what was written, with no reduction applied.
+    stored sequence is exactly what was written, with no reduction applied,
+    each letter a plain int.
     """
 
     strands: int
@@ -193,6 +202,10 @@ class BraidWord:
             raise ValueError("strand count must be positive")
         object.__setattr__(self, "letters", tuple(self.letters))
         for g in self.letters:
+            if type(g) is not int:
+                # store each letter as a plain int (a bool too), then check again
+                object.__setattr__(self, "letters", tuple(map(_int_letter, self.letters)))
+                return self.__post_init__()
             if g == 0 or abs(g) >= self.strands:
                 raise ValueError(f"letter {g} out of range for {self.strands} strands")
 

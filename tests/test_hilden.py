@@ -40,6 +40,17 @@ def random_expression(rng: random.Random, m: int, factors: int) -> HildenExpress
     return HildenExpression(m, picked)
 
 
+def reference_generators(m: int) -> list[tuple[int, ...]]:
+    """The letters of the Hilden generators, as the module docstring writes them."""
+    gens = [(1,)]
+    if m >= 2:
+        gens.append((2, 1, 3, 2))
+    for i in range(1, m):
+        k = 2 * i
+        gens.append((k, k - 1, -(k + 1), -k))
+    return gens
+
+
 class TestGenerators:
     def test_counts(self):
         assert len(hilden_generators(1)) == 1
@@ -79,6 +90,33 @@ class TestGenerators:
                 a = j - 1
                 assert perm(a) == a + 1 and perm(a + 1) == a
                 assert perm.cycle_type() == tuple([1] * (m - 2) + [2])
+
+
+class TestFactorTable:
+    def test_matches_the_generic_derivation(self):
+        # letters against the written generators; exponent sums and pair
+        # swaps against exponent_sum and the strand walk of pair_permutation
+        for m in range(1, 13):
+            gens = reference_generators(m)
+            assert [g.letters for g in hilden_generators(m)] == gens
+            table = hilden._factor_table(m)
+            assert [move for move, *_ in table] == [
+                (idx, exp) for idx in range(len(gens)) for exp in (1, -1)
+            ]
+            for (idx, exp), letters, step_sum, swap in table:
+                factor = BraidWord(2 * m, gens[idx]) ** exp
+                assert letters == factor.letters
+                assert step_sum == exponent_sum(factor)
+                swapped = list(range(1, m + 1))
+                if swap:
+                    swapped[swap - 1 : swap + 1] = [swap + 1, swap]
+                assert pair_permutation(factor).images == tuple(swapped)
+                assert (swap == 0) == (idx == 0)
+
+    def test_rejects_zero_pairs(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="need at least one pair of strands"):
+                hilden._factor_table(m)
 
 
 class TestPairing:
@@ -250,14 +288,12 @@ class TestMembership:
             assert triviality_check(diagram) is Triviality.CONSISTENT_WITH_TRIVIAL
 
 
+def inversion_count(imgs: tuple[int, ...]) -> int:
+    return sum(1 for a in range(len(imgs)) for b in range(a + 1, len(imgs)) if imgs[a] > imgs[b])
+
+
 def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     """The membership search on :class:`Permutation` objects, with no memo."""
-
-    def coxeter_length(perm: Permutation) -> int:
-        imgs = perm.images
-        return sum(
-            1 for a in range(len(imgs)) for b in range(a + 1, len(imgs)) if imgs[a] > imgs[b]
-        )
 
     if not preserves_pairing(word):
         return None
@@ -266,7 +302,8 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
     target_sum = exponent_sum(word)
     target_pairs = pair_permutation(word)
     steps = []
-    for idx, gen in enumerate(hilden_generators(m)):
+    for idx, letters in enumerate(reference_generators(m)):
+        gen = BraidWord(2 * m, letters)
         for exp, factor in ((1, gen), (-1, gen.inverse())):
             steps.append(((idx, exp), factor.letters, exponent_sum(factor), pair_permutation(factor)))
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
@@ -280,7 +317,7 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
             new_pperm = pperm * step_pperm
             if abs(target_sum - new_sum) > remaining * max_step_sum:
                 continue
-            if coxeter_length(new_pperm.inverse() * target_pairs) <= remaining:
+            if inversion_count((new_pperm.inverse() * target_pairs).images) <= remaining:
                 children.append((move, (artin_apply(fp, letters), new_sum, new_pperm)))
         return children
 
@@ -293,13 +330,13 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
 
 class TestMembershipOracle:
     def test_matches_the_permutation_object_search(self):
-        # m = 2-4, expressions of 2-5 factors, searched with the bound at or
+        # m = 1-6, expressions of 2-5 factors, searched with the bound at or
         # below their length; some words with one letter appended, which
         # mostly break the pairing
         rng = random.Random(807)
         found = missed = 0
         for _ in range(240):
-            m = rng.randint(2, 4)
+            m = rng.randint(1, 6)
             length = rng.randint(2, 5)
             word = expand_expression(random_expression(rng, m, length))
             if rng.random() < 0.2:
@@ -314,19 +351,49 @@ class TestMembershipOracle:
                 found += 1
         assert found > 100 and missed > 20
 
-    def test_pair_distance_once_per_pair_permutation(self, monkeypatch):
-        seen = []
-        distance = hilden._pair_distance
+    def test_states_carry_the_gap_and_its_distance(self, monkeypatch):
+        # for each state reached after path p: gap = p^-1 t on the pairs,
+        # distance = its inversion count, within the factors left
+        states = []
 
-        def counting_distance(pperm, target):
-            seen.append(pperm)
-            return distance(pperm, target)
+        def recording_bfs(*args):
+            for item in bfs(*args):
+                states.append(item)
+                yield item
 
-        monkeypatch.setattr(hilden, "_pair_distance", counting_distance)
+        monkeypatch.setattr(hilden, "bfs", recording_bfs)
+        rng = random.Random(811)
+        for _ in range(40):
+            m = rng.randint(1, 5)
+            length = rng.randint(1, 5)
+            word = expand_expression(random_expression(rng, m, length))
+            states.clear()
+            assert search_membership(word, length) is not None
+            target = pair_permutation(word)
+            for fp, (_, esum, gap, dist), path in states:
+                prefix = expand_expression(HildenExpression(m, path))
+                assert fp == artin_fingerprint(prefix)
+                assert esum == exponent_sum(prefix)
+                assert gap == (pair_permutation(prefix).inverse() * target).images
+                assert dist == inversion_count(gap) <= length - len(path)
+
+    def test_pair_images_walked_once_for_the_target(self, monkeypatch):
+        # the factors' pair swaps come from the factor table, not from a walk
+        walks = []
+        walk = hilden._pair_images
+
+        def counting_walk(strands, letters):
+            walks.append(letters)
+            return walk(strands, letters)
+
+        monkeypatch.setattr(hilden, "_pair_images", counting_walk)
         rng = random.Random(810)
-        for m in (2, 3, 4):
+        for m in (1, 2, 3, 4, 6):
             for _ in range(5):
-                seen.clear()
+                walks.clear()
                 word = expand_expression(random_expression(rng, m, 5))
                 assert search_membership(word, 5) is not None
-                assert seen and len(seen) == len(set(seen))
+                assert walks == [word.letters]
+        walks.clear()
+        assert search_membership(parse_braid("2", 4), 5) is None
+        assert walks == [(2,)]

@@ -1,9 +1,11 @@
 """Braid words, permutations, and the equality decision."""
 
 import random
+import re
 
 import pytest
 
+from platkit.plats import kauffman_bracket, plat_closure
 from platkit.stabilize import MAX_STABILIZED_STRANDS
 from platkit.words import (
     MAX_STRANDS,
@@ -42,6 +44,31 @@ class TestBraidWord:
         with pytest.raises(ValueError):
             BraidWord(1, (1,))
         BraidWord(2, (1, -1))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None, (1,)])
+    def test_non_integer_letter_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"^letter {re.escape(repr(bad))} is not an integer$"):
+            BraidWord(3, (1, bad))
+
+    def test_bool_and_index_letters_are_stored_as_ints(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        w = BraidWord(3, (True, -1, Two()))
+        assert w.letters == (1, -1, 2)
+        assert [type(g) for g in w.letters] == [int, int, int]
+        assert w == BraidWord(3, (1, -1, 2)) and hash(w) == hash(BraidWord(3, (1, -1, 2)))
+        assert w.text() == "1 -1 2"
+        with pytest.raises(ValueError, match="letter 0 out of range"):
+            BraidWord(2, (False,))
+
+    def test_float_letter_is_refused_after_a_bracket(self):
+        # the bracket keeps its last diagram, compared by value, and 1.0 == 1:
+        # a word of float letters must not reach it
+        kauffman_bracket(plat_closure(BraidWord(2, (1,))))
+        with pytest.raises(ValueError, match="letter 1.0 is not an integer"):
+            plat_closure(BraidWord(2, (1.0,)))
 
     def test_parse_text_round_trip(self):
         w = parse_braid("1 -2  3", 4)

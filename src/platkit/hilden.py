@@ -12,14 +12,15 @@ all of which map standard pairs to standard pairs: g0 turns pair 1 over
 and fixes every pair, g1 swaps pairs 1 and 2, and g(i+1) swaps pairs i
 and i + 1.  Their exponent sums are 1, 4 and 0.  ``_factor_table`` is the
 one place these facts are written.  Membership of a word is certified by
-an expression in these generators; a bounded breadth-first search finds
-the lexicographically least shortest expression when one exists within
-the length bound.
+an expression in these generators; a bounded breadth-first search, run
+from both ends, finds the lexicographically least shortest expression
+when one exists within the length bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .search import bfs
@@ -168,41 +169,16 @@ def parse_expression(text: str) -> HildenExpression:
     return HildenExpression(pairs, tuple(factors))
 
 
-def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
-    """Bounded breadth-first search for a Hilden expression equal to ``word``.
+def _pruned_moves(steps, target_sum: int, max_len: int):
+    """The successors of a membership state, less the children that cannot reach the target.
 
-    Explores products of at most ``max_len`` generator factors, memoising
-    visited group elements by fingerprint, and returns the lexicographically
-    least expression among the shortest ones, or None when the bound is
-    exhausted.  The verdict None is therefore only "not found within budget".
-
-    A state is ``(fingerprint, exponent sum, gap, distance)``.  With p the
-    prefix's pair permutation and t the target's, in diagram order, ``gap``
-    is the images of p^-1 t and ``distance`` its inversion count, the
-    fewest adjacent pair swaps from p to t; at the start ``gap`` is t.  A
-    factor with swap i takes p to p s_i and ``gap`` to s_i p^-1 t: entries
-    i and i + 1 exchanged.  Only the order of those two entries flips, so
-    the distance moves by exactly one, +1 if entry i is the smaller, else
-    -1; g0 moves neither.  The key is the fingerprint alone, and ``gap``
-    is a function of the group element, so the states visited and the
-    expression returned do not depend on how the pairs are tracked.  The
-    factor table costs O(m), and each child kept costs a fingerprint
-    extension and an m-tuple copy.
+    A child kept at depth k must still reach the target in ``max_len - k``
+    factors; each factor moves the exponent sum by at most ``max_step_sum``
+    and the pair distance by exactly one (g0 by zero).
     """
-    if word.strands % 2 != 0:
-        raise ValueError("membership search needs an even strand count")
-    target_gap = _pair_images(word.strands, word.letters)
-    if target_gap is None:
-        return None
-    m = word.strands // 2
-    target_fp = artin_fingerprint(word)
-    target_sum = exponent_sum(word)
-    steps = _factor_table(m)
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
 
     def successors(state, depth):
-        # drop children that cannot reach the target in the factors left; each
-        # factor moves the exponent sum by max_step_sum and the distance by one at most
         fp, esum, gap, dist = state
         remaining = max_len - depth - 1
         children = []
@@ -222,11 +198,138 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
             children.append((move, (artin_apply(fp, letters), new_sum, new_gap, new_dist)))
         return children
 
+    return successors
+
+
+_state_key = itemgetter(0)
+
+
+def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
+    """Bounded search for a Hilden expression equal to ``word``.
+
+    Returns the lexicographically least expression among the shortest ones
+    with at most ``max_len`` factors (factors ranked as ``_factor_table``
+    lists them), or None when the bound is exhausted.  The verdict None is
+    therefore only "not found within budget".  Group elements are memoised
+    by fingerprint.
+
+    States.  A state is ``(fingerprint, exponent sum, gap, distance)``.
+    With p the prefix's pair permutation and t the target's, in diagram
+    order, ``gap`` is the images of p^-1 t and ``distance`` its inversion
+    count, the fewest adjacent pair swaps from p to t; at the start ``gap``
+    is t.  A factor with swap i takes p to p s_i and ``gap`` to s_i p^-1 t:
+    entries i and i + 1 exchanged.  Only the order of those two entries
+    flips, so the distance moves by exactly one, +1 if entry i is the
+    smaller, else -1; g0 moves neither.  The key is the fingerprint alone,
+    and ``gap`` is a function of the group element, so the states visited
+    and the expression returned do not depend on how the pairs are tracked.
+
+    Two sides.  The forward side is ``bfs`` from the identity, to depth
+    ceil(max_len / 2).  The backward side is ``bfs`` from t, to depth
+    floor(max_len / 2); its move f takes y to y f^-1, so after the moves
+    f_1, ..., f_j it holds y = t u^-1 with u = f_j ... f_1.  Its states
+    mirror the forward ones with the identity as target: the exponent sum
+    must come back to 0, and with z the pair permutation of y the gap is
+    z^-1, which y f^-1 takes to s_i z^-1, so the same rule moves the
+    distance by one.  A child kept at depth k must reach its side's target
+    in max_len - k factors, by exponent sum and by distance; every state of
+    an expression of t within ``max_len`` factors passes, on either side.
+
+    Meeting.  Let W = w_1 ... w_d be the least shortest expression of t
+    and k <= d.  The prefix w_1 ... w_k is a shortest expression of its
+    element x, or W would shorten, and the least one, or W would not be
+    least; so it is the forward bfs path P(x).  Likewise the suffix is the
+    least shortest expression of x^-1 t, and the backward side reaches x at
+    depth d - k.  Conversely, an x of forward depth k that the backward
+    side reached at depth j gives an expression P(x) f_j ... f_1 of t with
+    k + j factors.  So the search tries d = 0, 1, ... in turn and asks
+    whether some x of forward layer ceil(d/2) has backward depth at most
+    floor(d/2): for odd d it streams the forward layer as bfs yields it,
+    for even d it scans the stored layer once the backward depth d/2 is
+    done.  The first d answered yes is |t|.  There every such x has
+    |x| = ceil(d/2) and |x^-1 t| = floor(d/2), and P(x) followed by the
+    least shortest expression S of x^-1 t is a shortest expression of t, so
+    P(x) is also the least shortest expression of x.  A bfs layer comes in
+    lexicographic order of its paths, so the first such x in yield order
+    starts W, and W = P(x) S.
+
+    Suffix.  When floor(d/2) <= 1, S is the backward path itself: no
+    factors, or the one factor, the only one-factor expression of its
+    braid.  Otherwise S is the forward search for u = x^-1 t with bound
+    floor(d/2).  Its exponent sum is t's less x's, its pair permutation is
+    x's gap and its inversion count x's distance, all carried by x's state,
+    so the target's pairs are walked once; its fingerprint is that of the
+    backward path's letters.
+
+    Cost.  With b = 2(m + 1) signed factors and witness length d, the
+    sides build about b^ceil(d/2) + b^floor(d/2) states and the suffix at
+    most b^floor(d/2), where a one-sided search built b^d; a search that
+    finds nothing builds both sides to their bounds.  Each side reads one
+    state past each layer it finishes.  Each state kept costs a fingerprint
+    extension and an m-tuple copy; the factor table costs O(m).
+    """
+    if word.strands % 2 != 0:
+        raise ValueError("membership search needs an even strand count")
+    target_gap = _pair_images(word.strands, word.letters)
+    if target_gap is None:
+        return None
+    m = word.strands // 2
+    target_fp = artin_fingerprint(word)
+    target_sum = exponent_sum(word)
+    steps = _factor_table(m)
+    letters_of = {move: letters for move, letters, _, _ in steps}
+    # the backward move f right-multiplies by f^-1
+    back_steps = [
+        (move, letters_of[move[0], -move[1]], -step_sum, swap)
+        for move, _, step_sum, swap in steps
+    ]
     inversions = sum(1 for j, x in enumerate(target_gap) for y in target_gap[j + 1 :] if x > y)
-    start = (identity_images(2 * m), 0, target_gap, inversions)
-    for fp, _, factors in bfs(start, lambda state: state[0], successors, max_len):
-        if fp == target_fp:
-            return HildenExpression(m, factors)
+    identity = identity_images(2 * m)
+    forward = bfs(
+        (identity, 0, target_gap, inversions),
+        _state_key,
+        _pruned_moves(steps, target_sum, max_len),
+        (max_len + 1) // 2,
+    )
+    backward = bfs(
+        (target_fp, target_sum, Permutation(target_gap).inverse().images, inversions),
+        _state_key,
+        _pruned_moves(back_steps, 0, max_len),
+        max_len // 2,
+    )
+
+    def joined(meeting, back_path):
+        _, (_, esum, gap, dist), path = meeting
+        if len(back_path) <= 1:
+            return HildenExpression(m, path + back_path)
+        u = tuple(g for move in reversed(back_path) for g in letters_of[move])
+        u_fp, bound = artin_apply(identity, u), len(back_path)
+        moves = _pruned_moves(steps, target_sum - esum, bound)
+        for fp, _, suffix in bfs((identity, 0, gap, dist), _state_key, moves, bound):
+            if fp == u_fp:
+                return HildenExpression(m, path + suffix)
+
+    back = {}  # fingerprint -> path of each backward state of the depths done
+    layer = [next(forward)]
+    ahead = next(forward, None)
+    behind = next(backward)
+    for d in range(max(max_len, 0) + 1):
+        if d % 2:
+            # stream forward layer (d + 1) / 2 against backward depths up to (d - 1) / 2
+            depth, layer = (d + 1) // 2, []
+            while ahead is not None and len(ahead[2]) == depth:
+                if ahead[0] in back:
+                    return joined(ahead, back[ahead[0]])
+                layer.append(ahead)
+                ahead = next(forward, None)
+        else:
+            # finish backward depth d / 2, then scan forward layer d / 2 in yield order
+            while behind is not None and len(behind[2]) == d // 2:
+                back[behind[0]] = behind[2]
+                behind = next(backward, None)
+            for item in layer:
+                if item[0] in back:
+                    return joined(item, back[item[0]])
     return None
 
 

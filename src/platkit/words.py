@@ -177,12 +177,12 @@ class Permutation:
         return tuple(sorted(lengths))
 
 
-def _int_letter(g) -> int:
-    """A letter as a plain int, by ``operator.index``; ValueError naming it when it is not an integer."""
+def _plain_int(value, what: str = "letter") -> int:
+    """``value`` as a plain int, by ``operator.index``; ValueError naming it when it is not an integer."""
     try:
-        return index(g)
+        return index(value)
     except TypeError:
-        raise ValueError(f"letter {g!r} is not an integer") from None
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -191,20 +191,22 @@ class BraidWord:
 
     Letters are nonzero integers with absolute value below ``strands``; the
     stored sequence is exactly what was written, with no reduction applied,
-    each letter a plain int.
+    each letter a plain int; the strand count is stored as a plain int too.
     """
 
     strands: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.strands) is not int:
+            object.__setattr__(self, "strands", _plain_int(self.strands, "strand count"))
         if self.strands < 1:
             raise ValueError("strand count must be positive")
         object.__setattr__(self, "letters", tuple(self.letters))
         for g in self.letters:
             if type(g) is not int:
                 # store each letter as a plain int (a bool too), then check again
-                object.__setattr__(self, "letters", tuple(map(_int_letter, self.letters)))
+                object.__setattr__(self, "letters", tuple(map(_plain_int, self.letters)))
                 return self.__post_init__()
             if g == 0 or abs(g) >= self.strands:
                 raise ValueError(f"letter {g} out of range for {self.strands} strands")

@@ -329,12 +329,17 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
 
 
 class TestMembershipOracle:
+    # the largest bound of the second batch of draws for each pair count: a
+    # search that finds nothing costs the one-sided reference about
+    # (2m + 2)^bound states
+    ORACLE_BOUNDS = {1: 6, 2: 6, 3: 5, 4: 4, 5: 4, 6: 4}
+
     def test_matches_the_permutation_object_search(self):
         # m = 1-6, expressions of 2-5 factors, searched with the bound at or
         # below their length; some words with one letter appended, which
         # mostly break the pairing
         rng = random.Random(807)
-        found = missed = 0
+        cases = []
         for _ in range(240):
             m = rng.randint(1, 6)
             length = rng.randint(2, 5)
@@ -342,40 +347,110 @@ class TestMembershipOracle:
             if rng.random() < 0.2:
                 g = rng.randint(1, 2 * m - 1)
                 word = word * BraidWord(2 * m, (rng.choice((g, -g)),))
-            max_len = rng.randint(length - 2, length)
+            cases.append((word, rng.randint(length - 2, length)))
+        # m = 1-6 and bounds 0-6; expressions shorter than, as long as and
+        # longer than the bound; some words times sigma_2i^2, which keeps the
+        # pairing, and some with one letter appended
+        rng = random.Random(809)
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            max_len = rng.randint(0, self.ORACLE_BOUNDS[m])
+            word = expand_expression(random_expression(rng, m, rng.randint(0, max_len + 2)))
+            roll = rng.random()
+            if roll < 0.1:
+                g = rng.randint(1, 2 * m - 1)
+                word = word * BraidWord(2 * m, (rng.choice((g, -g)),))
+            elif roll < 0.2 and m >= 2:
+                g = 2 * rng.randint(1, m - 1)
+                word = word * BraidWord(2 * m, (g, g))
+            cases.append((word, max_len))
+        # the reference stops at a witness of at most three factors, so the
+        # bound can be 6 for every m
+        cases += [
+            (expand_expression(random_expression(rng, m, length)), 6)
+            for m in range(1, 7)
+            for length in range(4)
+        ]
+        shorter = odd = even = missed = wide_five = 0
+        for word, max_len in cases:
             got = search_membership(word, max_len)
             assert got == reference_search_membership(word, max_len)
             if got is None:
                 missed += 1
-            else:
-                found += 1
-        assert found > 100 and missed > 20
+                continue
+            length = len(got.factors)
+            shorter += length < max_len
+            odd += length % 2
+            even += length > 0 and length % 2 == 0
+            wide_five += length == 5 and got.pairs >= 4
+        assert min(shorter, odd, even, missed) > 40
+        # five factors with m >= 4: forward layer 3 streamed against backward
+        # depth 2, then a suffix search of two factors
+        assert wide_five >= 5
+
+    def test_wide_witness_pinned(self):
+        # 256 strands: the witness of two factors is met in the middle
+        word = expand_expression(HildenExpression(128, ((128, -1), (128, -1))))
+        assert format_expression(search_membership(word, 6)) == "m=128 g128^-1 g128^-1"
 
     def test_states_carry_the_gap_and_its_distance(self, monkeypatch):
-        # for each state reached after path p: gap = p^-1 t on the pairs,
-        # distance = its inversion count, within the factors left
-        states = []
+        # search_membership opens the forward side, then the backward side,
+        # then a suffix search whenever the backward path has two factors or
+        # more.  Forward state after path p: gap = p^-1 t on the pairs.
+        # Backward state after the moves f_1 ... f_j: the element y = t u^-1
+        # with u = f_j ... f_1, and gap = the inverse of y's pair permutation.
+        # Suffix state after path p, toward the suffix's target s: gap =
+        # p^-1 s, with s's pair permutation the suffix start's gap.  Each
+        # distance is the gap's inversion count, within the factors left.
+        calls = []
 
         def recording_bfs(*args):
-            for item in bfs(*args):
-                states.append(item)
-                yield item
+            states = []
+            calls.append(states)
+
+            def record():
+                for item in bfs(*args):
+                    states.append(item)
+                    yield item
+
+            return record()
 
         monkeypatch.setattr(hilden, "bfs", recording_bfs)
         rng = random.Random(811)
-        for _ in range(40):
+        checked = [0, 0, 0]
+        for _ in range(60):
             m = rng.randint(1, 5)
-            length = rng.randint(1, 5)
+            length = rng.randint(1, 6)
             word = expand_expression(random_expression(rng, m, length))
-            states.clear()
+            calls.clear()
             assert search_membership(word, length) is not None
             target = pair_permutation(word)
-            for fp, (_, esum, gap, dist), path in states:
+            forward, backward, *suffixes = calls
+            for fp, (_, esum, gap, dist), path in forward:
                 prefix = expand_expression(HildenExpression(m, path))
                 assert fp == artin_fingerprint(prefix)
                 assert esum == exponent_sum(prefix)
                 assert gap == (pair_permutation(prefix).inverse() * target).images
                 assert dist == inversion_count(gap) <= length - len(path)
+                checked[0] += 1
+            for fp, (_, esum, gap, dist), path in backward:
+                u = expand_expression(HildenExpression(m, path[::-1]))
+                y = word * u.inverse()
+                assert fp == artin_fingerprint(y)
+                assert esum == exponent_sum(y)
+                assert gap == pair_permutation(y).inverse().images
+                assert dist == inversion_count(gap) <= length - len(path)
+                checked[1] += 1
+            for states in suffixes:
+                suffix_target = Permutation(states[0][1][2])
+                for fp, (_, esum, gap, dist), path in states:
+                    prefix = expand_expression(HildenExpression(m, path))
+                    assert fp == artin_fingerprint(prefix)
+                    assert esum == exponent_sum(prefix)
+                    assert gap == (pair_permutation(prefix).inverse() * suffix_target).images
+                    assert dist == inversion_count(gap) <= length - len(path)
+                    checked[2] += 1
+        assert min(checked) > 100
 
     def test_pair_images_walked_once_for_the_target(self, monkeypatch):
         # the factors' pair swaps come from the factor table, not from a walk

@@ -63,6 +63,25 @@ class TestBraidWord:
         with pytest.raises(ValueError, match="letter 0 out of range"):
             BraidWord(2, (False,))
 
+    @pytest.mark.parametrize("bad", [4.0, 4.5, "4", None])
+    def test_non_integer_strand_count_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"^strand count {re.escape(repr(bad))} is not an integer$"):
+            BraidWord(bad, (1,))
+
+    def test_bool_and_index_strand_counts_are_stored_as_ints(self):
+        class Four:
+            def __index__(self):
+                return 4
+
+        w = BraidWord(True, ())
+        assert w.strands == 1 and type(w.strands) is int
+        assert w == BraidWord(1) and hash(w) == hash(BraidWord(1))
+        w = BraidWord(Four(), (3,))
+        assert w.strands == 4 and type(w.strands) is int
+        assert w == BraidWord(4, (3,))
+        with pytest.raises(ValueError, match="strand count must be positive"):
+            BraidWord(False, ())
+
     def test_float_letter_is_refused_after_a_bracket(self):
         # the bracket keeps its last diagram, compared by value, and 1.0 == 1:
         # a word of float letters must not reach it

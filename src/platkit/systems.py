@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .search import bfs
 from .words import (
@@ -26,6 +27,7 @@ from .words import (
     OpenSystemError,
     _free_inv,
     _free_reduce,
+    _plain_int,
     artin_apply,
     braids_equal,
     embed,
@@ -52,6 +54,9 @@ class MonodromyEntry:
     sign: int
 
     def __post_init__(self) -> None:
+        # index and sign are stored as plain ints (a bool too), as letters are
+        object.__setattr__(self, "index", _plain_int(self.index, "crossing index"))
+        object.__setattr__(self, "sign", _plain_int(self.sign, "sign"))
         if not 1 <= self.index <= self.conjugator.strands - 1:
             raise ValueError(f"crossing index {self.index} out of range")
         if self.sign not in (1, -1):
@@ -69,14 +74,33 @@ class MonodromyEntry:
 
 
 Entry = BraidWord | MonodromyEntry
+# An entry as letters: (u, index * sign) for the factored u sigma_k^sign u^{-1},
+# (w, 0) for a plain word w.  Two entries of one degree are equal exactly
+# when their forms are.
+_Form = tuple[tuple[int, ...], int]
+
+
+def _form(entry: Entry) -> _Form:
+    if isinstance(entry, MonodromyEntry):
+        return entry.conjugator.letters, entry.index * entry.sign
+    return entry.letters, 0
+
+
+def _from_form(form: _Form, strands: int) -> Entry:
+    u, c = form
+    if c:
+        return MonodromyEntry(BraidWord(strands, u), abs(c), 1 if c > 0 else -1)
+    return BraidWord(strands, u)
+
+
+def _form_letters(form: _Form) -> tuple[int, ...]:
+    u, c = form
+    return u + (c,) + _free_inv(u) if c else u
 
 
 def _entry_letters(entry: Entry) -> tuple[int, ...]:
     """The letters of ``entry_word(entry)``, without building the word."""
-    if isinstance(entry, MonodromyEntry):
-        u = entry.conjugator.letters
-        return u + (entry.index * entry.sign,) + _free_inv(u)
-    return entry.letters
+    return _form_letters(_form(entry))
 
 
 def entry_word(entry: Entry) -> BraidWord:
@@ -93,10 +117,7 @@ def as_monodromy(word: BraidWord) -> MonodromyEntry | None:
     for t in range(h):
         if letters[t] != -letters[n - 1 - t]:
             return None
-    center = letters[h]
-    return MonodromyEntry(
-        BraidWord(word.strands, letters[:h]), abs(center), 1 if center > 0 else -1
-    )
+    return _from_form((letters[:h], letters[h]), word.strands)
 
 
 @dataclass(frozen=True)
@@ -130,12 +151,24 @@ def is_two_dimensional(system: BraidSystem) -> bool:
     return braids_equal(boundary_braid(system), BraidWord.identity(system.degree))
 
 
-def _conjugate_entry(by: tuple[int, ...], target: Entry) -> Entry:
-    """by . target . by^{-1} for letters ``by``, staying in factored form when target is factored."""
-    if isinstance(target, MonodromyEntry):
-        conj = BraidWord(target.strands, _free_reduce(by + target.conjugator.letters))
-        return MonodromyEntry(conj, target.index, target.sign)
-    return BraidWord(target.strands, _free_reduce(by + target.letters + _free_inv(by)))
+def _conjugate_form(by: _Form, form: _Form, inverse: bool) -> _Form:
+    """The form of x b x^{-1}, for x the entry of form ``by`` (its inverse
+    when ``inverse``) and b that of ``form``; a factored b stays factored."""
+    x = _form_letters(by)
+    if inverse:
+        x = _free_inv(x)
+    u, c = form
+    if c:
+        return _free_reduce(x + u), c
+    return _free_reduce(x + u + _free_inv(x)), 0
+
+
+def _slide_pair(a, b, inverse: bool, conjugate):
+    """What the slide at slot j writes to slots j and j + 1, from a and b
+    there; ``conjugate(x, y, inverse)`` is y conjugated by x, or by x^{-1}."""
+    if inverse:
+        return b, conjugate(b, a, True)
+    return conjugate(a, b, False), a
 
 
 def slide(system: BraidSystem, j: int, inverse: bool = False) -> BraidSystem:
@@ -146,14 +179,12 @@ def slide(system: BraidSystem, j: int, inverse: bool = False) -> BraidSystem:
     """
     if not 1 <= j <= system.r - 1:
         raise ValueError(f"slide slot {j} out of range for r={system.r}")
+
+    def conjugate(x: Entry, y: Entry, inv: bool) -> Entry:
+        return _from_form(_conjugate_form(_form(x), _form(y), inv), system.degree)
+
     entries = list(system.entries)
-    a, b = entries[j - 1], entries[j]
-    if inverse:
-        entries[j - 1] = b
-        entries[j] = _conjugate_entry(_free_inv(_entry_letters(b)), a)
-    else:
-        entries[j - 1] = _conjugate_entry(_entry_letters(a), b)
-        entries[j] = a
+    entries[j - 1 : j + 1] = _slide_pair(entries[j - 1], entries[j], inverse, conjugate)
     return BraidSystem(system.degree, tuple(entries))
 
 
@@ -191,9 +222,14 @@ def hurwitz_search(
     :class:`BudgetError` message, and ``explored`` counts the systems
     reached before it).
 
-    The key of a system is the tuple of its r entry fingerprints, read from
-    one memo that fingerprints each distinct entry once: a slide moves one
-    entry unchanged and makes one new conjugated entry.
+    The search holds a system as its entry forms and their fingerprint ids,
+    and builds no system, word or entry for a child.  Each distinct form is
+    fingerprinted once, on the letters of its entry, and each fingerprint is
+    interned to a small int, equal fingerprints to equal ints.  The key of a
+    system is its tuple of r ids, so keys compare braids, not spellings.  A
+    slide rewrites two slots: one holds an entry of the parent and one a new
+    conjugate, so a child costs at most one new fingerprint, taken when the
+    search reaches that child.
     """
     if s1.degree != s2.degree:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
@@ -212,19 +248,31 @@ def hurwitz_search(
                 return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
         basis = identity_images(s1.degree)
         moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
-        memo: dict[Entry, tuple] = {}
+        ids: dict[_Form, int] = {}
+        interned: dict[tuple, int] = {}
 
-        def key(system: BraidSystem) -> tuple:
-            for e in system.entries:
-                if e not in memo:
-                    memo[e] = artin_apply(basis, _entry_letters(e))
-            return tuple(memo[e] for e in system.entries)
+        def fid(form: _Form) -> int:
+            i = ids.get(form)
+            if i is None:
+                fp = artin_apply(basis, _form_letters(form))
+                i = ids[form] = interned.setdefault(fp, len(interned))
+            return i
 
-        def successors(system, depth):
-            return [((j, inv), slide(system, j, inverse=inv)) for j, inv in moves_menu]
+        def state(system: BraidSystem) -> tuple[tuple[_Form, ...], tuple[int, ...]]:
+            forms = tuple(map(_form, system.entries))
+            return forms, tuple(map(fid, forms))
 
-        target = key(s2)
-        for fp, _, moves in bfs(s1, key, successors):
+        def successors(parent, depth):
+            forms, key = parent
+            for j, inv in moves_menu:
+                a, b = _slide_pair(forms[j - 1], forms[j], inv, _conjugate_form)
+                yield (j, inv), (
+                    forms[: j - 1] + (a, b) + forms[j + 1 :],
+                    key[: j - 1] + (fid(a), fid(b)) + key[j + 1 :],
+                )
+
+        target = state(s2)[1]
+        for fp, _, moves in bfs(state(s1), itemgetter(1), successors):
             if explored >= budget:
                 return HurwitzResult(
                     HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored

@@ -83,6 +83,19 @@ class TestEntries:
         with pytest.raises(ValueError):
             MonodromyEntry(BraidWord.identity(3), 1, 0)
 
+    def test_index_and_sign_are_plain_ints(self):
+        # a float index or sign is refused where it enters, naming it; a bool
+        # is stored as the int it stands for, so the JSON round trip holds
+        with pytest.raises(ValueError, match="crossing index 1.0 is not an integer"):
+            MonodromyEntry(BraidWord.identity(3), 1.0, 1)
+        with pytest.raises(ValueError, match="sign 1.0 is not an integer"):
+            MonodromyEntry(BraidWord.identity(3), 1, 1.0)
+        e = MonodromyEntry(BraidWord.identity(3), True, True)
+        assert (type(e.index), type(e.sign)) == (int, int)
+        assert e == MonodromyEntry(BraidWord.identity(3), 1, 1)
+        s = BraidSystem(3, (e,))
+        assert system_from_json(system_to_json(s)) == s
+
     def test_inverse_flips_sign(self):
         e = MonodromyEntry(parse_braid("1", 3), 2, 1)
         assert e.inverse().sign == -1
@@ -215,13 +228,16 @@ class TestHurwitz:
 
     def test_one_slide_apart(self):
         s1 = BraidSystem(3, (parse_braid("1", 3), parse_braid("2", 3)))
-        s2 = BraidSystem(3, (parse_braid("1 2 -1", 3), parse_braid("1", 3)))
-        res = hurwitz_search(s1, s2)
-        assert res.status is HurwitzStatus.EQUIVALENT
-        assert res.moves is not None and len(res.moves) == 1
-        replayed = apply_slides(s1, list(res.moves))
-        for a, b in zip(replayed.words(), s2.words()):
-            assert braids_equal(a, b)
+        # the slide's spelling, and another spelling of the same braid:
+        # s1 s2 s1^-1 = s2^-1 s1 s2, so keys compare braids, not letters
+        for first in ("1 2 -1", "-2 1 2"):
+            s2 = BraidSystem(3, (parse_braid(first, 3), parse_braid("1", 3)))
+            res = hurwitz_search(s1, s2)
+            assert res.status is HurwitzStatus.EQUIVALENT
+            assert (res.moves, res.explored) == (((1, False),), 2)
+            replayed = apply_slides(s1, list(res.moves))
+            for a, b in zip(replayed.words(), s2.words()):
+                assert braids_equal(a, b)
 
     def test_distant_pair_swap(self):
         s1 = BraidSystem(4, (parse_braid("1", 4), parse_braid("3", 4)))
@@ -374,7 +390,7 @@ class TestHurwitzOracle:
         assert {"orbit enumerated", "budget exhausted", "boundary braids differ"} <= reasons
 
     def test_equal_and_look_alike_entries(self):
-        # the search memoizes fingerprints by entry equality: a repeated entry,
+        # the search memoizes fingerprints by entry form: a repeated entry,
         # a plain word spelling out a factored entry, and a plain word equal to
         # a factored entry's conjugator are each fingerprinted as their own letters
         rng = random.Random(810)
@@ -396,9 +412,9 @@ class TestHurwitzOracle:
 
     def test_one_new_entry_fingerprint_per_child(self, monkeypatch):
         # every fingerprint of the search goes through systems.artin_apply;
-        # every child comes from one systems.slide call
+        # every child comes from one call of the slide helper
         counts = {"fingerprints": 0, "children": 0}
-        artin_apply, slide_ = systems.artin_apply, systems.slide
+        artin_apply, slide_ = systems.artin_apply, systems._slide_pair
 
         def counting_apply(*args, **kwargs):
             counts["fingerprints"] += 1
@@ -409,7 +425,7 @@ class TestHurwitzOracle:
             return slide_(*args, **kwargs)
 
         monkeypatch.setattr(systems, "artin_apply", counting_apply)
-        monkeypatch.setattr(systems, "slide", counting_slide)
+        monkeypatch.setattr(systems, "_slide_pair", counting_slide)
         rng = random.Random(809)
         for _ in range(20):
             s1 = random_system(rng, 4, 4)
@@ -419,6 +435,23 @@ class TestHurwitzOracle:
             assert result.status is not HurwitzStatus.NOT_EQUIVALENT
             assert counts["fingerprints"] <= counts["children"] + 2 * s1.r
         assert counts["children"] > 0
+
+    def test_no_system_built_per_child(self, monkeypatch):
+        # the search slides entry forms: it builds no BraidSystem for the
+        # hundreds of systems it reaches
+        s1 = BraidSystem(4, tuple(parse_braid(t, 4) for t in ("1", "2", "3", "-1", "2")))
+        s2 = apply_slides(s1, [(1, False), (3, False), (2, True), (4, False), (1, True)])
+        built = []
+        post_init = BraidSystem.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BraidSystem, "__post_init__", counting_post_init)
+        result = hurwitz_search(s1, s2)
+        assert (result.status, result.explored) == (HurwitzStatus.EQUIVALENT, 465)
+        assert built == []
 
     def test_fingerprint_guard_answers_unknown(self):
         # the 14th pair of this draw slides a plain word into conjugates whose

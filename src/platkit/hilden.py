@@ -27,6 +27,8 @@ from .search import bfs
 from .words import (
     BraidWord,
     Permutation,
+    _cached_apply,
+    _plain_int,
     _strand_images,
     artin_apply,
     artin_fingerprint,
@@ -95,15 +97,24 @@ def pair_permutation(word: BraidWord) -> Permutation:
 
 @dataclass(frozen=True)
 class HildenExpression:
-    """A word in the Hilden generators: (generator index, +1 or -1) factors."""
+    """A word in the Hilden generators: (generator index, +1 or -1) factors.
+
+    The pair count and each factor's index and exponent are stored as plain
+    ints, as a braid word's letters are.
+    """
 
     pairs: int
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", _plain_int(self.pairs, "pair count"))
         if self.pairs < 1:
             raise ValueError("need at least one pair of strands")
-        object.__setattr__(self, "factors", tuple(map(tuple, self.factors)))
+        factors = tuple(
+            (_plain_int(idx, "generator index"), _plain_int(exp, "exponent"))
+            for idx, exp in self.factors
+        )
+        object.__setattr__(self, "factors", factors)
         # the count of hilden_generators(m), without building them
         count = 1 if self.pairs == 1 else self.pairs + 1
         for idx, exp in self.factors:
@@ -169,12 +180,13 @@ def parse_expression(text: str) -> HildenExpression:
     return HildenExpression(pairs, tuple(factors))
 
 
-def _pruned_moves(steps, target_sum: int, max_len: int):
+def _pruned_moves(steps, target_sum: int, max_len: int, apply):
     """The successors of a membership state, less the children that cannot reach the target.
 
     A child kept at depth k must still reach the target in ``max_len - k``
     factors; each factor moves the exponent sum by at most ``max_step_sum``
-    and the pair distance by exactly one (g0 by zero).
+    and the pair distance by exactly one (g0 by zero).  ``apply`` extends a
+    fingerprint by a factor's letters.
     """
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
 
@@ -195,7 +207,7 @@ def _pruned_moves(steps, target_sum: int, max_len: int):
                 new_gap = gap[: swap - 1] + (b, a) + gap[swap + 1 :]
             elif dist > remaining:
                 continue
-            children.append((move, (artin_apply(fp, letters), new_sum, new_gap, new_dist)))
+            children.append((move, (apply(fp, letters), new_sum, new_gap, new_dist)))
         return children
 
     return successors
@@ -211,7 +223,8 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     with at most ``max_len`` factors (factors ranked as ``_factor_table``
     lists them), or None when the bound is exhausted.  The verdict None is
     therefore only "not found within budget".  Group elements are memoised
-    by fingerprint.
+    by fingerprint.  ``max_len`` is read as a plain int, and ValueError is
+    raised when it is not one or is negative.
 
     States.  A state is ``(fingerprint, exponent sum, gap, distance)``.
     With p the prefix's pair permutation and t the target's, in diagram
@@ -265,9 +278,19 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     sides build about b^ceil(d/2) + b^floor(d/2) states and the suffix at
     most b^floor(d/2), where a one-sided search built b^d; a search that
     finds nothing builds both sides to their bounds.  Each side reads one
-    state past each layer it finishes.  Each state kept costs a fingerprint
-    extension and an m-tuple copy; the factor table costs O(m).
+    state past each layer it finishes.  Each state kept costs an m-tuple
+    copy and a fingerprint extension.  The extensions of the forward side
+    and of the suffix search do not depend on the target, so they go
+    through the process-wide memo ``words._cached_apply``: a step that an
+    earlier search took is fingerprinted once per process while the memo
+    holds it, and costs a hash of the parent's fingerprint after that.
+    The backward side starts from the target and extends plainly.  The
+    memo changes no state, order or witness (see its docstring).  The
+    factor table costs O(m).
     """
+    max_len = _plain_int(max_len, "max_len")
+    if max_len < 0:
+        raise ValueError(f"max_len must not be negative, got {max_len}")
     if word.strands % 2 != 0:
         raise ValueError("membership search needs an even strand count")
     target_gap = _pair_images(word.strands, word.letters)
@@ -288,13 +311,13 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     forward = bfs(
         (identity, 0, target_gap, inversions),
         _state_key,
-        _pruned_moves(steps, target_sum, max_len),
+        _pruned_moves(steps, target_sum, max_len, _cached_apply),
         (max_len + 1) // 2,
     )
     backward = bfs(
         (target_fp, target_sum, Permutation(target_gap).inverse().images, inversions),
         _state_key,
-        _pruned_moves(back_steps, 0, max_len),
+        _pruned_moves(back_steps, 0, max_len, artin_apply),
         max_len // 2,
     )
 
@@ -304,7 +327,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
             return HildenExpression(m, path + back_path)
         u = tuple(g for move in reversed(back_path) for g in letters_of[move])
         u_fp, bound = artin_apply(identity, u), len(back_path)
-        moves = _pruned_moves(steps, target_sum - esum, bound)
+        moves = _pruned_moves(steps, target_sum - esum, bound, _cached_apply)
         for fp, _, suffix in bfs((identity, 0, gap, dist), _state_key, moves, bound):
             if fp == u_fp:
                 return HildenExpression(m, path + suffix)
@@ -313,7 +336,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     layer = [next(forward)]
     ahead = next(forward, None)
     behind = next(backward)
-    for d in range(max(max_len, 0) + 1):
+    for d in range(max_len + 1):
         if d % 2:
             # stream forward layer (d + 1) / 2 against backward depths up to (d - 1) / 2
             depth, layer = (d + 1) // 2, []
@@ -339,11 +362,14 @@ def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, 
     Lazily and in breadth-first order, so by factor count: the entries with
     at most d factors come first and are the ball of radius d.  The letters
     of the inverse are read from the one factor table as the entry appears.
+    Each step goes through the process-wide memo ``words._cached_apply``,
+    so a ball that an earlier call built is fingerprinted once per process
+    while the memo holds it; the entries and their order are the same.
     """
     table = {move: letters for move, letters, _, _ in _factor_table(m)}
 
     def successors(fp, _depth):
-        return [(move, artin_apply(fp, letters)) for move, letters in table.items()]
+        return [(move, _cached_apply(fp, letters)) for move, letters in table.items()]
 
     start = identity_images(2 * m)
     for fp, _, factors in bfs(start, lambda fp: fp, successors, depth):

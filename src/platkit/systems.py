@@ -25,10 +25,10 @@ from .words import (
     BraidWord,
     BudgetError,
     OpenSystemError,
+    _cached_apply,
     _free_inv,
     _free_reduce,
     _plain_int,
-    artin_apply,
     braids_equal,
     embed,
     exponent_sum,
@@ -229,7 +229,12 @@ def hurwitz_search(
     system is its tuple of r ids, so keys compare braids, not spellings.  A
     slide rewrites two slots: one holds an entry of the parent and one a new
     conjugate, so a child costs at most one new fingerprint, taken when the
-    search reaches that child.
+    search reaches that child.  An entry's fingerprint depends on the entry
+    alone, so it goes through the process-wide memo
+    ``words._cached_apply``: an entry that an earlier search met is
+    fingerprinted once per process while the memo holds it.  The memo
+    changes no key, order, witness, ``explored`` count or guard trip (see
+    its docstring).
     """
     if s1.degree != s2.degree:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
@@ -254,7 +259,7 @@ def hurwitz_search(
         def fid(form: _Form) -> int:
             i = ids.get(form)
             if i is None:
-                fp = artin_apply(basis, _form_letters(form))
+                fp = _cached_apply(basis, _form_letters(form))
                 i = ids[form] = interned.setdefault(fp, len(interned))
             return i
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index, neg
+from threading import Lock
 
 
 DEFAULT_FINGERPRINT_GUARD = 10**6
@@ -307,8 +308,15 @@ def artin_apply(
     ``letters``.  Raises :class:`BudgetError` when the total letter count of
     the images passes ``guard``.
     """
+    return _extend(images, letters, guard)[0]
+
+
+def _extend(
+    images: tuple[tuple[int, ...], ...], letters: tuple[int, ...], guard: int
+) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """:func:`artin_apply`'s result, with the letter counts of ``images`` and of the result."""
     work = [tuple(u) for u in images]
-    total = sum(len(u) for u in work)
+    start = total = sum(map(len, work))
     for g in letters:
         i = abs(g) - 1
         a, b = work[i], work[i + 1]
@@ -323,7 +331,61 @@ def artin_apply(
             raise BudgetError(
                 f"free-group fingerprint grew past {guard} letters"
             )
-    return tuple(work)
+    return tuple(work), start, total
+
+
+# _cached_apply's bound on the letters of its memo's entries, counted apart even
+# where entries share a tuple; one surface_search pass of the benchmark holds
+# about a quarter of it
+_APPLY_MEMO_LETTERS = 1 << 21
+_apply_memo: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+_apply_memo_letters = 0
+_apply_memo_lock = Lock()
+
+
+def _cached_apply(
+    images: tuple[tuple[int, ...], ...], letters: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """``artin_apply(images, letters)``, from a process-wide memo when it holds it.
+
+    For the search steps whose inputs do not depend on the search's target:
+    the forward and suffix sides of Hilden membership, the Hilden ball and
+    the entry fingerprints of the Hurwitz search.  Each such step is thus
+    fingerprinted once per process while the memo holds it.
+
+    Same answers.  ``artin_apply`` is a pure function of its arguments, and
+    its result is a tuple of tuples of ints, which nothing can change.  A
+    stored result is one that a call with equal arguments and the default
+    guard returned, so a fresh call would return an equal tuple again; a
+    call that raises :class:`BudgetError` stores nothing, so the next one
+    runs and raises again.  Hence every call returns a value equal to what
+    ``artin_apply`` would return, or raises the same error, and a search
+    that steps through here visits the same states in the same order, with
+    the same witnesses, explored counts and guard trips, whatever the memo
+    holds.  The searches compare fingerprints by value, never by identity,
+    so that one result is shared between searches is not seen either.
+
+    Bound.  An entry counts the letters of its start images, of its letters
+    and of its result.  When storing one would take the count past
+    ``_APPLY_MEMO_LETTERS``, the memo is cleared whole first; an entry
+    larger than the bound by itself is not stored.  A lock keeps the count
+    and the entries in step when threads store at once.  A lookup takes no
+    lock: whatever it finds was stored whole, so it is a correct result.
+    """
+    global _apply_memo_letters
+    key = images, letters
+    out = _apply_memo.get(key)
+    if out is None:
+        out, start, total = _extend(images, letters, DEFAULT_FINGERPRINT_GUARD)
+        size = start + len(letters) + total
+        if size <= _APPLY_MEMO_LETTERS:
+            with _apply_memo_lock:
+                if _apply_memo_letters + size > _APPLY_MEMO_LETTERS:
+                    _apply_memo.clear()
+                    _apply_memo_letters = 0
+                if _apply_memo.setdefault(key, out) is out:
+                    _apply_memo_letters += size
+    return out
 
 
 def artin_fingerprint(

@@ -230,6 +230,28 @@ class TestExpressions:
             with pytest.raises(ValueError, match="need at least one pair of strands"):
                 HildenExpression(m)
 
+    def test_non_integer_counts_are_named(self):
+        # a float index used to format as g1.0, which parse_expression
+        # refuses, and a float pair count failed later in expand_expression
+        cases = [
+            ((2, ((1.0, 1),)), "generator index 1.0 is not an integer"),
+            ((2, ((1, 1.0),)), "exponent 1.0 is not an integer"),
+            ((2.0, ()), "pair count 2.0 is not an integer"),
+            (("2", ()), "pair count '2' is not an integer"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                HildenExpression(*args)
+
+    def test_bool_counts_are_stored_as_ints(self):
+        expr = HildenExpression(True, ((False, True), (0, -1)))
+        assert expr == HildenExpression(1, ((0, 1), (0, -1)))
+        assert type(expr.pairs) is int
+        assert all(type(x) is int for factor in expr.factors for x in factor)
+        assert format_expression(expr) == "m=1 g0 g0^-1"
+        assert parse_expression(format_expression(expr)) == expr
+        assert expand_expression(expr) == BraidWord(2, (1, -1))
+
 
 class TestMembership:
     def test_known_member(self):
@@ -265,6 +287,16 @@ class TestMembership:
             assert found is not None
             assert len(found.factors) <= len(expr.factors)
             assert verify_membership(word, found)
+
+    def test_length_bound_is_a_non_negative_int(self):
+        # a negative bound used to return the empty witness of the identity
+        for bound in (-1, -5):
+            with pytest.raises(ValueError, match=f"max_len must not be negative, got {bound}"):
+                search_membership(BraidWord.identity(4), bound)
+        with pytest.raises(ValueError, match="max_len 2.0 is not an integer"):
+            search_membership(BraidWord.identity(4), 2.0)
+        assert search_membership(parse_braid("1", 4), True) == HildenExpression(2, ((0, 1),))
+        assert search_membership(BraidWord.identity(4), 0) == HildenExpression(2)
 
     def test_search_deterministic(self):
         word = parse_braid("1 3", 4)

@@ -8,10 +8,18 @@ breadth-first loop; they must not move.
 import hashlib
 import itertools
 import json
+import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
+import test_bands
+from test_hilden import random_expression
+from test_systems import random_system
 
+import platkit.words as words
 from platkit.bands import (
     Band,
     BandedBraid,
@@ -23,6 +31,7 @@ from platkit.bands import (
 from platkit.hilden import (
     HildenExpression,
     expand_expression,
+    format_expression,
     hilden_generators,
     search_membership,
 )
@@ -34,7 +43,7 @@ from platkit.systems import (
     apply_slides,
     hurwitz_search,
 )
-from platkit.words import BraidWord, artin_fingerprint, parse_braid
+from platkit.words import BraidWord, artin_fingerprint, braids_equal, parse_braid
 
 
 def integer_moves(state, depth):
@@ -315,3 +324,143 @@ class TestSeededCertificates:
         assert certificates_to_obj(found) == expected
         text = json.dumps(plan_to_obj(compile_surface(bb, found)), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == plan_digest
+
+
+def clear_memo():
+    words._apply_memo.clear()
+    words._apply_memo_letters = 0
+
+
+def memo_size() -> int:
+    """The letters the memo's entries hold, counted as the memo counts them."""
+    return sum(
+        sum(map(len, images)) + len(letters) + sum(map(len, out))
+        for (images, letters), out in words._apply_memo.items()
+    )
+
+
+def search_calls():
+    """Membership, Hurwitz and certificate searches, each a call with no argument."""
+    rng = random.Random(2207)
+    calls = []
+    for m in range(1, 6):
+        for _ in range(6):
+            expr = random_expression(rng, m, rng.randint(0, 4 if m < 4 else 3))
+            word = expand_expression(expr)
+            bound = len(expr.factors) + rng.randint(0, 1)
+            calls.append(lambda word=word, bound=bound: search_membership(word, bound))
+        if m >= 2:
+            # sigma_2 squared keeps the pairing but is no member: both sides run out
+            outside = BraidWord(2 * m, expand_expression(expr).letters + (2, 2))
+            calls.append(lambda word=outside: search_membership(word, 3))
+    for _ in range(12):
+        degree, r = rng.choice(((3, 3), (3, 4), (4, 4)))
+        s1 = random_system(rng, degree, r)
+        s2 = apply_slides(s1, [(rng.randint(1, r - 1), rng.random() < 0.5) for _ in range(3)])
+        calls.append(lambda s1=s1, s2=s2: hurwitz_search(s1, s2, 300))
+    banded = [bb for bb, _ in test_bands.TestCompile().compile_cases()]
+    banded.append(BandedBraid(parse_braid("2", 4), (Band(2, -1, Fraction(1, 2)),)))
+    for bb in banded:
+        calls.append(lambda bb=bb: search_certificates(bb, 2))
+    mixed = BandedBraid(
+        BraidWord.identity(6), (Band(2, 1, Fraction(1, 3)), Band(4, -1, Fraction(2, 3)))
+    )
+    calls.append(lambda: search_certificates(mixed, 3))
+    return calls
+
+
+class TestApplyMemo:
+    """The process-wide memo of the searches' fingerprint steps changes no answer."""
+
+    def test_cold_and_warm_memo_agree(self):
+        calls = search_calls()
+        cold = []
+        for call in calls:
+            clear_memo()
+            cold.append(call())
+        assert words._apply_memo
+        assert [call() for call in calls] == cold
+        assert [call() for call in reversed(calls)] == cold[::-1]
+        assert words._apply_memo_letters == memo_size()
+
+    def test_guard_trip_repeats(self):
+        # the draw of test_systems' guard test: a plain word slides into
+        # conjugates whose fingerprint passes the guard
+        rng = random.Random(809)
+        for _ in range(14):
+            s1 = random_system(rng, 4, 5)
+            s2 = apply_slides(s1, [(rng.randint(1, 4), rng.random() < 0.5) for _ in range(3)])
+        clear_memo()
+        first = hurwitz_search(s1, s2)
+        second = hurwitz_search(s1, s2)
+        assert first.status is HurwitzStatus.UNKNOWN
+        assert first.reason == "free-group fingerprint grew past 1000000 letters"
+        assert second == first
+        assert 0 < first.explored
+        assert words._apply_memo_letters == memo_size() <= words._APPLY_MEMO_LETTERS
+
+    def test_word_problem_adds_no_entries(self):
+        clear_memo()
+        a, b = parse_braid("1 2 1 3 -2", 4), parse_braid("2 1 2 3 -2", 4)
+        assert braids_equal(a, b)
+        assert not braids_equal(a, parse_braid("1 2 1 -3 2", 4))
+        artin_fingerprint(a)
+        assert words._apply_memo == {}
+        assert words._apply_memo_letters == 0
+
+    def test_wide_search_stays_within_the_bound(self, monkeypatch):
+        word = parse_braid("254 255 -253 -254 254 255 -253 -254", 256)
+        clear_memo()
+        expr = search_membership(word, 6)
+        assert format_expression(expr) == "m=128 g128^-1 g128^-1"
+        assert 0 < words._apply_memo_letters == memo_size() <= words._APPLY_MEMO_LETTERS
+        # a small bound clears the memo whole many times on the way, and an
+        # entry larger than the bound is never stored; the witness stays
+        for bound in (5000, 300):
+            monkeypatch.setattr(words, "_APPLY_MEMO_LETTERS", bound)
+            clear_memo()
+            assert search_membership(word, 6) == expr
+            assert words._apply_memo_letters == memo_size() <= bound
+        assert words._apply_memo == {}
+
+    def test_threads_keep_the_count_in_step(self, monkeypatch):
+        # six threads run the searches on a small bound, each from its own
+        # place in the list, so they miss, store and clear at once; each store
+        # records the count and the letters it finds and lets other threads in
+        # just before and just after its write
+        counts = []
+
+        class YieldingDict(dict):
+            def setdefault(self, key, value):
+                counts.append((words._apply_memo_letters, memo_size()))
+                time.sleep(1e-5)
+                out = super().setdefault(key, value)
+                time.sleep(1e-5)
+                return out
+
+        calls = search_calls()
+        expected = [call() for call in calls]
+        monkeypatch.setattr(words, "_APPLY_MEMO_LETTERS", 20000)
+        monkeypatch.setattr(words, "_apply_memo", YieldingDict())
+        monkeypatch.setattr(words, "_apply_memo_letters", 0)
+        results = [None] * 6
+
+        def work(i):
+            k = 9 * i
+            results[i] = [call() for call in calls[k:] + calls[:k]]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected[9 * i :] + expected[: 9 * i] for i in range(6)]
+        assert len(counts) > 6 * 20
+        assert all(count == size <= 20000 for count, size in counts)
+        assert words._apply_memo_letters == memo_size() <= 20000

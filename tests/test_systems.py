@@ -411,20 +411,21 @@ class TestHurwitzOracle:
                 assert hurwitz_search(s1, s2, 300) == reference_hurwitz_search(s1, s2, 300)
 
     def test_one_new_entry_fingerprint_per_child(self, monkeypatch):
-        # every fingerprint of the search goes through systems.artin_apply;
-        # every child comes from one call of the slide helper
+        # every entry fingerprint of the search goes through the process-wide
+        # memo, systems._cached_apply, hit or miss; every child comes from one
+        # call of the slide helper
         counts = {"fingerprints": 0, "children": 0}
-        artin_apply, slide_ = systems.artin_apply, systems._slide_pair
+        cached_apply, slide_ = systems._cached_apply, systems._slide_pair
 
         def counting_apply(*args, **kwargs):
             counts["fingerprints"] += 1
-            return artin_apply(*args, **kwargs)
+            return cached_apply(*args, **kwargs)
 
         def counting_slide(*args, **kwargs):
             counts["children"] += 1
             return slide_(*args, **kwargs)
 
-        monkeypatch.setattr(systems, "artin_apply", counting_apply)
+        monkeypatch.setattr(systems, "_cached_apply", counting_apply)
         monkeypatch.setattr(systems, "_slide_pair", counting_slide)
         rng = random.Random(809)
         for _ in range(20):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 
@@ -59,6 +58,7 @@ from .words import (
     CertificateError,
     _free_inv,
     _free_reduce,
+    _frozen,
     artin_apply,
     braids_equal,
     identity_images,
@@ -67,7 +67,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class Band:
     """A half-twist band: slot between strands slot and slot+1, at a height."""
 
@@ -86,7 +86,7 @@ class Band:
             raise ValueError("band time must lie strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
+@_frozen
 class BandedBraid:
     base: BraidWord
     bands: tuple[Band, ...] = ()
@@ -154,7 +154,7 @@ def _surgered_counts(bb: BandedBraid) -> tuple[BraidWord, int, int]:
     return surgered, c1, component_count(plat_closure(surgered))
 
 
-@dataclass(frozen=True)
+@_frozen
 class AdmissibilityReport:
     base_components: int
     surgered_components: int
@@ -188,7 +188,7 @@ def realizing_euler_characteristic(bb: BandedBraid) -> int:
     return c1 + c2 - len(bb.bands)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Certificates:
     """Witnesses for one compilation: three profiles and four side expressions."""
 
@@ -201,7 +201,7 @@ class Certificates:
     delta_prime: HildenExpression
 
 
-@dataclass(frozen=True)
+@_frozen
 class PlanBand:
     slot: int
     sign: int
@@ -209,7 +209,7 @@ class PlanBand:
     kind: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class StripRecord:
     """One horizontal strip of the compiled square, read bottom to top."""
 
@@ -221,7 +221,7 @@ class StripRecord:
     bands: tuple[PlanBand, ...] = ()
 
 
-@dataclass(frozen=True)
+@_frozen
 class BraidedSurfacePlan:
     degree: int
     strips: tuple[StripRecord, ...]

@@ -19,7 +19,6 @@ when one exists within the length bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
@@ -28,6 +27,7 @@ from .words import (
     BraidWord,
     Permutation,
     _cached_apply,
+    _frozen,
     _plain_int,
     _strand_images,
     artin_apply,
@@ -95,7 +95,7 @@ def pair_permutation(word: BraidWord) -> Permutation:
     return Permutation(images)
 
 
-@dataclass(frozen=True)
+@_frozen
 class HildenExpression:
     """A word in the Hilden generators: (generator index, +1 or -1) factors.
 

@@ -8,12 +8,12 @@ stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .words import _frozen
 
 
-@dataclass(frozen=True)
+@_frozen
 class Laurent:
-    coeffs: tuple[tuple[int, int], ...] = field(default=())
+    coeffs: tuple[tuple[int, int], ...] = ()
     """Sorted (exponent, coefficient) pairs with nonzero coefficients."""
 
     @classmethod

@@ -11,18 +11,17 @@ and bands are labelled rectangles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .plats import Pairing, PlatDiagram
 from .systems import BraidSystem, MonodromyEntry, _entry_letters
-from .words import BraidWord, BudgetError, _free_reduce, json_field, parse_braid
+from .words import BraidWord, BudgetError, _free_reduce, _frozen, json_field, parse_braid
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
 
 
-@dataclass(frozen=True)
+@_frozen
 class BandMark:
     slot: int
     sign: int
@@ -33,7 +32,7 @@ class BandMark:
             raise ValueError("band mark sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Still:
     label: str
     strands: int
@@ -53,9 +52,9 @@ class Still:
                 raise ValueError(f"band mark slot {mark.slot} out of range")
 
 
-@dataclass(frozen=True)
+@_frozen
 class MotionPicture:
-    stills: tuple[Still, ...] = field(default_factory=tuple)
+    stills: tuple[Still, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.stills:

@@ -18,16 +18,15 @@ loop evaluates to 1.  The mirror letter -i swaps the two coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .laurent import Laurent, equal_up_to_unit, loop_power
-from .words import BraidWord, BudgetError, check_strands, strand_permutation
+from .words import BraidWord, BudgetError, _frozen, check_strands, strand_permutation
 
 DEFAULT_BRACKET_BUDGET = 24
 
 
-@dataclass(frozen=True)
+@_frozen
 class Pairing:
     """A fixed-point-free involution of {1, ..., 2m}, stored by partners."""
 
@@ -63,7 +62,7 @@ class Pairing:
         return tuple((i, self(i)) for i in range(1, self.size + 1) if i < self(i))
 
 
-@dataclass(frozen=True)
+@_frozen
 class PlatDiagram:
     word: BraidWord
     bottom: Pairing

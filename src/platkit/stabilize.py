@@ -20,10 +20,9 @@ its bracket up to a unit, which is what makes it a stabilization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .words import BraidWord, BudgetError, embed, product
+from .words import BraidWord, BudgetError, _frozen, embed, product
 
 # The most strands a stabilization may produce.  A profile tail conjugates
 # each block by a swap chain across all pairs, so its length grows with the
@@ -32,7 +31,7 @@ from .words import BraidWord, BudgetError, embed, product
 MAX_STABILIZED_STRANDS = 1024
 
 
-@dataclass(frozen=True)
+@_frozen
 class StabilizationProfile:
     """How many new pairs to insert after each of the m original pairs."""
 

@@ -16,8 +16,8 @@ ribbon criterion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 
 from .search import bfs
@@ -26,9 +26,13 @@ from .words import (
     BudgetError,
     OpenSystemError,
     _cached_apply,
+    _cycle_type,
     _free_inv,
     _free_reduce,
+    _frozen,
+    _letter_sum,
     _plain_int,
+    _strand_images,
     braids_equal,
     embed,
     exponent_sum,
@@ -36,7 +40,6 @@ from .words import (
     json_field,
     parse_braid,
     product,
-    strand_permutation,
 )
 
 DEFAULT_SEARCH_BUDGET = 20000
@@ -45,7 +48,7 @@ DEFAULT_SEARCH_BUDGET = 20000
 MAX_GENUINE_LETTERS = 1 << 22
 
 
-@dataclass(frozen=True)
+@_frozen
 class MonodromyEntry:
     """A braid of the shape u sigma_k^sign u^{-1}, kept in factored form."""
 
@@ -120,7 +123,7 @@ def as_monodromy(word: BraidWord) -> MonodromyEntry | None:
     return _from_form((letters[:h], letters[h]), word.strands)
 
 
-@dataclass(frozen=True)
+@_frozen
 class BraidSystem:
     degree: int
     entries: tuple[Entry, ...] = ()
@@ -201,7 +204,7 @@ class HurwitzStatus(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@_frozen
 class HurwitzResult:
     status: HurwitzStatus
     moves: tuple[tuple[int, bool], ...] | None = None
@@ -214,7 +217,10 @@ def hurwitz_search(
 ) -> HurwitzResult:
     """Bounded breadth-first search for a slide sequence from s1 to s2.
 
-    Cheap invariants decide many inequivalent pairs outright; otherwise the
+    Cheap invariants decide many inequivalent pairs outright: the boundary
+    braids, then the multisets of the entries' exponent sums and of their
+    strand cycle types, each read off the entry letters with no word or
+    permutation built but one boundary word per side.  Otherwise the
     orbit of s1 is explored up to ``budget`` distinct systems.  The verdict
     is EQUIVALENT with a replayable move list, NOT_EQUIVALENT only when the
     whole (finite) orbit was enumerated, and UNKNOWN when the budget ran
@@ -242,16 +248,20 @@ def hurwitz_search(
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="entry counts differ")
     explored = 0
     try:
-        words1, words2 = s1.words(), s2.words()
-        if not braids_equal(product(words1, strands=s1.degree), product(words2, strands=s1.degree)):
+        n = s1.degree
+        letters1, letters2 = ([_entry_letters(e) for e in s.entries] for s in (s1, s2))
+        boundary1, boundary2 = (
+            BraidWord(n, tuple(chain.from_iterable(letters))) for letters in (letters1, letters2)
+        )
+        if not braids_equal(boundary1, boundary2):
             return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ")
         for invariant, reason in (
-            (exponent_sum, "exponent-sum multisets differ"),
-            (lambda w: strand_permutation(w).cycle_type(), "cycle-type multisets differ"),
+            (_letter_sum, "exponent-sum multisets differ"),
+            (lambda u: _cycle_type(_strand_images(n, u)), "cycle-type multisets differ"),
         ):
-            if sorted(map(invariant, words1)) != sorted(map(invariant, words2)):
+            if sorted(map(invariant, letters1)) != sorted(map(invariant, letters2)):
                 return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
-        basis = identity_images(s1.degree)
+        basis = identity_images(n)
         moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
         ids: dict[_Form, int] = {}
         interned: dict[tuple, int] = {}
@@ -321,7 +331,7 @@ def _collapse_degree_two(entry: Entry) -> int:
     return s
 
 
-@dataclass(frozen=True)
+@_frozen
 class SurfaceType:
     positive: int
     negative: int

@@ -38,8 +38,7 @@ on a longer word than the two words themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import index, neg
+from operator import attrgetter, index, neg
 from threading import Lock
 
 
@@ -124,7 +123,99 @@ def _conjugate(w: tuple[int, ...], w_inv: tuple[int, ...], x: tuple[int, ...]) -
     return w[:p] + w_inv[m:]
 
 
-@dataclass(frozen=True)
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen value."""
+
+
+def _frozen(cls):
+    """Make ``cls`` a frozen value class over the fields its body annotates.
+
+    The fields are the annotated names, in order; a class attribute of the
+    same name is that field's default, and fields with a default come after
+    those without.  The class gains:
+
+    - ``__init__``, which binds the fields by position or by name, fills the
+      missing ones from their defaults (TypeError for a field given twice or
+      with no value, and for an extra argument), stores them, and then calls
+      ``self.__post_init__()`` if the class has that method; it may replace
+      a field through ``object.__setattr__``;
+    - ``__eq__``, true when the other object is of the very same class and
+      the tuples of fields are equal, ``NotImplemented`` for another class;
+    - ``__hash__``, the hash of the tuple of fields;
+    - ``__repr__``, ``Name(field=value, ...)`` with each value's repr;
+    - ``__setattr__`` and ``__delattr__``, which raise
+      :class:`FrozenInstanceError`;
+    - ``__match_args__``, the tuple of field names.
+
+    That is what ``@dataclass(frozen=True)`` makes of such a class, so
+    equality, hashes (and with them set orders) and reprs are the same as a
+    dataclass's.  Each method is a closure over the field names: nothing
+    is generated as source and run, and importing platkit does not import
+    the standard library's dataclass module.
+    """
+    names = tuple(cls.__annotations__)
+    count, missing = len(names), object()
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    post = hasattr(cls, "__post_init__")
+    positions, set_field = tuple(enumerate(names)), object.__setattr__
+    get = attrgetter(*names)
+    values = get if count > 1 else lambda self: (get(self),)
+
+    def bind(args, kwargs):
+        # raises TypeError with the words Python uses for a dataclass's __init__
+        call = f"{cls.__name__}.__init__()"
+        if len(args) > count:
+            raise TypeError(
+                f"{call} takes {count + 1} positional arguments but {len(args) + 1} were given"
+            )
+        args = list(args)
+        for name in names[len(args) :]:
+            args.append(kwargs.pop(name, defaults.get(name, missing)))
+            if args[-1] is missing:
+                raise TypeError(f"{call} missing 1 required positional argument: {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            given = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{call} got {given} argument {name!r}")
+        return args
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        # object.__setattr__, as a dataclass does: writing to self.__dict__
+        # instead would make CPython keep a separate dict per instance,
+        # whose attribute reads are slower
+        for i, name in positions:
+            set_field(self, name, args[i])
+        if post:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@_frozen
 class Permutation:
     """A permutation of {1, ..., n} stored by its tuple of images."""
 
@@ -163,19 +254,23 @@ class Permutation:
         return all(x == i for i, x in enumerate(self.images, start=1))
 
     def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * self.size
-        lengths = []
-        for start in range(1, self.size + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            x = start
-            while not seen[x - 1]:
-                seen[x - 1] = True
-                x = self(x)
-                length += 1
+        return _cycle_type(self.images)
+
+
+def _cycle_type(images: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The sorted cycle lengths of the permutation of {1, ..., n} with these images."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x] - 1
+            length += 1
+        if length:
             lengths.append(length)
-        return tuple(sorted(lengths))
+    return tuple(sorted(lengths))
 
 
 def _plain_int(value, what: str = "letter") -> int:
@@ -186,7 +281,7 @@ def _plain_int(value, what: str = "letter") -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
+@_frozen
 class BraidWord:
     """A word in the Artin generators of the braid group on ``strands`` strands.
 
@@ -289,7 +384,12 @@ def strand_permutation(word: BraidWord) -> Permutation:
 
 
 def exponent_sum(word: BraidWord) -> int:
-    return sum(1 if g > 0 else -1 for g in word.letters)
+    return _letter_sum(word.letters)
+
+
+def _letter_sum(letters: tuple[int, ...]) -> int:
+    """The exponent sum of a word with these letters."""
+    return sum(1 if g > 0 else -1 for g in letters)
 
 
 def identity_images(strands: int) -> tuple[tuple[int, ...], ...]:

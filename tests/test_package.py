@@ -111,6 +111,34 @@ def test_word_commands_leave_heavy_modules_unloaded(argv, code, modules, tmp_pat
     }
 
 
+@pytest.mark.parametrize(
+    "argv, code, modules", list(COLD_START.values()), ids=list(COLD_START)
+)
+def test_commands_leave_dataclasses_and_inspect_unloaded(argv, code, modules, tmp_path):
+    # the value classes come from words._frozen, which needs neither module
+    bb = platkit.banded_from_obj(
+        {"strands": 4, "base": "", "bands": [{"slot": 2, "sign": 1, "time": "1/2"}]}
+    )
+    files = {
+        "banded": platkit.banded_to_json(bb),
+        "plan": platkit.plan_to_json(
+            platkit.compile_surface(bb, platkit.search_certificates(bb, 3))
+        ),
+        "system": json.dumps({"degree": 2, "entries": ["1", "-1"]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
+    loaded = fresh(
+        "import json, sys\n"
+        "from platkit.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+    assert loaded["code"] == code
+    assert not {"dataclasses", "inspect"} & set(loaded["modules"])
+
+
 def test_submodule_imported_first_keeps_the_export():
     # importing the submodule platkit.stabilize binds it on the package
     loaded = fresh(

@@ -33,6 +33,7 @@ from platkit.systems import (
 from platkit.words import (
     BraidWord,
     BudgetError,
+    Permutation,
     artin_fingerprint,
     braids_equal,
     exponent_sum,
@@ -282,6 +283,23 @@ class TestHurwitz:
         assert res.status is HurwitzStatus.NOT_EQUIVALENT
         assert res.reason == "cycle-type multisets differ"
         assert res.explored == 0
+
+    def test_prefilters_build_one_word_per_side(self, monkeypatch):
+        # exponent sums and cycle types are read off the entry letters, so the
+        # search builds the two boundary words and no entry word or permutation
+        u = parse_braid("1", 3)
+        s1 = BraidSystem(3, (MonodromyEntry(u, 2, 1), MonodromyEntry(u, 2, -1)))
+        s2 = BraidSystem(3, (MonodromyEntry(u, 1, 1), MonodromyEntry(u, 1, -1)))
+        built = {BraidWord: 0, Permutation: 0}
+        for cls in built:
+            def counting_post_init(value, post_init=cls.__post_init__):
+                built[type(value)] += 1
+                post_init(value)
+
+            monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+        res = hurwitz_search(s1, s2, budget=50)
+        assert res.reason != "cycle-type multisets differ" and res.explored > 0
+        assert built == {BraidWord: 2, Permutation: 0}
 
     def test_unknown_on_budget(self):
         s1 = BraidSystem(3, (parse_braid("1", 3), parse_braid("2", 3)))

@@ -58,10 +58,10 @@ from .words import (
     CertificateError,
     _free_inv,
     _free_reduce,
+    _apply,
+    _basis,
     _frozen,
-    artin_apply,
     braids_equal,
-    identity_images,
     json_field,
     parse_braid,
 )
@@ -424,13 +424,13 @@ def _find_sides(
     as its profile comes up.  The ball maps each fingerprint to its
     expression and the letters of that expression's inverse.
     """
-    start = identity_images(2 * m)
+    start = _basis(2 * m)
     for profile in map(StabilizationProfile, _compositions(m - pairs, pairs)):
         middle_inverse = _free_inv(stabilization_tail(profile).letters)
         for left, left_inverse in ball.values():
             needed = _free_reduce(middle_inverse + left_inverse + target)
             if _pair_images(2 * m, needed) is not None:
-                right = ball.get(artin_apply(start, needed))
+                right = ball.get(_apply(start, needed))
                 if right is not None:
                     return profile, left, right[0]
     return None

@@ -26,15 +26,14 @@ from .search import bfs
 from .words import (
     BraidWord,
     Permutation,
+    _apply,
+    _basis,
     _cached_apply,
     _frozen,
     _plain_int,
     _strand_images,
-    artin_apply,
-    artin_fingerprint,
     braids_equal,
     exponent_sum,
-    identity_images,
 )
 
 
@@ -297,7 +296,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     if target_gap is None:
         return None
     m = word.strands // 2
-    target_fp = artin_fingerprint(word)
+    target_fp = _apply(_basis(word.strands), word.letters)
     target_sum = exponent_sum(word)
     steps = _factor_table(m)
     letters_of = {move: letters for move, letters, _, _ in steps}
@@ -307,7 +306,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         for move, _, step_sum, swap in steps
     ]
     inversions = sum(1 for j, x in enumerate(target_gap) for y in target_gap[j + 1 :] if x > y)
-    identity = identity_images(2 * m)
+    identity = _basis(2 * m)
     forward = bfs(
         (identity, 0, target_gap, inversions),
         _state_key,
@@ -317,7 +316,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     backward = bfs(
         (target_fp, target_sum, Permutation(target_gap).inverse().images, inversions),
         _state_key,
-        _pruned_moves(back_steps, 0, max_len, artin_apply),
+        _pruned_moves(back_steps, 0, max_len, _apply),
         max_len // 2,
     )
 
@@ -326,7 +325,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         if len(back_path) <= 1:
             return HildenExpression(m, path + back_path)
         u = tuple(g for move in reversed(back_path) for g in letters_of[move])
-        u_fp, bound = artin_apply(identity, u), len(back_path)
+        u_fp, bound = _apply(identity, u), len(back_path)
         moves = _pruned_moves(steps, target_sum - esum, bound, _cached_apply)
         for fp, _, suffix in bfs((identity, 0, gap, dist), _state_key, moves, bound):
             if fp == u_fp:
@@ -371,7 +370,7 @@ def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, 
     def successors(fp, _depth):
         return [(move, _cached_apply(fp, letters)) for move, letters in table.items()]
 
-    start = identity_images(2 * m)
+    start = _basis(2 * m)
     for fp, _, factors in bfs(start, lambda fp: fp, successors, depth):
         inverse = tuple(g for idx, exp in reversed(factors) for g in table[(idx, -exp)])
         yield fp, HildenExpression(m, factors), inverse

@@ -25,6 +25,7 @@ from .words import (
     BraidWord,
     BudgetError,
     OpenSystemError,
+    _basis,
     _cached_apply,
     _cycle_type,
     _free_inv,
@@ -36,7 +37,6 @@ from .words import (
     braids_equal,
     embed,
     exponent_sum,
-    identity_images,
     json_field,
     parse_braid,
     product,
@@ -261,7 +261,7 @@ def hurwitz_search(
         ):
             if sorted(map(invariant, letters1)) != sorted(map(invariant, letters2)):
                 return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
-        basis = identity_images(n)
+        basis = _basis(n)
         moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
         ids: dict[_Form, int] = {}
         interned: dict[tuple, int] = {}

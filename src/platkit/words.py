@@ -15,6 +15,19 @@ with all other x_j fixed.  Two words are equal exactly when the images of
 all n basis letters agree as freely reduced words.  The images are the
 canonical fingerprint used throughout the package for memoisation.
 
+Inside the package each image is held coded, one element per free-group
+letter: below 128 strands a bytes object, the letter x_g^(+-1) stored as
+the byte +-g mod 256, and from 128 strands on a str, the letter stored as
+the code point +-g mod 0x110000.  Slicing, concatenation, comparison and
+hashing of an image then run in C, and an image is inverted by reversing it
+and translating each letter to its inverse's code.  One kernel,
+``_extend``, serves both codes.  The public functions keep tuples of int
+letters at the boundary: :func:`identity_images` and :func:`artin_apply`
+take and return them, and :func:`artin_fingerprint` decodes its images
+once, at the end.  Such a tuple and a coded image hash differently, but
+nothing depends on hash order: the searches iterate dicts in insertion
+order and use sets for membership only.
+
 Their letter count can grow exponentially with the length of the word, so
 :func:`braids_equal` decides ``a = b`` as ``a b^-1 = 1`` and fingerprints as
 little of that quotient as it can.  Every step is exact:
@@ -100,27 +113,84 @@ def _strand_images(strands: int, letters: tuple[int, ...]) -> list[int]:
     return images
 
 
-def _conjugate(w: tuple[int, ...], w_inv: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+def _conjugate(w, w_inv, x):
     """The freely reduced w x w^-1, from freely reduced w, its inverse and x.
 
-    One scan per seam and one concatenation, where reducing w x and then
-    (w x) w^-1 would build the intermediate word.
+    The three are coded images or tuples of int letters: the letters cancel
+    at a seam where one equals the other's inverse, which reads as equality
+    against ``w_inv``, so no letter is negated.  Each seam is scanned a letter
+    at a time for its first six letters, the common case, and past that
+    by slices of doubling length (:func:`_prefix_agreement`,
+    :func:`_suffix_agreement`); one concatenation builds the result, where
+    reducing w x and then (w x) w^-1 would build the intermediate word.
     """
     n, lx = len(w), len(x)
-    k = 0  # letters cancelled at the seam w | x
-    while k < n and k < lx and w[n - 1 - k] == -x[k]:
+    # seam w | x: w[n-1-j] cancels x[j] when w_inv[j] == x[j]
+    k, top = 0, n if n < lx else lx
+    while k < top and w_inv[k] == x[k]:
         k += 1
-    m = 0  # letters cancelled at the seam x | w^-1, where w^-1[s] = -w[n-1-s]
-    while m < n and k + m < lx and x[lx - 1 - m] == w[n - 1 - m]:
+        if k == 6:
+            k = _prefix_agreement(w_inv, x, k, top)
+            break
+    # seam x | w^-1: x[lx-1-j] cancels w_inv[j] when it equals w[n-1-j]
+    m, top = 0, n if n < lx - k else lx - k
+    while m < top and x[lx - 1 - m] == w[n - 1 - m]:
         m += 1
+        if m == 6:
+            m = _suffix_agreement(x, lx, w, n, m, top)
+            break
     if k + m < lx:
         return w[: n - k] + x[k : lx - m] + w_inv[m:]
     # all of x[k:] cancelled, so the second seam runs on into w[: n - k]
-    p = n - k
-    while m < n and p > 0 and w[p - 1] == w[n - 1 - m]:
-        p -= 1
-        m += 1
-    return w[:p] + w_inv[m:]
+    p, q = n - k, n - m
+    j, top = 0, p if p < q else q
+    while j < top and w[p - 1 - j] == w[q - 1 - j]:
+        j += 1
+        if j == 6:
+            j = _suffix_agreement(w, p, w, q, j, top)
+            break
+    return w[: p - j] + w_inv[m + j :]
+
+
+def _prefix_agreement(s, t, k: int, top: int) -> int:
+    """The largest j <= top with s[:j] == t[:j], given that s[:k] == t[:k] for some k >= 1.
+
+    Compares slices of doubling length, then halves the window with the
+    first difference: O(log) comparisons, each run by the sequence type.
+    """
+    step = k
+    while k < top:
+        hi = min(k + step, top)
+        if s[k:hi] != t[k:hi]:
+            while hi - k > 1:
+                mid = (k + hi) // 2
+                if s[k:mid] == t[k:mid]:
+                    k = mid
+                else:
+                    hi = mid
+            return k
+        k, step = hi, 2 * step
+    return k
+
+
+def _suffix_agreement(s, a: int, t, b: int, k: int, top: int) -> int:
+    """The largest j <= top with s[a-j:a] == t[b-j:b], given that it holds for some j = k >= 1.
+
+    :func:`_prefix_agreement` read from the ends; ``top`` is at most a and b.
+    """
+    step = k
+    while k < top:
+        hi = min(k + step, top)
+        if s[a - hi : a - k] != t[b - hi : b - k]:
+            while hi - k > 1:
+                mid = (k + hi) // 2
+                if s[a - mid : a - k] == t[b - mid : b - k]:
+                    k = mid
+                else:
+                    hi = mid
+            return k
+        k, step = hi, 2 * step
+    return k
 
 
 class FrozenInstanceError(AttributeError):
@@ -396,6 +466,53 @@ def identity_images(strands: int) -> tuple[tuple[int, ...], ...]:
     return tuple((i,) for i in range(1, check_strands(strands) + 1))
 
 
+# The codes of the module docstring: below _NARROW strands bytes, from it on str.
+_NARROW = 128
+_WIDE_MOD = 0x110000
+_NARROW_BASIS = tuple(bytes((i,)) for i in range(1, _NARROW))
+_NARROW_INVERSE = bytes(-c & 255 for c in range(256))
+
+
+class _WideInverse(dict):
+    """``str.translate``'s table for wide images: a code point to its inverse's, stored as met."""
+
+    def __missing__(self, c: int) -> int:
+        self[c] = inverse = -c % _WIDE_MOD
+        return inverse
+
+
+_WIDE_INVERSE = _WideInverse()
+
+
+def _basis(strands: int) -> tuple:
+    """The coded images of x_1, ..., x_n: the fingerprint of the empty word."""
+    if check_strands(strands) < _NARROW:
+        return _NARROW_BASIS[:strands]
+    return tuple(map(chr, range(1, strands + 1)))
+
+
+def _encode(images) -> tuple:
+    """Images given as sequences of int letters, coded.
+
+    ValueError for a letter 0 or one over ``MAX_STRANDS`` in size.
+    """
+    images = [tuple(u) for u in images]
+    top = max((max(map(abs, u)) for u in images if u), default=0)
+    if top > MAX_STRANDS or any(0 in u for u in images):
+        raise ValueError(f"free-group letters must be nonzero and at most {MAX_STRANDS} in size")
+    if top < _NARROW:
+        return tuple(bytes(map((255).__and__, u)) for u in images)
+    return tuple("".join([chr(g % _WIDE_MOD) for g in u]) for u in images)
+
+
+def _decode(images: tuple) -> tuple[tuple[int, ...], ...]:
+    """Coded images as tuples of plain int letters."""
+    if images and type(images[0]) is bytes:
+        return tuple(tuple(memoryview(u).cast("b").tolist()) for u in images)
+    half = _WIDE_MOD // 2
+    return tuple(tuple(c if c < half else c - _WIDE_MOD for c in map(ord, u)) for u in images)
+
+
 def artin_apply(
     images: tuple[tuple[int, ...], ...],
     letters: tuple[int, ...],
@@ -406,27 +523,42 @@ def artin_apply(
     ``images`` is the tuple of free-group images of the basis under some
     prefix; the result is the fingerprint of the prefix followed by
     ``letters``.  Raises :class:`BudgetError` when the total letter count of
-    the images passes ``guard``.
+    the images passes ``guard``.  Both are tuples of int letters; the work
+    runs on coded images.
     """
+    return _decode(_apply(_encode(images), letters, guard))
+
+
+def _apply(
+    images: tuple, letters: tuple[int, ...], guard: int = DEFAULT_FINGERPRINT_GUARD
+) -> tuple:
+    """:func:`artin_apply` on coded images."""
     return _extend(images, letters, guard)[0]
 
 
-def _extend(
-    images: tuple[tuple[int, ...], ...], letters: tuple[int, ...], guard: int
-) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """:func:`artin_apply`'s result, with the letter counts of ``images`` and of the result."""
-    work = [tuple(u) for u in images]
+def _extend(images: tuple, letters: tuple[int, ...], guard: int) -> tuple[tuple, int, int]:
+    """:func:`_apply`'s result, with the letter counts of ``images`` and of the result.
+
+    The one fingerprint kernel.  sigma_i puts image i + 1 conjugated by
+    image i in slot i and moves image i to slot i + 1; sigma_i^-1 moves
+    image i + 1 to slot i and puts image i conjugated by the inverse of
+    image i + 1 in slot i + 1.  The code is read once, off the first image.
+    """
+    work = list(images)
     start = total = sum(map(len, work))
+    inverse = _NARROW_INVERSE if work and type(work[0]) is bytes else _WIDE_INVERSE
+    conjugate = _conjugate
     for g in letters:
         i = abs(g) - 1
         a, b = work[i], work[i + 1]
         if g > 0:
-            work[i] = _conjugate(a, _free_inv(a), b)
+            work[i] = c = conjugate(a, a[::-1].translate(inverse), b)
             work[i + 1] = a
+            total += len(c) - len(b)
         else:
             work[i] = b
-            work[i + 1] = _conjugate(_free_inv(b), b, a)
-        total += len(work[i]) + len(work[i + 1]) - len(a) - len(b)
+            work[i + 1] = c = conjugate(b[::-1].translate(inverse), b, a)
+            total += len(c) - len(a)
         if total > guard:
             raise BudgetError(
                 f"free-group fingerprint grew past {guard} letters"
@@ -438,28 +570,26 @@ def _extend(
 # where entries share a tuple; one surface_search pass of the benchmark holds
 # about a quarter of it
 _APPLY_MEMO_LETTERS = 1 << 21
-_apply_memo: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+_apply_memo: dict[tuple, tuple] = {}
 _apply_memo_letters = 0
 _apply_memo_lock = Lock()
 
 
-def _cached_apply(
-    images: tuple[tuple[int, ...], ...], letters: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """``artin_apply(images, letters)``, from a process-wide memo when it holds it.
+def _cached_apply(images: tuple, letters: tuple[int, ...]) -> tuple:
+    """``_apply(images, letters)``, from a process-wide memo when it holds it.
 
     For the search steps whose inputs do not depend on the search's target:
     the forward and suffix sides of Hilden membership, the Hilden ball and
     the entry fingerprints of the Hurwitz search.  Each such step is thus
     fingerprinted once per process while the memo holds it.
 
-    Same answers.  ``artin_apply`` is a pure function of its arguments, and
-    its result is a tuple of tuples of ints, which nothing can change.  A
+    Same answers.  ``_apply`` is a pure function of its arguments, and
+    its result is a tuple of coded images, which nothing can change.  A
     stored result is one that a call with equal arguments and the default
     guard returned, so a fresh call would return an equal tuple again; a
     call that raises :class:`BudgetError` stores nothing, so the next one
     runs and raises again.  Hence every call returns a value equal to what
-    ``artin_apply`` would return, or raises the same error, and a search
+    ``_apply`` would return, or raises the same error, and a search
     that steps through here visits the same states in the same order, with
     the same witnesses, explored counts and guard trips, whatever the memo
     holds.  The searches compare fingerprints by value, never by identity,
@@ -471,6 +601,12 @@ def _cached_apply(
     larger than the bound by itself is not stored.  A lock keeps the count
     and the entries in step when threads store at once.  A lookup takes no
     lock: whatever it finds was stored whole, so it is a correct result.
+
+    Memory.  A coded image holds one byte per letter below 128 strands; from
+    128 strands on, a str of up to four bytes per letter (four once it holds
+    an inverse letter, whose code point is above 0xFFFF).  Each image also
+    has its object header, 33 bytes for bytes and 49 to 76 for a str, and
+    the letters of a key are a tuple of ints at eight bytes a letter.
     """
     global _apply_memo_letters
     key = images, letters
@@ -494,9 +630,10 @@ def artin_fingerprint(
     """The images of all free-group basis letters under the word's action.
 
     This tuple determines the braid: two words on the same strand count
-    represent equal braids exactly when their fingerprints agree.
+    represent equal braids exactly when their fingerprints agree.  It is
+    computed on coded images and decoded once, at the end.
     """
-    return artin_apply(identity_images(word.strands), word.letters, guard)
+    return _decode(_apply(_basis(word.strands), word.letters, guard))
 
 
 def braids_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GUARD) -> bool:
@@ -523,8 +660,8 @@ def braids_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GU
     if lo == hi:
         return True
     mid = (lo + hi) // 2
-    start = identity_images(a.strands)
-    return artin_apply(start, c[lo:mid], guard) == artin_apply(start, _free_inv(c[mid:hi]), guard)
+    start = _basis(a.strands)
+    return _apply(start, c[lo:mid], guard) == _apply(start, _free_inv(c[mid:hi]), guard)
 
 
 def product(words: list[BraidWord] | tuple[BraidWord, ...], strands: int | None = None) -> BraidWord:

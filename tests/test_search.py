@@ -8,11 +8,14 @@ breadth-first loop; they must not move.
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import test_bands
@@ -464,3 +467,42 @@ class TestApplyMemo:
         assert len(counts) > 6 * 20
         assert all(count == size <= 20000 for count, size in counts)
         assert words._apply_memo_letters == memo_size() <= 20000
+
+
+# every search of search_calls, a membership search on 256 strands (str-coded
+# fingerprints) and a 6-entry Hurwitz search through 4391 systems, one result
+# repr a line
+HASH_SEED_SCRIPT = """
+from platkit.cli import main
+from test_search import search_calls
+
+for call in search_calls():
+    print(repr(call()))
+main(["adequate", "--strands", "256", "254 255 -253 -254 254 255 -253 -254"])
+main([
+    "hurwitz", "--degree", "4", "--entries", "2;-3;-1;-2 2 2;-1 -1 1;3",
+    "--entries2=2 -3 -2;2 -1 -2;-1 -1 1;3;-3 1 2 -1 3;-3 1 -2 2 2 -1 3",
+])
+"""
+
+
+class TestHashSeed:
+    """Fingerprints are bytes and str, whose hashes are salted per process."""
+
+    def test_searches_print_the_same_under_two_hash_seeds(self):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_SCRIPT],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                capture_output=True,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        text = outputs[0].decode()
+        assert text.count("\n") == len(search_calls()) + 5
+        assert "explored=4391" in text and "HurwitzResult(" in text
+        assert "expression=m=128 g128^-1 g128^-1" in text

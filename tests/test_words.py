@@ -8,12 +8,17 @@ import pytest
 from platkit.plats import kauffman_bracket, plat_closure
 from platkit.stabilize import MAX_STABILIZED_STRANDS
 from platkit.words import (
+    DEFAULT_FINGERPRINT_GUARD,
     MAX_STRANDS,
     BraidWord,
     BudgetError,
     Permutation,
+    _basis,
     _conjugate,
+    _decode,
+    _encode,
     _free_inv,
+    _free_reduce,
     artin_apply,
     artin_fingerprint,
     braids_equal,
@@ -398,3 +403,166 @@ class TestConjugateKernel:
             u = reduced_word(rng, n, rng.randint(0, 15))
             v = random_word(rng, n, rng.randint(0, 15))
             assert artin_apply(artin_fingerprint(u), v.letters) == artin_fingerprint(u * v)
+
+
+def reference_conjugate(w: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """The freely reduced w x w^-1 on int tuples, letters negated at the first seam."""
+    w_inv = _free_inv(w)
+    n, lx = len(w), len(x)
+    k = 0
+    while k < n and k < lx and w[n - 1 - k] == -x[k]:
+        k += 1
+    m = 0
+    while m < n and k + m < lx and x[lx - 1 - m] == w[n - 1 - m]:
+        m += 1
+    if k + m < lx:
+        return w[: n - k] + x[k : lx - m] + w_inv[m:]
+    p = n - k
+    while m < n and p > 0 and w[p - 1] == w[n - 1 - m]:
+        p -= 1
+        m += 1
+    return w[:p] + w_inv[m:]
+
+
+def reference_apply(images, letters, guard=DEFAULT_FINGERPRINT_GUARD):
+    """The fingerprint walk on tuples of int letters, one image per basis letter."""
+    work = [tuple(u) for u in images]
+    total = sum(map(len, work))
+    for g in letters:
+        i = abs(g) - 1
+        a, b = work[i], work[i + 1]
+        if g > 0:
+            work[i], work[i + 1] = reference_conjugate(a, b), a
+        else:
+            work[i], work[i + 1] = b, reference_conjugate(_free_inv(b), a)
+        total += len(work[i]) + len(work[i + 1]) - len(a) - len(b)
+        if total > guard:
+            raise BudgetError(f"free-group fingerprint grew past {guard} letters")
+    return tuple(work)
+
+
+def reference_fingerprint(word: BraidWord, guard=DEFAULT_FINGERPRINT_GUARD):
+    return reference_apply(tuple((i,) for i in range(1, word.strands + 1)), word.letters, guard)
+
+
+def top_word(rng: random.Random, strands: int, length: int) -> BraidWord:
+    """A random word in the generators nearest the top of the strand range, and sigma_1."""
+    gens = [g for g in (1, strands - 3, strands - 2, strands - 1) if g >= 1]
+    return BraidWord(strands, tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in range(length)))
+
+
+def is_plain(images) -> bool:
+    return type(images) is tuple and all(
+        type(u) is tuple and all(type(g) is int for g in u) for u in images
+    )
+
+
+class TestCodedKernel:
+    """The coded fingerprint kernel against the int-tuple walk it replaced."""
+
+    def test_random_words_match_the_reference(self):
+        rng = random.Random(2401)
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            u = random_word(rng, n, rng.randint(0, 30))
+            v = random_word(rng, n, rng.randint(0, 15))
+            assert artin_fingerprint(u) == reference_fingerprint(u)
+            assert artin_apply(artin_fingerprint(u), v.letters) == reference_fingerprint(u * v)
+            # v, a braid-relator conjugate of v, or u itself: equal and unequal pairs
+            i = rng.randint(1, n - 2) if n > 2 else None
+            if i is not None and rng.random() < 0.5:
+                cut = rng.randint(0, len(v))
+                b = BraidWord(n, v.letters[:cut] + braid_relator(i, n).letters + v.letters[cut:])
+            else:
+                b = rng.choice((v, u))
+            want = reference_fingerprint(u) == reference_fingerprint(b)
+            assert braids_equal(u, b) == want
+            assert braids_equal(b, u) == want
+
+    @pytest.mark.parametrize("strands", [127, 128, 129, 4000])
+    def test_code_boundary(self, strands):
+        assert type(_basis(strands)[0]) is (bytes if strands < 128 else str)
+        rng = random.Random(strands)
+        for _ in range(40):
+            u = top_word(rng, strands, rng.randint(0, 25))
+            v = top_word(rng, strands, rng.randint(0, 10))
+            fp = artin_fingerprint(u)
+            assert fp == reference_fingerprint(u)
+            assert _decode(_encode(fp)) == fp
+            assert artin_apply(fp, v.letters) == reference_fingerprint(u * v)
+            want = reference_fingerprint(u) == reference_fingerprint(v)
+            assert braids_equal(u, v) == want
+            commute = reference_fingerprint(u * v) == reference_fingerprint(v * u)
+            assert braids_equal(u * v * u.inverse(), v) == commute
+            assert braids_equal(u * v * v.inverse(), u)
+
+    @pytest.mark.parametrize("strands", [3, 5, 130])
+    def test_budget_trips_at_the_same_letter_total(self, strands):
+        rng = random.Random(2402 + strands)
+        for _ in range(6):
+            u = top_word(rng, strands, 24)
+            start = artin_fingerprint(BraidWord(strands, u.letters[:8]))
+            for guard in range(strands, strands + 120, 3):
+                for coded, reference in (
+                    (lambda: artin_fingerprint(u, guard), lambda: reference_fingerprint(u, guard)),
+                    (
+                        lambda: artin_apply(start, u.letters[8:], guard),
+                        lambda: reference_apply(start, u.letters[8:], guard),
+                    ),
+                ):
+                    try:
+                        want = reference()
+                    except BudgetError as err:
+                        with pytest.raises(BudgetError, match=f"^{err}$"):
+                            coded()
+                    else:
+                        assert coded() == want
+
+    @pytest.mark.parametrize("strands", [4, 200])
+    def test_public_results_are_plain_int_tuples(self, strands):
+        rng = random.Random(2403)
+        u = top_word(rng, strands, 20)
+        identity = identity_images(strands)
+        assert identity == tuple((i,) for i in range(1, strands + 1))
+        for images in (identity, artin_fingerprint(u), artin_apply(identity, u.letters)):
+            assert is_plain(images)
+        assert artin_apply(list(map(list, identity)), u.letters) == artin_fingerprint(u)
+
+    @pytest.mark.parametrize("letter", [0, MAX_STRANDS + 1, -(MAX_STRANDS + 1)])
+    def test_foreign_letters_are_refused(self, letter):
+        with pytest.raises(ValueError, match="free-group letters"):
+            artin_apply(((1,), (2, letter)), (1,))
+
+    def test_long_seams(self):
+        # sigma_1^k: each step cancels most of two images against each other,
+        # far past the letters the kernel scans one at a time
+        for k in (7, 64, 150):
+            word = BraidWord(3, (1,) * k + (-2,) * k)
+            assert artin_fingerprint(word) == reference_fingerprint(word)
+            assert not braids_equal(word, BraidWord.identity(3))
+        rng = random.Random(2404)
+
+        def seam_pairs():
+            # x cancels a random depth at each end of w x w^-1
+            for _ in range(300):
+                w = reduced_word(rng, 3, rng.randint(0, 60)).letters
+                head, tail = rng.randint(0, len(w)), rng.randint(0, len(w))
+                middle = reduced_word(rng, 3, rng.choice((0, 0, 3))).letters
+                yield w, _free_reduce(_free_inv(w)[:head] + middle + w[tail:])
+            # w = y c z c e and x = e^-1 z c e: x cancels whole, and the second
+            # seam runs on into w and stops after the second copy of c
+            for _ in range(100):
+                y, c, z, e = (
+                    reduced_word(rng, 3, rng.randint(lo, hi)).letters
+                    for lo, hi in ((1, 5), (7, 30), (1, 5), (0, 5))
+                )
+                yield _free_reduce(y + c + z + c + e), _free_reduce(_free_inv(e) + z + c + e)
+
+        for strands in (3, 200):
+            for w, x in seam_pairs():
+                if strands > 3:
+                    w, x = (tuple(g + 196 if g > 0 else g - 196 for g in u) for u in (w, x))
+                want = reference_conjugate(w, x)
+                cw, cw_inv, cx = _encode((w, _free_inv(w), x))
+                assert _decode((_conjugate(cw, cw_inv, cx),)) == (want,)
+                assert _conjugate(w, _free_inv(w), x) == want

@@ -204,12 +204,13 @@ _last: tuple[PlatDiagram, Laurent] | None = None
 def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET) -> Laurent:
     """Bracket polynomial of the plat closure, by the smoothing state sum.
 
-    The sum over all 2^c smoothings is evaluated by sweeping the word once
-    and carrying, for every planar matching of the current endpoints, the
+    The sum over all 2^c smoothings is evaluated by sweeping the letters
+    once and carrying, for every matching of the endpoints still open, the
     total coefficient of the states that produce it.  Each matching is
-    interned as a small int id the first time it appears, and the cup-cap
-    at each position is worked out once per id: a rewired id, or -1 when it
-    closes a loop.  These transitions live for one call.
+    interned as a small int id the first time it appears, with -1 at the
+    positions already capped off, and the cup-cap at each position is
+    worked out once per id: a rewired id, or -1 when it closes a loop.
+    These transitions live for one call.
 
     Pre-pass.  The sweep runs on a smaller diagram with the same bracket up
     to a known unit and loop power.  Read the letter i as A e_i + A^-1 and
@@ -240,6 +241,29 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     With kinks counted +1 for a positive and -1 for a negative letter, the
     sweep starts from the unit (-A^3)^kinks instead of 1.
 
+    Sweep.  Two more exact steps keep the open matchings few.
+
+    4. Letter order.  The letters run in the leftmost-first linear
+       extension of their commutation order: each step runs, of the letters
+       whose earlier letters at distance < 2 have all run, the one at the
+       lowest position.  Any two orders that keep every pair of letters at
+       distance < 2 in place are the same product, exactly, since one turns
+       into the other by swapping neighbours at distance >= 2, and
+       e_i e_j = e_j e_i there.  The positions on the left thus finish
+       early, not when the written word last reaches them.
+    5. Early caps.  Each top pair is capped right after the last letter at
+       either of its positions, or on the start matching when no letter
+       touches it: its partners below are joined, or a loop closes when
+       they are the pair itself.  A state's smoothed diagram is a set of
+       arcs and loops, and a cap joins the strands that leave positions a
+       and b; no later letter meets those strands, so the cap adds the same
+       arc to every state whether it is drawn now or at the top, and only
+       the step at which its loop is counted moves.  The pair that is ready
+       last stays open: after the sweep it is the only pair left in every
+       matching, its cap closes one loop, and that loop counts 1.  The
+       bracket is the sweep's sum times (-A^2 - A^-2)^l with l the split
+       loops of step 3, or l - 1 when step 3 leaves no pair.
+
     Packing.  A state is keyed by ``2 * id + p`` and its polynomial is
     packed into one int (Kronecker substitution): slot j, its j-th B-bit
     digit, holds the coefficient of A^(base + 2p + 4j), with one running
@@ -255,38 +279,48 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     and the straight and loop terms merge into one monomial (A^-1 - A^-1 -
     A^3 = -A^3, and its mirror -A^-3): the update is -(x << B) or -x.
 
-    One key per matching.  Let the bottom pairing be planar, and let s and
-    t be partial states of the first k letters that reach one matching M,
-    with a smoothings weighted A, b weighted A^-1 and l loops closed.  Their
+    A cap lowers ``base`` by 4 and moves every key up one slot, y = x << B,
+    which keeps its polynomial; that is how a loop's A^-2 term gets a slot
+    without a right shift.  A cap that joins keeps the parity and moves to
+    the capped id.  One that closes a loop multiplies by -A^2 - A^-2,
+    whose two terms are 4 apart, so both land in the other parity: from
+    parity 0 the key becomes -(x + y) at parity 1, from parity 1 it becomes
+    -(y + (y << B)) at parity 0.
+
+    One key per matching.  Let both pairings be planar, and let s and t be
+    partial states of the first k steps that reach one matching M, with a
+    smoothings weighted A, b weighted A^-1 and l loops closed.  Their
     polynomials are A^(a-b) (-A^2 - A^-2)^l, all of whose exponents are
-    a - b + 2l mod 4.  Close the prefix diagram by the mirror image of M
-    above it; M is planar, so this is a link diagram, and every state
-    reaching M closes with l + n/2 loops on n endpoints.  Flipping one
-    smoothing of a planar diagram is a saddle: it moves a - b by +-2 and
-    the loop count by exactly +-1, so a - b + 2(loops) mod 4 is the same
-    for every state of the closed diagram, and a - b + 2l mod 4 is the same
-    for s and t.  So a matching's polynomial lies in one class mod 4, that
-    class fixes p, and a single key holds the whole polynomial.  For
-    a non-planar bottom pairing a matching may hold both parities; each key
-    then holds the part of its polynomial in one class, every update maps a
-    class to a class, and the sum stays exact.
+    a - b + 2l mod 4.  Complete both by the same smoothings of the letters
+    still to run: from M these close the same number of further loops, so
+    both become states of the whole diagram, whose crossings in the new
+    order still form a planar diagram, and whose caps, drawn early, change
+    only when their loops are counted.  Flipping one smoothing of a planar
+    diagram is a saddle: it moves a - b by +-2 and the loop count by exactly
+    +-1, so a - b + 2(loops) mod 4 is the same for every state of the whole
+    diagram, and a - b + 2l mod 4 is the same for s and t.  So a matching's
+    polynomial lies in one class mod 4, that class fixes p, and a single key
+    holds the whole polynomial.  For a non-planar pairing a matching may
+    hold both parities; each key then holds the part of its polynomial in
+    one class, every update above maps a class to a class, and the sum stays
+    exact, caps included.
 
     Width.  A letter maps a key's polynomial x to x A^-s + x A^s, or to
-    the single term -x A^3s when a loop closes, so the L1 norm summed over
-    all keys at most doubles per letter, and the unit it starts from has
-    norm 1.  After the c' letters left by the pre-pass it is at most 2^c',
-    and so is every coefficient of every key and of any sum of keys.
-    With B = c' + 2 each coefficient lies strictly inside (-2^(B-1),
+    the single term -x A^3s when a loop closes, and a cap maps it to x or
+    to x (-A^2 - A^-2), whose L1 norm is 2.  So the L1 norm summed over all
+    keys at most doubles per letter and per cap, and the unit it starts
+    from has norm 1.  After the c' letters left by the pre-pass and the k
+    caps made during the sweep it is at most 2^(c' + k), and so is every
+    coefficient of every key and of any sum of keys.  With
+    B = c' + k + 2 each coefficient lies strictly inside (-2^(B-1),
     2^(B-1)), so the packed int, an exact Python int, decodes uniquely as
     balanced base-2^B digits.  There are no right shifts, so negative
     coefficients never lose bits.
 
-    The surviving keys are capped off by the top pairing and summed by
-    loop count and parity, the only keys whose slots mean the same
-    exponents; each sum is decoded once and multiplied by its loop power,
-    and one :class:`Laurent` is built at the end.  Raises
-    :class:`BudgetError` when the diagram has more than ``budget`` crossings,
-    counted as written, before the pre-pass.
+    The surviving keys, at most one per parity, are decoded once each and
+    one :class:`Laurent` is built at the end.  Raises :class:`BudgetError`
+    when the diagram has more than ``budget`` crossings, counted as
+    written, before the pre-pass.
 
     Memo.  The last diagram swept and its bracket are kept in one module
     slot.  After the budget check, a diagram equal to it by value (the
@@ -305,12 +339,50 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     if last is not None and last[0] == diagram:
         return last[1]
     letters, start, top, kinks, split = _shrink(diagram)
-    width = len(letters) + 2
+    n = len(start)
+    c = len(letters)
+
+    # the leftmost ready letter first: head[i] is the first letter at
+    # position i not yet run and after[k] the next one at the position of
+    # letter k, with c for none and a last, empty head[n - 1].  Letter k at i
+    # is ready once k < head[i - 1] and k < head[i + 1].  A scan from the left
+    # stops at the first i with head[i] < head[i + 1]; every head on its left
+    # is then at least the one on its right, so k < head[i - 1] holds too.
+    # Running k changes head[i] alone, which only the tests at i - 1 and i
+    # read, so the next scan starts at i - 1.
+    head = [c] * n
+    after = [c] * c
+    for k in range(c - 1, -1, -1):
+        i = abs(letters[k]) - 1
+        after[k] = head[i]
+        head[i] = k
+    order = []
+    last_step = [-1] * n  # the step of the last letter at each position
+    i = 0
+    for t in range(c):
+        k = head[i]
+        while k >= head[i + 1]:
+            i += 1
+            k = head[i]
+        order.append(letters[k])
+        head[i] = after[k]
+        last_step[i] = last_step[i + 1] = t
+        if i:
+            i -= 1
+
     # the sweep starts from the unit (-A^3)^kinks rather than from 1
     base = 3 * kinks
     matchings = [start]
     ids = {start: 0}
-    transitions: dict[int, dict[int, int]] = {}
+    transitions: list[dict[int, int]] = [{} for _ in range(n)]
+
+    def intern(matching: list[int]) -> int:
+        key = tuple(matching)
+        r = ids.get(key)
+        if r is None:
+            r = ids[key] = len(matchings)
+            matchings.append(key)
+        return r
 
     def rewire(m: int, i: int) -> int:
         """The id of matching m after a cap-then-cup at i, i+1, or -1 if a loop closes."""
@@ -320,17 +392,38 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
             return -1
         matching[x], matching[y] = y, x
         matching[i], matching[i + 1] = i + 1, i
-        rewired = tuple(matching)
-        r = ids.get(rewired)
-        if r is None:
-            r = ids[rewired] = len(matchings)
-            matchings.append(rewired)
-        return r
+        return intern(matching)
 
-    states = {0: -1 if kinks & 1 else 1}
-    for g in letters:
+    def cap(m: int, a: int, b: int) -> int:
+        """The id r of matching m with a and b capped off, or ~r if a loop closes."""
+        matching = list(matchings[m])
+        x, y = matching[a], matching[b]
+        matching[a] = matching[b] = -1
+        if x == b:
+            return ~intern(matching)
+        matching[x], matching[y] = y, x
+        return intern(matching)
+
+    # each top pair is capped right after the last letter at either of its
+    # positions, and the pair that is ready last stays open; the pairs that
+    # no letter touches are capped on the start matching, before the sweep
+    pairs = sorted((max(last_step[a], last_step[b]), a, b) for a, b in enumerate(top) if a < b)
+    schedule: list[tuple[tuple[int, int], ...]] = [()] * c
+    width = c + 2
+    m = 0
+    for t, a, b in pairs[:-1]:
+        if t >= 0:
+            schedule[t] += ((a, b),)
+            width += 1
+        else:
+            m = cap(m, a, b)
+            if m < 0:
+                m = ~m
+                split += 1
+    states = {2 * m: -1 if kinks & 1 else 1}
+    for g, caps in zip(order, schedule):
         i = abs(g) - 1
-        memo = transitions.setdefault(i, {})
+        memo = transitions[i]
         nxt: dict[int, int] = {}
         get = nxt.get
         # a negative letter shifts the straight term one slot, a positive one
@@ -351,17 +444,29 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
                 r = 2 * r + 1
             nxt[r] = get(r, 0) + x
         states = {key: x for key, x in nxt.items() if x}
-    sums: dict[tuple[int, int], int] = {}
-    for key, x in states.items():
-        loops = _close_loops(matchings[key >> 1], top)
-        sums[loops, key & 1] = sums.get((loops, key & 1), 0) + x
+        # every key moves up one slot as base drops by 4; a closed loop
+        # multiplies by -A^2 - A^-2 and flips the parity
+        for a, b in caps:
+            base -= 4
+            nxt = {}
+            get = nxt.get
+            for key, x in states.items():
+                r = cap(key >> 1, a, b)
+                y = x << width
+                if r >= 0:
+                    r = 2 * r + (key & 1)
+                elif key & 1:
+                    r, y = 2 * ~r, -(y + (y << width))
+                else:
+                    r, y = 2 * ~r + 1, -(x + y)
+                nxt[r] = get(r, 0) + y
+            states = {key: x for key, x in nxt.items() if x}
+    # every key is left with the one open pair, whose cap closes one loop
     total: dict[int, int] = {}
-    for (loops, p), x in sums.items():
-        coeffs = _unpack(x, width, base + 2 * p)
-        for e2, c2 in loop_power(loops + split - 1).coeffs:
-            for e, c in coeffs.items():
-                total[e + e2] = total.get(e + e2, 0) + c * c2
-    bracket = Laurent.from_dict(total)
+    for key, x in states.items():
+        for e, coeff in _unpack(x, width, base + 2 * (key & 1)).items():
+            total[e] = total.get(e, 0) + coeff
+    bracket = Laurent.from_dict(total) * loop_power(split - (0 if n else 1))
     _last = (diagram, bracket)
     return bracket
 

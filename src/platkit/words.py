@@ -32,13 +32,18 @@ Their letter count can grow exponentially with the length of the word, so
 :func:`braids_equal` decides ``a = b`` as ``a b^-1 = 1`` and fingerprints as
 little of that quotient as it can.  Every step is exact:
 
-1. Prefilters: equal braids have equal exponent sums and equal strand
-   permutations, since both are homomorphisms (to Z and to S_n).
-2. Free reduction of ``c = a b^-1``: cancelling sigma_i sigma_i^-1 is an
+1. Free reduction of ``c = a b^-1``: cancelling sigma_i sigma_i^-1 is an
    isotopy, so the reduced word is the same braid.
-3. Cyclic reduction: stripping ``x ... x^-1`` from the two ends of ``c``
+2. Cyclic reduction: stripping ``x ... x^-1`` from the two ends of ``c``
    replaces it by a conjugate, and a conjugate is trivial exactly when
    ``c`` is.  An empty word is the identity.
+3. Prefilters on what is left, the core: a trivial braid has exponent
+   sum 0 and the identity strand permutation, since both are
+   homomorphisms (to Z and to S_n).  Each step above drops letters whose
+   exponents cancel and conjugates the permutation, so the core's sum is
+   that of ``a`` minus that of ``b``, and its permutation is the identity
+   exactly when ``a`` and ``b`` permute the strands alike: the answers are
+   those of the prefilters on ``a`` and ``b``, read off a shorter word.
 4. Halves: ``c = c1 c2`` is trivial exactly when ``c1 = c2^-1``, which the
    fingerprints of the two halves decide.
 
@@ -458,8 +463,8 @@ def exponent_sum(word: BraidWord) -> int:
 
 
 def _letter_sum(letters: tuple[int, ...]) -> int:
-    """The exponent sum of a word with these letters."""
-    return sum(1 if g > 0 else -1 for g in letters)
+    """The exponent sum of a word with these letters: positive ones less negative ones."""
+    return 2 * sum(map((0).__lt__, letters)) - len(letters)
 
 
 def identity_images(strands: int) -> tuple[tuple[int, ...], ...]:
@@ -639,19 +644,17 @@ def artin_fingerprint(
 def braids_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GUARD) -> bool:
     """Exact word-problem test for two words on the same strand count.
 
-    Decides ``a b^-1 = 1`` in the steps of the module docstring: the
-    exponent-sum and permutation prefilters, free and then cyclic reduction
-    of ``a b^-1``, and, unless that leaves nothing, a comparison of the
-    fingerprints of its first half and of the inverse of its second half.
+    Decides ``a b^-1 = 1`` in the steps of the module docstring: free and
+    then cyclic reduction of ``a b^-1``, and, unless that leaves nothing,
+    the exponent-sum and permutation prefilters on what is left and a
+    comparison of the fingerprints of its first half and of the inverse of
+    its second half.
     ``guard`` bounds each half's fingerprint as :func:`artin_fingerprint`
     bounds a word's, and :class:`BudgetError` is raised when one passes it.
     """
     if a.strands != b.strands:
         raise ValueError("words live on different strand counts")
-    if exponent_sum(a) != exponent_sum(b):
-        return False
-    if _strand_images(a.strands, a.letters) != _strand_images(b.strands, b.letters):
-        return False
+    check_strands(a.strands)
     c = _free_reduce(a.letters + _free_inv(b.letters))
     lo, hi = 0, len(c)
     while lo < hi and c[lo] == -c[hi - 1]:
@@ -659,9 +662,12 @@ def braids_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GU
         hi -= 1
     if lo == hi:
         return True
-    mid = (lo + hi) // 2
+    core = c[lo:hi]
+    if _letter_sum(core) or _strand_images(a.strands, core) != list(range(1, a.strands + 1)):
+        return False
+    mid = len(core) // 2
     start = _basis(a.strands)
-    return _apply(start, c[lo:mid], guard) == _apply(start, _free_inv(c[mid:hi]), guard)
+    return _apply(start, core[:mid], guard) == _apply(start, _free_inv(core[mid:]), guard)
 
 
 def product(words: list[BraidWord] | tuple[BraidWord, ...], strands: int | None = None) -> BraidWord:

@@ -630,6 +630,109 @@ class TestBracketPrePass:
         assert kauffman_bracket(wide) == kauffman_bracket(narrow) * loop_power(1000)
 
 
+def commuting_shuffle(rng: random.Random, word: BraidWord) -> BraidWord:
+    """The letters in a random order that keeps every pair at distance < 2 in place."""
+    rest = list(word.letters)
+    out = []
+    while rest:
+        ready = [
+            k for k, g in enumerate(rest)
+            if all(abs(abs(h) - abs(g)) >= 2 for h in rest[:k])
+        ]
+        out.append(rest.pop(rng.choice(ready)))
+    return BraidWord(word.strands, tuple(out))
+
+
+def pairing_of(strands: int, pairs) -> Pairing:
+    partner = [0] * strands
+    for a, b in pairs:
+        partner[a - 1], partner[b - 1] = b, a
+    return Pairing(tuple(partner))
+
+
+class TestBracketSweep:
+    """The sweep in leftmost-ready letter order, capping each finished top pair."""
+
+    def test_matches_oracle_on_wide_plats(self):
+        rng = random.Random(57)
+        for strands in (14, 16, 18, 20):
+            for length in (24, 32, 40):
+                diagram = plat_closure(random_word(rng, strands, length))
+                assert kauffman_bracket(diagram, budget=40) == reference_bracket(diagram)
+            w = random_word(rng, strands, 24)
+            diagram = PlatDiagram(w, random_pairing(rng, strands), random_pairing(rng, strands))
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_commuting_shuffles_keep_the_bracket(self):
+        rng = random.Random(58)
+        moved = 0
+        for k in range(60):
+            strands = 2 * rng.randint(2, 6)
+            w = random_word(rng, strands, rng.randint(10, 36))
+            bracket = kauffman_bracket(plat_closure(w), budget=40)
+            for _ in range(3):
+                v = commuting_shuffle(rng, w)
+                moved += v != w
+                assert kauffman_bracket(plat_closure(v), budget=40) == bracket
+            if k % 10 == 0:
+                assert bracket == reference_bracket(plat_closure(w))
+        assert moved > 150
+
+    def test_non_planar_caps_before_the_first_and_after_the_last_letter(self):
+        # letters on the middle positions only, so the outer top pairs are
+        # capped on the start matching: a join when the bottom pairing does
+        # not join them too, a loop when it does
+        rng = random.Random(59)
+        for strands in (8, 12, 16):
+            middle = [(p + d, p + d + 2) for p in range(3, strands - 2, 4) for d in (0, 1)]
+            top = pairing_of(strands, [(1, strands - 1), (2, strands)] + middle)
+            for k in range(40):
+                w = BraidWord(strands, tuple(
+                    rng.randint(3, strands - 3) * rng.choice((1, -1))
+                    for _ in range(rng.randint(1, 16))
+                ))
+                bottom = random_pairing(rng, strands)
+                if k % 2:
+                    rest = list(range(2, strands - 1)) + [strands]
+                    rng.shuffle(rest)
+                    bottom = pairing_of(strands, [(1, strands - 1)] + list(zip(rest[::2], rest[1::2])))
+                diagram = PlatDiagram(w, bottom, top)
+                assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        # a written word whose last letters touch one adjacent top pair only:
+        # the pre-pass strips them as kinks, so the pair they touch is not
+        # left waiting for them
+        top = pairing_of(8, [(1, 2), (3, 6), (4, 8), (5, 7)])
+        for k in range(40):
+            head = random_word(rng, 8, rng.randint(0, 14))
+            diagram = PlatDiagram(head * BraidWord(8, (1,) * (1 + k % 3)), random_pairing(rng, 8), top)
+            assert len(_shrink(diagram)[0]) <= len(head)
+            assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_plat_that_shrinks_to_nothing(self):
+        # 1 -1 cancels, 3 3 are kinks under the top cap {3, 4}, and then no
+        # letter is left and both pairs are split loops
+        diagram = plat_closure(parse_braid("1 3 -1 3", 4))
+        assert _shrink(diagram) == ((), (), (), 2, 2)
+        assert kauffman_bracket(diagram) == U(6) * LOOP
+        assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_wide_plat_against_mirror_and_stabilization(self):
+        # a random plat on 32 strands with 128 crossings: a sweep that
+        # carries matchings of all 32 endpoints did not finish it in 20 s
+        rng = random.Random(26)
+        w = BraidWord(32, tuple(rng.randint(1, 31) * rng.choice((1, -1)) for _ in range(128)))
+        bracket = kauffman_bracket(plat_closure(w), budget=128)
+        mirror = BraidWord(32, tuple(-g for g in w.letters))
+        assert kauffman_bracket(plat_closure(mirror), budget=128) == Laurent.from_dict(
+            {-e: c for e, c in bracket.coeffs}
+        )
+        stabilized = kauffman_bracket(plat_closure(stabilize(w, 1)), budget=130)
+        assert equal_up_to_unit(stabilized, bracket)
+        # at A = 1 a bracket is +-(-2)^(components - 1)
+        components = component_count(plat_closure(w))
+        assert abs(sum(c for _, c in bracket.coeffs)) == 2 ** (components - 1)
+
+
 class TestBracketMemo:
     """The one-slot memo of the last diagram swept and its bracket."""
 

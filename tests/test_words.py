@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import platkit.words as words
 from platkit.plats import kauffman_bracket, plat_closure
 from platkit.stabilize import MAX_STABILIZED_STRANDS
 from platkit.words import (
@@ -375,6 +376,88 @@ class TestQuotientReduction:
             braids_equal(a, BraidWord.identity(3), guard=guard - 1)
         with pytest.raises(BudgetError):
             artin_fingerprint(a, guard=guard)
+
+
+def reference_equal(a: BraidWord, b: BraidWord, guard: int = DEFAULT_FINGERPRINT_GUARD) -> bool:
+    """braids_equal with the prefilters on the two whole words, before any reduction."""
+    if a.strands != b.strands:
+        raise ValueError("words live on different strand counts")
+    if exponent_sum(a) != exponent_sum(b) or strand_permutation(a) != strand_permutation(b):
+        return False
+    c = _free_reduce(a.letters + _free_inv(b.letters))
+    lo, hi = 0, len(c)
+    while lo < hi and c[lo] == -c[hi - 1]:
+        lo += 1
+        hi -= 1
+    if lo == hi:
+        return True
+    mid = (lo + hi) // 2
+    return artin_fingerprint(BraidWord(a.strands, c[lo:mid]), guard) == artin_fingerprint(
+        BraidWord(a.strands, _free_inv(c[mid:hi])), guard
+    )
+
+
+class TestPrefiltersOnTheCore:
+    """The prefilters run on the reduced core of a b^-1 and answer as on a and b."""
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        calls = []
+        apply = words._apply
+
+        def counted(*args):
+            calls.append(args)
+            return apply(*args)
+
+        monkeypatch.setattr(words, "_apply", counted)
+        return calls
+
+    def test_prefilter_decided_pairs_fingerprint_nothing(self, applies):
+        rng = random.Random(31)
+        decided = 0
+        for _ in range(300):
+            strands = rng.randint(2, 8)
+            a = random_word(rng, strands, rng.randint(0, 40))
+            b = random_word(rng, strands, rng.randint(0, 40))
+            if exponent_sum(a) == exponent_sum(b) and strand_permutation(a) == strand_permutation(b):
+                continue
+            decided += 1
+            assert not braids_equal(a, b)
+        assert decided > 250
+        assert applies == []
+        # a pair that passes both prefilters is fingerprinted, half by half
+        assert not braids_equal(BraidWord(3, (1, 1)), BraidWord(3, (2, 2)))
+        assert len(applies) == 2
+
+    def test_random_pairs_agree_with_the_whole_word_prefilters(self):
+        rng = random.Random(32)
+        answers = set()
+        for k in range(600):
+            strands = rng.randint(2, 8)
+            a = random_word(rng, strands, rng.randint(0, 30))
+            if k % 3 == 0:
+                b = random_word(rng, strands, rng.randint(0, 30))
+            else:
+                # a conjugate of a relator, or of a pure piece of exponent sum
+                # 0 that only a fingerprint tells apart, spliced into a
+                w = random_word(rng, strands, rng.randint(0, 12))
+                i = rng.randint(1, max(1, strands - 2))
+                j = min(i + 1, strands - 1)
+                piece = (
+                    braid_relator(i, strands)
+                    if strands > 2 and k % 3 == 1
+                    else BraidWord(strands, (i, i, -j, -j))
+                )
+                cut = rng.randint(0, len(a))
+                b = BraidWord(
+                    strands,
+                    a.letters[:cut] + (w * piece * w.inverse()).letters + a.letters[cut:],
+                )
+            want = reference_equal(a, b)
+            assert braids_equal(a, b) is want
+            assert braids_equal(b, a) is want
+            answers.add(want)
+        assert answers == {True, False}
 
 
 class TestConjugateKernel:

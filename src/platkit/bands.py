@@ -50,7 +50,7 @@ from .plats import (
     kauffman_bracket,
     plat_closure,
 )
-from .stabilize import StabilizationProfile, profile_blocks, stabilization_tail, stabilize_by_profile
+from .stabilize import StabilizationProfile, _tail_with_events, stabilization_tail, stabilize_by_profile
 from .systems import BraidSystem, MonodromyEntry
 from .words import (
     BraidWord,
@@ -241,27 +241,6 @@ class BraidedSurfacePlan:
     @property
     def negative_branch_points(self) -> int:
         return sum(1 for e in self.branch_points if e.sign == -1)
-
-
-def _tail_with_events(
-    profile: StabilizationProfile,
-) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """Scaffold word of a stabilization tail plus insertions that complete it.
-
-    Returns the tail with its new-pair runs removed (the swap chains and
-    their inverses, a word equal to the identity) and the ordered list of
-    (position, letter) insertions that rebuild the full tail.
-    """
-    scaffold: list[int] = []
-    events: list[tuple[int, int]] = []
-    offset = 0
-    for lo, hi, chain in profile_blocks(profile):
-        scaffold.extend(chain.letters)
-        scaffold.extend(chain.inverse().letters)
-        for j, k in enumerate(range(lo, hi)):
-            events.append((offset + len(chain) + j, 2 * k))
-        offset += 2 * len(chain) + (hi - lo)
-    return tuple(scaffold), events
 
 
 def _deletion_events(profile: StabilizationProfile) -> list[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .laurent import Laurent, equal_up_to_unit, loop_power
-from .words import BraidWord, BudgetError, _frozen, check_strands, strand_permutation
+from .words import BraidWord, BudgetError, _frozen, _strand_images, check_strands
 
 DEFAULT_BRACKET_BUDGET = 24
 
@@ -89,10 +89,10 @@ def component_count(diagram: PlatDiagram) -> int:
     matching of the top endpoints; capping it off with the top pairing
     closes one loop per component.
     """
-    pi = strand_permutation(diagram.word)
-    matching = [0] * diagram.word.strands
-    for x in range(1, diagram.word.strands + 1):
-        matching[pi(x) - 1] = pi(diagram.bottom(x)) - 1
+    pi = _strand_images(diagram.word.strands, diagram.word.letters)
+    matching = [0] * len(pi)
+    for x, y in zip(pi, diagram.bottom.partner):
+        matching[x - 1] = pi[y - 1] - 1
     return _close_loops(tuple(matching), tuple(p - 1 for p in diagram.top.partner))
 
 

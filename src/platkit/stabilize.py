@@ -20,9 +20,7 @@ its bracket up to a unit, which is what makes it a stabilization.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .words import BraidWord, BudgetError, _frozen, embed, product
+from .words import BraidWord, BudgetError, _free_inv, _frozen, embed, product
 
 # The most strands a stabilization may produce.  A profile tail conjugates
 # each block by a swap chain across all pairs, so its length grows with the
@@ -115,16 +113,29 @@ def swap_chain(i: int, j: int, pivot: int, strands: int) -> BraidWord:
     return product(parts, strands=strands)
 
 
-def profile_blocks(profile: StabilizationProfile) -> Iterator[tuple[int, int, BraidWord]]:
-    """(lo, hi, swap chain) of each block with inserted pairs, as the tail uses them."""
-    m = profile.pairs
-    strands = 2 * profile.total
-    for i in range(1, m + 1):
-        if profile.entries[i - 1] == 0:
-            continue
-        lo = profile.prefix_total(i - 1)
-        hi = profile.prefix_total(i)
-        yield lo, hi, swap_chain(i, lo - 1, m, strands)
+def _tail_with_events(profile: StabilizationProfile) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The layout of a stabilization tail: its scaffold and the insertions that complete it.
+
+    Block i, for each l_i > 0, is the swap chain carrying pair i out to
+    slot lo - 1, the run sigma_2lo ... sigma_2(hi-1) of its new-pair
+    crossings, then the chain's inverse, where lo = m + l_1 + ... + l_(i-1)
+    and hi = lo + l_i.  The scaffold is the tail without its runs, a word
+    equal to the identity; the events are the ordered (position, letter)
+    insertions that put the runs back.
+    """
+    m, strands = profile.pairs, 2 * profile.total
+    scaffold: list[int] = []
+    events: list[tuple[int, int]] = []
+    lo = m
+    for i, count in enumerate(profile.entries, start=1):
+        if count:
+            chain = swap_chain(i, lo - 1, m, strands).letters
+            start = len(scaffold) + len(events) + len(chain)
+            events.extend((start + j, 2 * k) for j, k in enumerate(range(lo, lo + count)))
+            scaffold.extend(chain)
+            scaffold.extend(_free_inv(chain))
+        lo += count
+    return tuple(scaffold), events
 
 
 def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
@@ -134,12 +145,14 @@ def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
     conjugated into place by a swap chain.  Blocks with no inserted pairs
     contribute nothing.
     """
-    strands = 2 * profile.total
-    parts = []
-    for lo, hi, chain in profile_blocks(profile):
-        run = BraidWord(strands, tuple(2 * k for k in range(lo, hi)))
-        parts.append(chain * run * chain.inverse())
-    return product(parts, strands=strands)
+    scaffold, events = _tail_with_events(profile)
+    letters: list[int] = []
+    # letters already holds the `rank` run letters inserted before this one
+    for rank, (pos, letter) in enumerate(events):
+        letters.extend(scaffold[len(letters) - rank : pos - rank])
+        letters.append(letter)
+    letters.extend(scaffold[len(letters) - len(events) :])
+    return BraidWord(2 * profile.total, tuple(letters))
 
 
 def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> BraidWord:

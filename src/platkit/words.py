@@ -21,12 +21,11 @@ the byte +-g mod 256, and from 128 strands on a str, the letter stored as
 the code point +-g mod 0x110000.  Slicing, concatenation, comparison and
 hashing of an image then run in C, and an image is inverted by reversing it
 and translating each letter to its inverse's code.  One kernel,
-``_extend``, serves both codes.  The public functions keep tuples of int
-letters at the boundary: :func:`identity_images` and :func:`artin_apply`
-take and return them, and :func:`artin_fingerprint` decodes its images
-once, at the end.  Such a tuple and a coded image hash differently, but
-nothing depends on hash order: the searches iterate dicts in insertion
-order and use sets for membership only.
+``_extend``, serves both codes.  The coded images stay inside the package:
+their one public exit is :func:`artin_fingerprint`, which decodes them
+once, at the end, into tuples of int letters.  Such a tuple and a coded
+image hash differently, but nothing depends on hash order: the searches
+iterate dicts in insertion order and use sets for membership only.
 
 Their letter count can grow exponentially with the length of the word, so
 :func:`braids_equal` decides ``a = b`` as ``a b^-1 = 1`` and fingerprints as
@@ -467,10 +466,6 @@ def _letter_sum(letters: tuple[int, ...]) -> int:
     return 2 * sum(map((0).__lt__, letters)) - len(letters)
 
 
-def identity_images(strands: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((i,) for i in range(1, check_strands(strands) + 1))
-
-
 # The codes of the module docstring: below _NARROW strands bytes, from it on str.
 _NARROW = 128
 _WIDE_MOD = 0x110000
@@ -496,20 +491,6 @@ def _basis(strands: int) -> tuple:
     return tuple(map(chr, range(1, strands + 1)))
 
 
-def _encode(images) -> tuple:
-    """Images given as sequences of int letters, coded.
-
-    ValueError for a letter 0 or one over ``MAX_STRANDS`` in size.
-    """
-    images = [tuple(u) for u in images]
-    top = max((max(map(abs, u)) for u in images if u), default=0)
-    if top > MAX_STRANDS or any(0 in u for u in images):
-        raise ValueError(f"free-group letters must be nonzero and at most {MAX_STRANDS} in size")
-    if top < _NARROW:
-        return tuple(bytes(map((255).__and__, u)) for u in images)
-    return tuple("".join([chr(g % _WIDE_MOD) for g in u]) for u in images)
-
-
 def _decode(images: tuple) -> tuple[tuple[int, ...], ...]:
     """Coded images as tuples of plain int letters."""
     if images and type(images[0]) is bytes:
@@ -518,26 +499,13 @@ def _decode(images: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c if c < half else c - _WIDE_MOD for c in map(ord, u)) for u in images)
 
 
-def artin_apply(
-    images: tuple[tuple[int, ...], ...],
-    letters: tuple[int, ...],
-    guard: int = DEFAULT_FINGERPRINT_GUARD,
-) -> tuple[tuple[int, ...], ...]:
-    """Extend a partial fingerprint by further letters of the same braid word.
-
-    ``images`` is the tuple of free-group images of the basis under some
-    prefix; the result is the fingerprint of the prefix followed by
-    ``letters``.  Raises :class:`BudgetError` when the total letter count of
-    the images passes ``guard``.  Both are tuples of int letters; the work
-    runs on coded images.
-    """
-    return _decode(_apply(_encode(images), letters, guard))
-
-
 def _apply(
     images: tuple, letters: tuple[int, ...], guard: int = DEFAULT_FINGERPRINT_GUARD
 ) -> tuple:
-    """:func:`artin_apply` on coded images."""
+    """The coded fingerprint of a prefix, ``images``, extended by further ``letters``.
+
+    Raises :class:`BudgetError` when the images pass ``guard`` letters in all.
+    """
     return _extend(images, letters, guard)[0]
 
 

@@ -12,7 +12,6 @@ from platkit.bands import (
     Certificates,
     _compositions,
     _deletion_events,
-    _tail_with_events,
     admissibility_report,
     band_surgery,
     banded_from_json,
@@ -22,7 +21,9 @@ from platkit.bands import (
     certificates_to_obj,
     compile_surface,
     plan_from_json,
+    plan_from_obj,
     plan_to_json,
+    plan_to_obj,
     realizing_euler_characteristic,
     search_certificates,
     stabilized_copy,
@@ -30,7 +31,13 @@ from platkit.bands import (
 )
 from platkit.hilden import HildenExpression, expand_expression
 from platkit.plats import Triviality, component_count, plat_closure
-from platkit.stabilize import StabilizationProfile, stabilization_tail, stabilize_by_profile
+from platkit.stabilize import (
+    StabilizationProfile,
+    _tail_with_events,
+    stabilization_tail,
+    stabilize_by_profile,
+    swap_chain,
+)
 from platkit.systems import is_two_dimensional
 from platkit.words import BraidWord, BudgetError, braids_equal, parse_braid, product
 
@@ -184,6 +191,20 @@ class TestAdmissibility:
         assert realizing_euler_characteristic(two_bands) == 0
 
 
+def tail_oracle(profile: StabilizationProfile) -> BraidWord:
+    """The tail as the product of its conjugated blocks, from the public swap chains."""
+    m, strands = profile.pairs, 2 * profile.total
+    blocks = []
+    lo = m
+    for i, count in enumerate(profile.entries, start=1):
+        if count:
+            chain = swap_chain(i, lo - 1, m, strands)
+            run = BraidWord(strands, tuple(2 * k for k in range(lo, lo + count)))
+            blocks.append(chain * run * chain.inverse())
+        lo += count
+    return product(blocks, strands=strands)
+
+
 class TestTailEvents:
     def test_replay_matches_tail(self):
         rng = random.Random(92)
@@ -209,6 +230,7 @@ class TestTailEvents:
             tail = stabilization_tail(profile)
             scaffold, events = _tail_with_events(profile)
             strands = 2 * profile.total
+            assert tail == tail_oracle(profile)
             assert braids_equal(
                 BraidWord(strands, tuple(scaffold)), BraidWord.identity(strands)
             )
@@ -497,3 +519,9 @@ class TestSerialization:
         for bb, certs in TestCompile().compile_cases():
             plan = compile_surface(bb, certs)
             assert plan_from_json(plan_to_json(plan)) == plan
+
+    def test_plan_with_a_non_string_boundary_factor_is_refused(self):
+        obj = plan_to_obj(compile_surface(TOY, TOY_CERTS))
+        obj["boundary_factors"][0] = 2
+        with pytest.raises(ValueError, match="'boundary_factors' must be a list of strings"):
+            plan_from_obj(obj)

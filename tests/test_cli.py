@@ -218,6 +218,11 @@ class TestSystems:
         assert code == 2
         assert "--degree" in err
 
+    def test_slide_needs_a_system(self, capsys):
+        code, out, err = run(capsys, "slide", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: provide --in FILE or --entries together with --degree\n"
+
     def test_surface_invariants_example(self, capsys):
         code, out, _ = run(
             capsys, "surface-invariants", "--degree", "2", "--entries", "1;1;-1"
@@ -802,6 +807,12 @@ class TestMalformedInput:
         code, out, err = run(capsys, *(arg.format(toy=toy_file) for arg in argv))
         assert (code, out) == (2, "")
         assert err == "error: a budget must not be negative, got -1\n"
+
+    def test_budget_variable_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLATKIT_BUDGET", "abc")
+        code, out, err = run(capsys, "adequate", "--strands", "4", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: PLATKIT_BUDGET must be an integer, got 'abc'\n"
 
 
     @pytest.mark.parametrize(

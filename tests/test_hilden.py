@@ -21,12 +21,12 @@ from platkit.search import bfs
 from platkit.words import (
     BraidWord,
     Permutation,
+    _apply,
+    _basis,
     _decode,
-    artin_apply,
     artin_fingerprint,
     braids_equal,
     exponent_sum,
-    identity_images,
     parse_braid,
     product,
     strand_permutation,
@@ -194,6 +194,8 @@ class TestExpressions:
         for bad in ("", "g0", "m=x g0", "m=2 h0", "m=2 g9"):
             with pytest.raises(ValueError):
                 parse_expression(bad)
+        with pytest.raises(ValueError, match="bad generator token 'gx'"):
+            parse_expression("m=2 gx")
 
     def test_mul_and_inverse(self):
         a = parse_expression("m=2 g0 g1")
@@ -202,6 +204,8 @@ class TestExpressions:
         assert format_expression(a.inverse()) == "m=2 g1^-1 g0^-1"
         combined = expand_expression(a * a.inverse())
         assert braids_equal(combined, BraidWord.identity(4))
+        with pytest.raises(ValueError, match="pair counts differ"):
+            a * parse_expression("m=3 g0")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -264,6 +268,10 @@ class TestMembership:
 
     def test_non_member_by_pairing(self):
         assert search_membership(parse_braid("2", 4), 6) is None
+
+    def test_odd_strand_count_is_refused(self):
+        with pytest.raises(ValueError, match="even strand count"):
+            search_membership(parse_braid("1 2", 3), 2)
 
     def test_identity_member(self):
         expr = search_membership(BraidWord.identity(4), 4)
@@ -331,7 +339,7 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
     if not preserves_pairing(word):
         return None
     m = word.strands // 2
-    target_fp = artin_fingerprint(word)
+    target_fp = _apply(_basis(2 * m), word.letters)
     target_sum = exponent_sum(word)
     target_pairs = pair_permutation(word)
     steps = []
@@ -351,10 +359,10 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
             if abs(target_sum - new_sum) > remaining * max_step_sum:
                 continue
             if inversion_count((new_pperm.inverse() * target_pairs).images) <= remaining:
-                children.append((move, (artin_apply(fp, letters), new_sum, new_pperm)))
+                children.append((move, (_apply(fp, letters), new_sum, new_pperm)))
         return children
 
-    start = (identity_images(2 * m), 0, Permutation.identity(m))
+    start = (_basis(2 * m), 0, Permutation.identity(m))
     for fp, _, factors in bfs(start, lambda state: state[0], successors, max_len):
         if fp == target_fp:
             return HildenExpression(m, factors)

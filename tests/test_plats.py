@@ -339,6 +339,19 @@ class TestBracket:
     def test_two_component_unlink(self):
         assert kauffman_bracket(plat_closure(BraidWord.identity(4))) == LOOP
 
+    def test_text_with_a_constant_term(self):
+        # the three-component unlink: (-A^2 - A^-2)^2
+        bracket = kauffman_bracket(plat_closure(BraidWord.identity(6)))
+        assert str(bracket) == "A^4 + 2 + A^-4"
+        assert str(-bracket) == "-A^4 - 2 - A^-4"
+        assert str(Laurent.zero()) == "0"
+
+    def test_laurent_refusals(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            LOOP ** -1
+        with pytest.raises(ValueError, match="no degree"):
+            Laurent.zero().max_degree()
+
     def test_mirror_symmetry(self):
         # flipping every crossing substitutes A -> A^-1 in the bracket
         rng = random.Random(31)

@@ -16,17 +16,15 @@ from platkit.words import (
     Permutation,
     _basis,
     _conjugate,
+    _apply,
     _decode,
-    _encode,
     _free_inv,
     _free_reduce,
-    artin_apply,
     artin_fingerprint,
     braids_equal,
     check_strands,
     embed,
     exponent_sum,
-    identity_images,
     parse_braid,
     product,
     strand_permutation,
@@ -42,6 +40,14 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
 
 
 class TestBraidWord:
+    def test_generator(self):
+        assert BraidWord.generator(2, 4) == BraidWord(4, (2,))
+        assert BraidWord.generator(1, 3, 3) == BraidWord(3, (1, 1, 1))
+        assert BraidWord.generator(2, 3, -2) == BraidWord(3, (-2, -2))
+        assert BraidWord.generator(1, 2, 0) == BraidWord.identity(2)
+        with pytest.raises(ValueError, match="out of range"):
+            BraidWord.generator(3, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BraidWord(2, (2,))
@@ -135,6 +141,12 @@ class TestBraidWord:
 
 
 class TestPermutation:
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            Permutation((1, 1))
+        with pytest.raises(ValueError, match="size mismatch"):
+            Permutation.identity(2) * Permutation.identity(3)
+
     def test_identity_and_mul(self):
         p = Permutation.identity(4)
         assert p.is_identity()
@@ -284,7 +296,7 @@ class TestStrandGuard:
         assert check_strands(MAX_STRANDS) == MAX_STRANDS
         word = BraidWord(MAX_STRANDS, (1,))
         assert strand_permutation(word).images[:3] == (2, 1, 3)
-        assert len(identity_images(MAX_STRANDS)) == MAX_STRANDS
+        assert len(_basis(MAX_STRANDS)) == MAX_STRANDS
 
     def test_one_past_the_bound(self):
         # a word with no letters costs nothing, so only the guard can stop these
@@ -292,7 +304,7 @@ class TestStrandGuard:
         for call in (
             lambda: check_strands(MAX_STRANDS + 1),
             lambda: strand_permutation(word),
-            lambda: identity_images(MAX_STRANDS + 1),
+            lambda: _basis(MAX_STRANDS + 1),
             lambda: artin_fingerprint(word),
             lambda: braids_equal(word, word),
         ):
@@ -303,7 +315,7 @@ class TestStrandGuard:
         with pytest.raises(ValueError, match="negative"):
             check_strands(-1)
         with pytest.raises(ValueError, match="negative"):
-            identity_images(-2)
+            _basis(-2)
 
 
 def reduced_word(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -485,7 +497,8 @@ class TestConjugateKernel:
             n = rng.randint(2, 7)
             u = reduced_word(rng, n, rng.randint(0, 15))
             v = random_word(rng, n, rng.randint(0, 15))
-            assert artin_apply(artin_fingerprint(u), v.letters) == artin_fingerprint(u * v)
+            extended = _decode(_apply(_apply(_basis(n), u.letters), v.letters))
+            assert extended == artin_fingerprint(u * v)
 
 
 def reference_conjugate(w: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
@@ -550,7 +563,8 @@ class TestCodedKernel:
             u = random_word(rng, n, rng.randint(0, 30))
             v = random_word(rng, n, rng.randint(0, 15))
             assert artin_fingerprint(u) == reference_fingerprint(u)
-            assert artin_apply(artin_fingerprint(u), v.letters) == reference_fingerprint(u * v)
+            extended = _decode(_apply(_apply(_basis(n), u.letters), v.letters))
+            assert extended == reference_fingerprint(u * v)
             # v, a braid-relator conjugate of v, or u itself: equal and unequal pairs
             i = rng.randint(1, n - 2) if n > 2 else None
             if i is not None and rng.random() < 0.5:
@@ -571,8 +585,8 @@ class TestCodedKernel:
             v = top_word(rng, strands, rng.randint(0, 10))
             fp = artin_fingerprint(u)
             assert fp == reference_fingerprint(u)
-            assert _decode(_encode(fp)) == fp
-            assert artin_apply(fp, v.letters) == reference_fingerprint(u * v)
+            extended = _decode(_apply(_apply(_basis(strands), u.letters), v.letters))
+            assert extended == reference_fingerprint(u * v)
             want = reference_fingerprint(u) == reference_fingerprint(v)
             assert braids_equal(u, v) == want
             commute = reference_fingerprint(u * v) == reference_fingerprint(v * u)
@@ -584,12 +598,13 @@ class TestCodedKernel:
         rng = random.Random(2402 + strands)
         for _ in range(6):
             u = top_word(rng, strands, 24)
-            start = artin_fingerprint(BraidWord(strands, u.letters[:8]))
+            coded_start = _apply(_basis(strands), u.letters[:8])
+            start = _decode(coded_start)
             for guard in range(strands, strands + 120, 3):
                 for coded, reference in (
                     (lambda: artin_fingerprint(u, guard), lambda: reference_fingerprint(u, guard)),
                     (
-                        lambda: artin_apply(start, u.letters[8:], guard),
+                        lambda: _decode(_apply(coded_start, u.letters[8:], guard)),
                         lambda: reference_apply(start, u.letters[8:], guard),
                     ),
                 ):
@@ -605,16 +620,10 @@ class TestCodedKernel:
     def test_public_results_are_plain_int_tuples(self, strands):
         rng = random.Random(2403)
         u = top_word(rng, strands, 20)
-        identity = identity_images(strands)
+        identity = artin_fingerprint(BraidWord.identity(strands))
         assert identity == tuple((i,) for i in range(1, strands + 1))
-        for images in (identity, artin_fingerprint(u), artin_apply(identity, u.letters)):
+        for images in (identity, artin_fingerprint(u)):
             assert is_plain(images)
-        assert artin_apply(list(map(list, identity)), u.letters) == artin_fingerprint(u)
-
-    @pytest.mark.parametrize("letter", [0, MAX_STRANDS + 1, -(MAX_STRANDS + 1)])
-    def test_foreign_letters_are_refused(self, letter):
-        with pytest.raises(ValueError, match="free-group letters"):
-            artin_apply(((1,), (2, letter)), (1,))
 
     def test_long_seams(self):
         # sigma_1^k: each step cancels most of two images against each other,
@@ -641,11 +650,14 @@ class TestCodedKernel:
                 )
                 yield _free_reduce(y + c + z + c + e), _free_reduce(_free_inv(e) + z + c + e)
 
+        def code(u, narrow):  # the letters coded as _basis codes them, below 128 strands or not
+            return bytes(g & 255 for g in u) if narrow else "".join(chr(g % 0x110000) for g in u)
+
         for strands in (3, 200):
             for w, x in seam_pairs():
                 if strands > 3:
                     w, x = (tuple(g + 196 if g > 0 else g - 196 for g in u) for u in (w, x))
                 want = reference_conjugate(w, x)
-                cw, cw_inv, cx = _encode((w, _free_inv(w), x))
+                cw, cw_inv, cx = (code(u, strands < 128) for u in (w, _free_inv(w), x))
                 assert _decode((_conjugate(cw, cw_inv, cx),)) == (want,)
                 assert _conjugate(w, _free_inv(w), x) == want

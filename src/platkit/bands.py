@@ -51,7 +51,7 @@ from .plats import (
     plat_closure,
 )
 from .stabilize import StabilizationProfile, _tail_with_events, stabilization_tail, stabilize_by_profile
-from .systems import BraidSystem, MonodromyEntry
+from .systems import BraidSystem, MonodromyEntry, _entry_from_obj, _entry_to_obj
 from .words import (
     BraidWord,
     BudgetError,
@@ -61,9 +61,11 @@ from .words import (
     _apply,
     _basis,
     _frozen,
+    _insert,
     braids_equal,
     json_field,
     parse_braid,
+    product,
 )
 
 
@@ -125,10 +127,7 @@ def surgery_events(bb: BandedBraid) -> list[tuple[int, int]]:
 
 def band_surgery(bb: BandedBraid) -> BraidWord:
     """The base word with every band's crossing inserted at its height."""
-    letters = list(bb.base.letters)
-    for pos, letter in surgery_events(bb):
-        letters.insert(pos, letter)
-    return BraidWord(bb.base.strands, tuple(letters))
+    return BraidWord(bb.base.strands, _insert(bb.base.letters, surgery_events(bb)))
 
 
 def stabilized_copy(bb: BandedBraid, profile: StabilizationProfile) -> BandedBraid:
@@ -353,9 +352,7 @@ def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
         StripRecord("E6", BraidWord(n, alpha2_star), identity),
     )
 
-    boundary = (
-        gamma_w.inverse() * delta_w * delta_p_w * gamma_p_w.inverse()
-    )
+    # the boundary gamma^-1 delta delta' gamma'^-1 is the product of these four
     boundary_factors = (
         certs.gamma.inverse(),
         certs.delta,
@@ -366,7 +363,7 @@ def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
         degree=n,
         strips=strips,
         branch_points=tuple(branch_points),
-        boundary=boundary,
+        boundary=product([expand_expression(f) for f in boundary_factors]),
         boundary_factors=boundary_factors,
         chi=n - len(branch_points),
         certificates=certs,
@@ -554,10 +551,7 @@ def plan_to_obj(plan: BraidedSurfacePlan) -> dict:
         "chi": plan.chi,
         "boundary": plan.boundary.text(),
         "boundary_factors": [format_expression(e) for e in plan.boundary_factors],
-        "branch_points": [
-            {"conjugator": e.conjugator.text(), "index": e.index, "sign": e.sign}
-            for e in plan.branch_points
-        ],
+        "branch_points": [_entry_to_obj(e) for e in plan.branch_points],
         "strips": [_strip_to_obj(s) for s in plan.strips],
         "certificates": certificates_to_obj(plan.certificates),
     }
@@ -592,12 +586,8 @@ def plan_from_obj(obj: dict) -> BraidedSurfacePlan:
         )
 
     strips = tuple(strip_from_obj(s) for s in json_field(obj, "strips", list))
-    branch_points = tuple(
-        MonodromyEntry(
-            word(e, "conjugator"), json_field(e, "index", int), json_field(e, "sign", int)
-        )
-        for e in json_field(obj, "branch_points", list)
-    )
+    points = json_field(obj, "branch_points", list)
+    branch_points = tuple(_entry_from_obj(e, degree) for e in points)
     factors = json_field(obj, "boundary_factors", list)
     if not all(isinstance(t, str) for t in factors):
         raise ValueError(f"'boundary_factors' must be a list of strings, got {factors!r}")

@@ -68,17 +68,19 @@ class MotionPicture:
         return self.stills[0].strands
 
 
+def _framed(n: int, stills, caps, cups) -> MotionPicture:
+    """The stills between a still of top wickets ``caps`` and one of bottom wickets ``cups``."""
+    ident = BraidWord.identity(n)
+    return MotionPicture(
+        (Still("caps", n, ident, caps=caps), *stills, Still("cups", n, ident, cups=cups))
+    )
+
+
 def plat_motion(diagram: PlatDiagram) -> MotionPicture:
     """Three stills for a plat: top wickets, the braid, bottom wickets."""
     n = diagram.word.strands
-    ident = BraidWord.identity(n)
-    return MotionPicture(
-        (
-            Still("caps", n, ident, caps=diagram.top.pairs()),
-            Still("braid", n, diagram.word),
-            Still("cups", n, ident, cups=diagram.bottom.pairs()),
-        )
-    )
+    stills = [Still("braid", n, diagram.word)]
+    return _framed(n, stills, diagram.top.pairs(), diagram.bottom.pairs())
 
 
 def plan_motion(plan: BraidedSurfacePlan) -> MotionPicture:
@@ -88,16 +90,12 @@ def plan_motion(plan: BraidedSurfacePlan) -> MotionPicture:
     lower edge together with the strip's band events.
     """
     n = plan.degree
-    ident = BraidWord.identity(n)
     wickets = Pairing.standard(n // 2).pairs()
-    stills = [Still("caps", n, ident, caps=wickets)]
+    stills = []
     for strip in reversed(plan.strips):
-        marks = tuple(
-            BandMark(b.slot, b.sign, b.kind) for b in strip.bands
-        )
+        marks = tuple(BandMark(b.slot, b.sign, b.kind) for b in strip.bands)
         stills.append(Still(strip.name, n, strip.bottom, bands=marks))
-    stills.append(Still("cups", n, ident, cups=wickets))
-    return MotionPicture(tuple(stills))
+    return _framed(n, stills, wickets, wickets)
 
 
 def system_motion(system: BraidSystem) -> MotionPicture:
@@ -112,10 +110,9 @@ def system_motion(system: BraidSystem) -> MotionPicture:
     n = system.degree
     if n % 2 != 0:
         raise ValueError("plat cross-sections need an even degree")
-    ident = BraidWord.identity(n)
     # free reduction is confluent: reducing level k-1 times entry k again
     # gives the reduced product of the first k entries
-    sections = [ident]
+    sections = [BraidWord.identity(n)]
     points = 3 * n  # caps, cups and level 0
     for e in system.entries:
         sections.append(BraidWord(n, _free_reduce(sections[-1].letters + _entry_letters(e))))
@@ -123,7 +120,7 @@ def system_motion(system: BraidSystem) -> MotionPicture:
         if points > MAX_SVG_POINTS:
             raise BudgetError(f"the SVG needs more points than the limit of {MAX_SVG_POINTS}")
     wickets = Pairing.standard(n // 2).pairs()
-    stills = [Still("caps", n, ident, caps=wickets)]
+    stills = []
     for k in range(system.r, -1, -1):
         marks = ()
         if k >= 1:
@@ -134,8 +131,7 @@ def system_motion(system: BraidSystem) -> MotionPicture:
                 index, sign = abs(e.letters[0]) if e.letters else 1, 1
             marks = (BandMark(index, sign, "branch"),)
         stills.append(Still(f"level {k}", n, sections[k], bands=marks))
-    stills.append(Still("cups", n, ident, cups=wickets))
-    return MotionPicture(tuple(stills))
+    return _framed(n, stills, wickets, wickets)
 
 
 def motion_to_obj(picture: MotionPicture) -> dict:

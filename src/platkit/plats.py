@@ -19,9 +19,10 @@ loop evaluates to 1.  The mirror letter -i swaps the two coefficients.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .laurent import Laurent, equal_up_to_unit, loop_power
-from .words import BraidWord, BudgetError, _frozen, _strand_images, check_strands
+from .words import BraidWord, BudgetError, _cycle_type, _frozen, _strand_images, check_strands
 
 DEFAULT_BRACKET_BUDGET = 24
 
@@ -86,32 +87,16 @@ def component_count(diagram: PlatDiagram) -> int:
     """Number of link components of the plat closure.
 
     The bottom pairing, carried up through the braid's permutation, is a
-    matching of the top endpoints; capping it off with the top pairing
-    closes one loop per component.
+    matching of the top endpoints.  Each component is a loop that crosses
+    the matching and the top pairing in turn, so it is two cycles of the
+    permutation "top after matching", one per direction.
     """
     pi = _strand_images(diagram.word.strands, diagram.word.letters)
-    matching = [0] * len(pi)
+    top = diagram.top.partner
+    images = [0] * len(pi)
     for x, y in zip(pi, diagram.bottom.partner):
-        matching[x - 1] = pi[y - 1] - 1
-    return _close_loops(tuple(matching), tuple(p - 1 for p in diagram.top.partner))
-
-
-def _close_loops(matching: tuple[int, ...], top: tuple[int, ...]) -> int:
-    """Loops formed when a planar matching is capped off by the top pairing, both 0-based."""
-    n = len(matching)
-    seen = [False] * n
-    loops = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        loops += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = matching[x]  # travel the diagram below
-            seen[y] = True
-            x = top[y]  # hop across a top arc
-    return loops
+        images[x - 1] = top[pi[y - 1] - 1]
+    return len(_cycle_type(images)) // 2
 
 
 def _unpack(packed: int, width: int, base: int) -> dict[int, int]:
@@ -195,10 +180,6 @@ def _shrink(
         kinks,
         loops,
     )
-
-
-# the last diagram the sweep ran on and its bracket; see kauffman_bracket
-_last: tuple[PlatDiagram, Laurent] | None = None
 
 
 def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET) -> Laurent:
@@ -322,22 +303,25 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     when the diagram has more than ``budget`` crossings, counted as
     written, before the pre-pass.
 
-    Memo.  The last diagram swept and its bracket are kept in one module
-    slot.  After the budget check, a diagram equal to it by value (the
-    same word and pairings, so a rebuilt ``plat_closure(w)`` counts) gets
-    the stored bracket back without a sweep; any other diagram replaces
-    it.  So :func:`triviality_check` right after this call on the same
-    diagram sweeps nothing, while a pass over many diagrams keeps at most
-    one and reuses nothing from an earlier pass.
+    Memo.  After the budget check the sweep runs in ``_sweep``, whose
+    ``functools.lru_cache`` of size one keeps the last diagram and its
+    bracket.  A diagram equal to it by value (the same word and pairings,
+    so a rebuilt ``plat_closure(w)`` counts) gets the stored bracket back
+    without a sweep; any other diagram replaces it.  So
+    :func:`triviality_check` right after this call on the same diagram
+    sweeps nothing, while a pass over many diagrams keeps at most one and
+    reuses nothing from an earlier pass.
     """
-    global _last
     if len(diagram.word) > budget:
         raise BudgetError(
             f"diagram has {len(diagram.word)} crossings, over the budget of {budget}"
         )
-    last = _last
-    if last is not None and last[0] == diagram:
-        return last[1]
+    return _sweep(diagram)
+
+
+@lru_cache(maxsize=1)
+def _sweep(diagram: PlatDiagram) -> Laurent:
+    """The bracket of :func:`kauffman_bracket`, with no budget check: pre-pass and sweep."""
     letters, start, top, kinks, split = _shrink(diagram)
     n = len(start)
     c = len(letters)
@@ -466,9 +450,7 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     for key, x in states.items():
         for e, coeff in _unpack(x, width, base + 2 * (key & 1)).items():
             total[e] = total.get(e, 0) + coeff
-    bracket = Laurent.from_dict(total) * loop_power(split - (0 if n else 1))
-    _last = (diagram, bracket)
-    return bracket
+    return Laurent.from_dict(total) * loop_power(split - (0 if n else 1))
 
 
 class Triviality(Enum):

@@ -20,7 +20,7 @@ its bracket up to a unit, which is what makes it a stabilization.
 
 from __future__ import annotations
 
-from .words import BraidWord, BudgetError, _free_inv, _frozen, embed, product
+from .words import BraidWord, BudgetError, _free_inv, _frozen, _insert, _plain_int
 
 # The most strands a stabilization may produce.  A profile tail conjugates
 # each block by a swap chain across all pairs, so its length grows with the
@@ -36,11 +36,13 @@ class StabilizationProfile:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        # each entry is stored as a plain int (a bool too), as letters are
+        entries = tuple(_plain_int(l, "profile entry") for l in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if not entries:
             raise ValueError("a profile needs at least one entry")
-        if any(l < 0 for l in self.entries):
+        if any(l < 0 for l in entries):
             raise ValueError("profile entries must be non-negative")
-        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def pairs(self) -> int:
@@ -86,14 +88,15 @@ def stabilize(word: BraidWord, extra_pairs: int) -> BraidWord:
 def pair_swap(i: int, strands: int) -> BraidWord:
     """The braid swapping standard pairs i and i+1 wholesale.
 
-    Four crossings: sigma_{2i} sigma_{2i-1} sigma_{2i+1} sigma_{2i}.
+    Four crossings: sigma_{2i} sigma_{2i-1} sigma_{2i+1} sigma_{2i}, the
+    one-swap chain swap_chain(i, i, i + 1, strands).
     """
+    i = _plain_int(i, "pair index")
     if strands % 2 != 0:
         raise ValueError("pair swaps need an even strand count")
     if not 1 <= i <= strands // 2 - 1:
         raise ValueError(f"pair index {i} out of range for {strands} strands")
-    k = 2 * i
-    return BraidWord(strands, (k, k - 1, k + 1, k))
+    return swap_chain(i, i, i + 1, strands)
 
 
 def swap_chain(i: int, j: int, pivot: int, strands: int) -> BraidWord:
@@ -101,16 +104,22 @@ def swap_chain(i: int, j: int, pivot: int, strands: int) -> BraidWord:
 
     The word is swap_i ... swap_{pivot-1} followed by swap_pivot^{-1} ...
     swap_j^{-1}; the first run is empty when i = pivot and the second when
-    j = pivot - 1.
+    j = pivot - 1.  This is the one place the four letters of a swap are written.
     """
+    i, j, pivot = (_plain_int(v, "pair index") for v in (i, j, pivot))
     pairs = strands // 2
     if not 1 <= i <= pivot:
         raise ValueError(f"need 1 <= i <= {pivot}, got {i}")
     if not pivot - 1 <= j <= pairs - 1:
         raise ValueError(f"need {pivot - 1} <= j <= {pairs - 1}, got {j}")
-    parts = [pair_swap(k, strands) for k in range(i, pivot)]
-    parts.extend(pair_swap(k, strands).inverse() for k in range(pivot, j + 1))
-    return product(parts, strands=strands)
+    if strands % 2 != 0 and i <= j:
+        raise ValueError("pair swaps need an even strand count")
+    letters: list[int] = []
+    for k in range(2 * i, 2 * pivot, 2):
+        letters += (k, k - 1, k + 1, k)
+    for k in range(2 * pivot, 2 * j + 2, 2):
+        letters += (-k, -k - 1, 1 - k, -k)
+    return BraidWord(strands, tuple(letters))
 
 
 def _tail_with_events(profile: StabilizationProfile) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
@@ -145,14 +154,7 @@ def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
     conjugated into place by a swap chain.  Blocks with no inserted pairs
     contribute nothing.
     """
-    scaffold, events = _tail_with_events(profile)
-    letters: list[int] = []
-    # letters already holds the `rank` run letters inserted before this one
-    for rank, (pos, letter) in enumerate(events):
-        letters.extend(scaffold[len(letters) - rank : pos - rank])
-        letters.append(letter)
-    letters.extend(scaffold[len(letters) - len(events) :])
-    return BraidWord(2 * profile.total, tuple(letters))
+    return BraidWord(2 * profile.total, _insert(*_tail_with_events(profile)))
 
 
 def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> BraidWord:
@@ -171,4 +173,5 @@ def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> Brai
         raise BudgetError(
             f"stabilizing to {n} strands is over the limit of {MAX_STABILIZED_STRANDS}"
         )
-    return embed(word, n) * stabilization_tail(profile)
+    # the word on n strands, then the letters of stabilization_tail(profile)
+    return BraidWord(n, word.letters + _insert(*_tail_with_events(profile)))

@@ -39,7 +39,6 @@ from .words import (
     exponent_sum,
     json_field,
     parse_braid,
-    product,
 )
 
 DEFAULT_SEARCH_BUDGET = 20000
@@ -129,6 +128,7 @@ class BraidSystem:
     entries: tuple[Entry, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", _plain_int(self.degree, "degree"))
         if self.degree < 1:
             raise ValueError("strand count must be positive")
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -146,7 +146,7 @@ class BraidSystem:
 
 def boundary_braid(system: BraidSystem) -> BraidWord:
     """The product of all entries; the braid the surface's boundary traces."""
-    return product(system.words(), strands=system.degree)
+    return BraidWord(system.degree, tuple(chain.from_iterable(map(_entry_letters, system.entries))))
 
 
 def is_two_dimensional(system: BraidSystem) -> bool:
@@ -250,10 +250,7 @@ def hurwitz_search(
     try:
         n = s1.degree
         letters1, letters2 = ([_entry_letters(e) for e in s.entries] for s in (s1, s2))
-        boundary1, boundary2 = (
-            BraidWord(n, tuple(chain.from_iterable(letters))) for letters in (letters1, letters2)
-        )
-        if not braids_equal(boundary1, boundary2):
+        if not braids_equal(boundary_braid(s1), boundary_braid(s2)):
             return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="boundary braids differ")
         for invariant, reason in (
             (_letter_sum, "exponent-sum multisets differ"),
@@ -443,15 +440,24 @@ def ribbon_criterion(system: BraidSystem) -> bool:
     return braids_equal(w2, w1.inverse())
 
 
+def _entry_to_obj(entry: MonodromyEntry) -> dict:
+    """The JSON form of a factored entry, in system and plan files alike."""
+    return {"conjugator": entry.conjugator.text(), "index": entry.index, "sign": entry.sign}
+
+
+def _entry_from_obj(item: object, degree: int) -> MonodromyEntry:
+    """The factored entry of degree ``degree`` that :func:`_entry_to_obj` wrote as ``item``."""
+    return MonodromyEntry(
+        parse_braid(json_field(item, "conjugator", str), degree),
+        json_field(item, "index", int),
+        json_field(item, "sign", int),
+    )
+
+
 def system_to_obj(system: BraidSystem) -> dict:
-    entries: list = []
-    for e in system.entries:
-        if isinstance(e, MonodromyEntry):
-            entries.append(
-                {"conjugator": e.conjugator.text(), "index": e.index, "sign": e.sign}
-            )
-        else:
-            entries.append(e.text())
+    entries = [
+        _entry_to_obj(e) if isinstance(e, MonodromyEntry) else e.text() for e in system.entries
+    ]
     return {"degree": system.degree, "entries": entries}
 
 
@@ -468,13 +474,7 @@ def system_from_obj(obj: dict, promote: bool = False) -> BraidSystem:
             else:
                 entries.append(word)
         else:
-            entries.append(
-                MonodromyEntry(
-                    parse_braid(json_field(item, "conjugator", str), degree),
-                    json_field(item, "index", int),
-                    json_field(item, "sign", int),
-                )
-            )
+            entries.append(_entry_from_obj(item, degree))
     return BraidSystem(degree, tuple(entries))
 
 

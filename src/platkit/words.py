@@ -106,6 +106,18 @@ def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _insert(letters: tuple[int, ...], events) -> tuple[int, ...]:
+    """``letters`` with each ``(position, letter)`` event inserted in turn, merged in one pass."""
+    # a position counts the letters inserted before it, so positions increase,
+    # and out already holds the `rank` letters inserted before this one
+    out: list[int] = []
+    for rank, (pos, letter) in enumerate(events):
+        out.extend(letters[len(out) - rank : pos - rank])
+        out.append(letter)
+    out.extend(letters[len(out) - len(events) :])
+    return tuple(out)
+
+
 def _strand_images(strands: int, letters: tuple[int, ...]) -> list[int]:
     """Where each bottom endpoint ends up at the top: the images of :func:`strand_permutation`."""
     images = list(range(1, check_strands(strands) + 1))

@@ -38,8 +38,8 @@ from platkit.stabilize import (
     stabilize_by_profile,
     swap_chain,
 )
-from platkit.systems import is_two_dimensional
-from platkit.words import BraidWord, BudgetError, braids_equal, parse_braid, product
+from platkit.systems import is_two_dimensional, system_from_obj
+from platkit.words import BraidWord, BudgetError, _insert, braids_equal, parse_braid, product
 
 
 def trivial_certs(profile, profile1, profile2, **sides) -> Certificates:
@@ -124,6 +124,42 @@ class TestSurgery:
         )
         assert band_surgery(bb).letters == (1, -1)
         assert braids_equal(band_surgery(bb), BraidWord.identity(2))
+
+
+def surgery_by_list_insert(bb: BandedBraid) -> tuple[int, ...]:
+    """The surgered letters as one ``list.insert`` per band event, in time order."""
+    letters = list(bb.base.letters)
+    for pos, letter in surgery_events(bb):
+        letters.insert(pos, letter)
+    return tuple(letters)
+
+
+class TestInsert:
+    def test_no_events(self):
+        assert _insert((), []) == ()
+        assert _insert((1, -2, 3), []) == (1, -2, 3)
+
+    def test_events_at_both_ends(self):
+        assert _insert((1, 2), [(0, 5), (3, 6)]) == (5, 1, 2, 6)
+        assert _insert((1, 2), [(0, 5), (1, 6), (4, 7), (5, 8)]) == (5, 6, 1, 2, 7, 8)
+        assert _insert((), [(0, 4), (1, 5)]) == (4, 5)
+
+    def test_band_surgery_matches_list_insert(self):
+        # several bands share a gap: each lands after the ones below it
+        rng = random.Random(27)
+        for _ in range(200):
+            strands = 2 * rng.randint(1, 4)
+            length = rng.randint(0, 8)
+            letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+            base = BraidWord(strands, tuple(letters))
+            gaps = [rng.randint(0, length) for _ in range(rng.randint(1, 3))]
+            bands = []
+            for gap in gaps + gaps[:1]:
+                rank = len(bands) + 1
+                time = Fraction(gap, length + 1) + Fraction(rank, 8 * (length + 1))
+                bands.append(Band(rng.randint(1, strands - 1), rng.choice((1, -1)), time))
+            bb = BandedBraid(base, tuple(bands))
+            assert band_surgery(bb).letters == surgery_by_list_insert(bb)
 
 
 class TestStabilizedCopy:
@@ -369,6 +405,22 @@ class TestCompile:
             )
             assert braids_equal(factors, plan.boundary)
 
+    def test_boundary_is_its_factors_letter_for_letter(self):
+        # a two-band surface on 6 strands whose certificates have non-empty sides
+        seeded = BandedBraid(
+            parse_braid("4 5 -3 -4 2 1 3 2", 6),
+            (Band(1, 1, Fraction(1, 3)), Band(4, 1, Fraction(2, 3))),
+        )
+        seeded_certs = certificates_from_obj({
+            "profile": "0,0,0", "profile1": "0,0,0", "profile2": "0,1",
+            "gamma": "m=3", "gamma_prime": "m=3 g3^-1 g1",
+            "delta": "m=3 g3^-1", "delta_prime": "m=3 g0 g1",
+        })
+        for bb, certs in self.compile_cases() + [(seeded, seeded_certs)]:
+            plan = compile_surface(bb, certs)
+            expanded = [g for f in plan.boundary_factors for g in expand_expression(f).letters]
+            assert plan.boundary.letters == tuple(expanded)
+
     def test_chi_matches_realizing(self):
         for bb, certs in self.compile_cases():
             plan = compile_surface(bb, certs)
@@ -525,3 +577,21 @@ class TestSerialization:
         obj["boundary_factors"][0] = 2
         with pytest.raises(ValueError, match="'boundary_factors' must be a list of strings"):
             plan_from_obj(obj)
+
+    def test_malformed_branch_point_reads_like_a_malformed_system_entry(self):
+        obj = plan_to_obj(compile_surface(TOY, TOY_CERTS))
+        malformed = [
+            [2],
+            {"index": 2, "sign": 1},
+            {"conjugator": 3, "index": 2, "sign": 1},
+            {"conjugator": "x", "index": 2, "sign": 1},
+            {"conjugator": "", "index": "2", "sign": 1},
+            {"conjugator": "", "index": 9, "sign": 1},
+            {"conjugator": "", "index": 2, "sign": 0},
+        ]
+        for bad in malformed:
+            with pytest.raises(ValueError) as in_plan:
+                plan_from_obj(dict(obj, branch_points=[bad]))
+            with pytest.raises(ValueError) as in_system:
+                system_from_obj({"degree": obj["degree"], "entries": [bad]})
+            assert str(in_plan.value) == str(in_system.value)

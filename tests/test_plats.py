@@ -319,6 +319,70 @@ class TestComponentCountOracle:
             assert component_count(diagram) == orbit_components(diagram)
 
 
+def close_loops(diagram: PlatDiagram) -> int:
+    """Loops of the carried-up bottom matching capped off by the top pairing,
+    walked a matching arc and a top arc at a time."""
+    pi = strand_permutation(diagram.word).images
+    matching = [0] * len(pi)
+    for x, y in zip(pi, diagram.bottom.partner):
+        matching[x - 1] = pi[y - 1] - 1
+    top = [p - 1 for p in diagram.top.partner]
+    seen = [False] * len(pi)
+    loops = 0
+    for start in range(len(pi)):
+        if seen[start]:
+            continue
+        loops += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = matching[x]  # travel the diagram below
+            seen[y] = True
+            x = top[y]  # hop across a top arc
+    return loops
+
+
+def planar_pairing(rng: random.Random, size: int) -> Pairing:
+    """A random non-crossing pairing: each position opens a pair or closes the last one open."""
+    partner = [0] * size
+    stack: list[int] = []
+    unopened = size // 2
+    for p in range(1, size + 1):
+        if stack and (not unopened or rng.random() < 0.5):
+            q = stack.pop()
+            partner[p - 1], partner[q - 1] = q, p
+        else:
+            stack.append(p)
+            unopened -= 1
+    return Pairing(tuple(partner))
+
+
+class TestComponentCountAsCycles:
+    """component_count counts the cycles of "top after matching", two per loop."""
+
+    def test_matches_the_loop_walk(self):
+        rng = random.Random(13)
+        for _ in range(400):
+            strands = 2 * rng.randint(1, 8)
+            make = rng.choice((planar_pairing, random_pairing))
+            word = random_word(rng, strands, rng.randint(0, 40))
+            diagram = PlatDiagram(word, make(rng, strands), make(rng, strands))
+            assert component_count(diagram) == close_loops(diagram)
+
+    def test_two_strands(self):
+        for text in ("", "1", "-1 -1 1", "1 1 1 1"):
+            diagram = plat_closure(parse_braid(text, 2))
+            assert component_count(diagram) == close_loops(diagram) == 1
+
+    def test_planar_pairings_are_planar(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            pairs = planar_pairing(rng, 2 * rng.randint(1, 8)).pairs()
+            for a, b in pairs:
+                for c, d in pairs:
+                    assert not a < c < b < d
+
+
 class TestBracket:
     def test_single_positive_crossing(self):
         assert kauffman_bracket(plat_closure(parse_braid("1", 2))) == U(3, -1)

@@ -21,6 +21,7 @@ from platkit.words import (
     braids_equal,
     embed,
     parse_braid,
+    product,
     strand_permutation,
 )
 
@@ -46,6 +47,14 @@ class TestProfile:
         assert p.pairs == 3
         assert p.total == 6
         assert [p.prefix_total(i) for i in range(4)] == [3, 4, 4, 6]
+
+    def test_entries_are_plain_ints(self):
+        for entries in ((1.5, 0), ("1",), (1, None)):
+            with pytest.raises(ValueError, match="profile entry .* is not an integer"):
+                StabilizationProfile(entries)
+        profile = StabilizationProfile((True, 0))
+        assert profile.entries == (1, 0)
+        assert [type(l) for l in profile.entries] == [int, int]
 
     def test_parse_text_round_trip(self):
         p = StabilizationProfile.parse("1,0,2")
@@ -75,6 +84,10 @@ class TestPlainStabilization:
             stabilize(parse_braid("1", 3), 1)
         with pytest.raises(ValueError):
             stabilize(parse_braid("1", 2), -1)
+
+    def test_non_integer_count_is_refused_at_once(self):
+        with pytest.raises(ValueError, match="profile entry 1.5 is not an integer"):
+            stabilize(parse_braid("1", 6), 1.5)
 
     def test_preserves_components(self):
         # each appended crossing merges its new pair into the existing link
@@ -106,7 +119,45 @@ class TestPairSwap:
             pair_swap(1, 3)
 
 
+def swap_by_formula(k: int, strands: int) -> BraidWord:
+    """sigma_2k sigma_2k-1 sigma_2k+1 sigma_2k, written out."""
+    return BraidWord(strands, (2 * k, 2 * k - 1, 2 * k + 1, 2 * k))
+
+
+def chain_by_product(i: int, j: int, pivot: int, strands: int) -> BraidWord:
+    """A swap chain as the product of its swaps and inverse swaps, one word each."""
+    parts = [swap_by_formula(k, strands) for k in range(i, pivot)]
+    parts.extend(swap_by_formula(k, strands).inverse() for k in range(pivot, j + 1))
+    return product(parts, strands=strands)
+
+
 class TestSwapChain:
+    def test_matches_the_product_of_swaps(self):
+        for pairs in range(1, 9):
+            strands = 2 * pairs
+            for k in range(1, pairs):
+                assert pair_swap(k, strands) == swap_by_formula(k, strands)
+            for pivot in range(1, pairs + 1):
+                for i in range(1, pivot + 1):
+                    for j in range(pivot - 1, pairs):
+                        got = swap_chain(i, j, pivot, strands)
+                        assert got == chain_by_product(i, j, pivot, strands)
+
+    def test_odd_strands(self):
+        # the empty chain is the identity; a chain with a swap needs paired strands
+        assert swap_chain(2, 1, 2, 7) == BraidWord.identity(7)
+        for i, j in ((1, 1), (2, 2), (1, 2)):
+            with pytest.raises(ValueError, match="even strand count"):
+                swap_chain(i, j, 2, 7)
+
+    def test_indices_are_plain_ints(self):
+        for args in ((1.0, 1, 2, 8), (1, 1.5, 2, 8), (1, 1, 2.0, 8), ("1", 1, 2, 8)):
+            with pytest.raises(ValueError, match="pair index .* is not an integer"):
+                swap_chain(*args)
+        with pytest.raises(ValueError, match="pair index 1.5 is not an integer"):
+            pair_swap(1.5, 4)
+        assert swap_chain(True, 1, 2, 8) == swap_chain(1, 1, 2, 8)
+
     def test_trivial_chain(self):
         # i = pivot and j = pivot - 1 leaves nothing to do
         assert swap_chain(2, 1, 2, 8) == BraidWord.identity(8)
@@ -212,6 +263,25 @@ class TestStabilizeByProfile:
             b0 = kauffman_bracket(plat_closure(w))
             b1 = kauffman_bracket(plat_closure(stabilized))
             assert equal_up_to_unit(b0, b1)
+
+
+class TestWordsBuilt:
+    def test_one_word_per_chain(self, monkeypatch):
+        # the letters of each swap come in closed form, and the tail is merged
+        # into the result: m chains and at most three more words
+        m = 64
+        word, profile = BraidWord(2 * m, (1, 3, 5)), StabilizationProfile((1,) * m)
+        expected = stabilize_by_profile(word, profile)
+        built = [0]
+        post_init = BraidWord.__post_init__
+
+        def counting_post_init(w):
+            built[0] += 1
+            post_init(w)
+
+        monkeypatch.setattr(BraidWord, "__post_init__", counting_post_init)
+        assert stabilize_by_profile(word, profile) == expected
+        assert built[0] <= m + 3
 
 
 class TestSizeGuard:

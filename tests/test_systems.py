@@ -137,6 +137,13 @@ class TestSystems:
             with pytest.raises(ValueError, match="strand count must be positive"):
                 BraidSystem(degree, ())
 
+    def test_degree_is_a_plain_int(self):
+        for degree in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="degree .* is not an integer"):
+                BraidSystem(degree, ())
+        system = BraidSystem(True, ())
+        assert system.degree == 1 and type(system.degree) is int
+
     def test_r_and_words(self):
         s = BraidSystem(3, (parse_braid("1", 3), MonodromyEntry(BraidWord.identity(3), 2, 1)))
         assert s.r == 2

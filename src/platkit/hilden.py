@@ -19,6 +19,7 @@ when one exists within the length bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from operator import itemgetter
 from typing import Iterator
 
@@ -64,7 +65,12 @@ def hilden_generators(m: int) -> list[BraidWord]:
 
 
 def _pair_images(strands: int, letters: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Where the letters' permutation sends each standard pair, or None when it breaks one."""
+    """Where the letters' permutation sends each standard pair, or None when it breaks one.
+
+    The images are signed: pair k goes to pair j as j, or as -j when it
+    lands on pair j reversed.  In diagram order the images of a product are
+    those of its factors composed, sign times sign.
+    """
     if strands % 2 != 0:
         raise ValueError("pairing test needs an even strand count")
     pi = _strand_images(strands, letters)
@@ -73,8 +79,26 @@ def _pair_images(strands: int, letters: tuple[int, ...]) -> tuple[int, ...] | No
         a, b = pi[2 * k], pi[2 * k + 1]
         if abs(a - b) != 1 or (min(a, b) % 2) != 1:
             return None
-        images.append((a + 1) // 2)
+        images.append((a + 1) // 2 if a < b else -(a // 2))
     return tuple(images)
+
+
+def _type_b_length(gap: tuple[int, ...]) -> int:
+    """The length of a signed pair permutation in the Coxeter group B_m.
+
+    With g0 negating entry 1 and the pair swaps exchanging entries i and
+    i + 1, the length is inv + neg + nsp: the pairs j < k with gap[j] >
+    gap[k], the negative entries, and the pairs j < k with gap[j] + gap[k]
+    < 0 (Bjoerner and Brenti, Combinatorics of Coxeter Groups, Prop. 8.1.1).
+    The last two sum to minus the sum of the negative entries, which is
+    what this adds to the inversion count.  O(m log m) comparisons.
+    """
+    seen: list[int] = []
+    length = 0
+    for x in gap:
+        length += len(seen) - bisect_right(seen, x) - min(x, 0)
+        insort(seen, x)
+    return length
 
 
 def preserves_pairing(word: BraidWord) -> bool:
@@ -91,7 +115,7 @@ def pair_permutation(word: BraidWord) -> Permutation:
     images = _pair_images(word.strands, word.letters)
     if images is None:
         raise ValueError("word does not preserve the standard pairing")
-    return Permutation(images)
+    return Permutation(tuple(map(abs, images)))
 
 
 @_frozen
@@ -184,29 +208,36 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
 
     A child kept at depth k must still reach the target in ``max_len - k``
     factors; each factor moves the exponent sum by at most ``max_step_sum``
-    and the pair distance by exactly one (g0 by zero).  ``apply`` extends a
-    fingerprint by a factor's letters.
+    and the type-B distance by exactly one.  The child that undoes the
+    state's last move is its parent, already seen, so it is not built.
+    ``apply`` extends a fingerprint by a factor's letters.
     """
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
+    undoes = [(idx, -exp) for (idx, exp), _, _, _ in steps]
 
     def successors(state, depth):
-        fp, esum, gap, dist = state
+        fp, esum, gap, dist, undo = state
         remaining = max_len - depth - 1
         children = []
-        for move, letters, step_sum, swap in steps:
+        for (move, letters, step_sum, swap), inverse in zip(steps, undoes):
+            if move == undo:
+                continue
             new_sum = esum + step_sum
             if abs(target_sum - new_sum) > remaining * max_step_sum:
                 continue
-            new_gap, new_dist = gap, dist
             if swap:
                 a, b = gap[swap - 1], gap[swap]
-                new_dist += 1 if a < b else -1
+                new_dist = dist + 1 if a < b else dist - 1
                 if new_dist > remaining:
                     continue
                 new_gap = gap[: swap - 1] + (b, a) + gap[swap + 1 :]
-            elif dist > remaining:
-                continue
-            children.append((move, (apply(fp, letters), new_sum, new_gap, new_dist)))
+            else:
+                head = gap[0]
+                new_dist = dist + 1 if head > 0 else dist - 1
+                if new_dist > remaining:
+                    continue
+                new_gap = (-head,) + gap[1:]
+            children.append((move, (apply(fp, letters), new_sum, new_gap, new_dist, inverse)))
         return children
 
     return successors
@@ -225,27 +256,39 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     by fingerprint.  ``max_len`` is read as a plain int, and ValueError is
     raised when it is not one or is negative.
 
-    States.  A state is ``(fingerprint, exponent sum, gap, distance)``.
-    With p the prefix's pair permutation and t the target's, in diagram
-    order, ``gap`` is the images of p^-1 t and ``distance`` its inversion
-    count, the fewest adjacent pair swaps from p to t; at the start ``gap``
-    is t.  A factor with swap i takes p to p s_i and ``gap`` to s_i p^-1 t:
-    entries i and i + 1 exchanged.  Only the order of those two entries
-    flips, so the distance moves by exactly one, +1 if entry i is the
-    smaller, else -1; g0 moves neither.  The key is the fingerprint alone,
-    and ``gap`` is a function of the group element, so the states visited
-    and the expression returned do not depend on how the pairs are tracked.
+    States.  A state is ``(fingerprint, exponent sum, gap, distance,
+    undo)``.  A member acts on the m standard pairs as an element of the
+    hyperoctahedral group B_m, written as its signed pair images
+    (``_pair_images``), which compose in diagram order; g0 acts as the
+    Coxeter generator s_0, which turns pair 1 over, and a factor with swap
+    i as s_i, which exchanges pairs i and i + 1.  With p the prefix's
+    signed pair permutation and t the target's, ``gap`` is p^-1 t and
+    ``distance`` its type-B length inv + neg + nsp (``_type_b_length``):
+    the inversions, the negative entries, and the pairs of entries with a
+    negative sum.  At the start ``gap`` is t.  A factor acting as s takes p
+    to p s and ``gap`` to s p^-1 t: s_i exchanges entries i and i + 1, s_0
+    negates entry 1.  A generator moves any Coxeter length by exactly one,
+    here +1 if entry i is less than entry i + 1, else -1, and for s_0 +1
+    if entry 1 is positive, else -1 (Bjoerner and Brenti, Prop. 8.1.2).
+    So a state at depth k whose distance exceeds max_len - k is no prefix
+    of an expression of t within the bound, and dropping it is exact.
+    ``undo`` is the move back to the state's parent, None at the start.
+    That child is the parent, already seen, so it is not built.  The key
+    is the fingerprint alone, and ``gap`` is a function of the group
+    element, so the states visited and the expression returned do not
+    depend on how the pairs are tracked.
 
     Two sides.  The forward side is ``bfs`` from the identity, to depth
     ceil(max_len / 2).  The backward side is ``bfs`` from t, to depth
     floor(max_len / 2); its move f takes y to y f^-1, so after the moves
     f_1, ..., f_j it holds y = t u^-1 with u = f_j ... f_1.  Its states
     mirror the forward ones with the identity as target: the exponent sum
-    must come back to 0, and with z the pair permutation of y the gap is
-    z^-1, which y f^-1 takes to s_i z^-1, so the same rule moves the
-    distance by one.  A child kept at depth k must reach its side's target
-    in max_len - k factors, by exponent sum and by distance; every state of
-    an expression of t within ``max_len`` factors passes, on either side.
+    must come back to 0, and with z the signed pair permutation of y the
+    gap is z^-1, which y f^-1 takes to s z^-1, so the same rule moves the
+    distance by one.  Its start distance is t's, as t^-1 has t's length.
+    A child kept at depth k must reach its side's target in max_len - k
+    factors, by exponent sum and by distance; every state of an expression
+    of t within ``max_len`` factors passes, on either side.
 
     Meeting.  Let W = w_1 ... w_d be the least shortest expression of t
     and k <= d.  The prefix w_1 ... w_k is a shortest expression of its
@@ -268,24 +311,25 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     Suffix.  When floor(d/2) <= 1, S is the backward path itself: no
     factors, or the one factor, the only one-factor expression of its
     braid.  Otherwise S is the forward search for u = x^-1 t with bound
-    floor(d/2).  Its exponent sum is t's less x's, its pair permutation is
-    x's gap and its inversion count x's distance, all carried by x's state,
-    so the target's pairs are walked once; its fingerprint is that of the
-    backward path's letters.
+    floor(d/2).  Its exponent sum is t's less x's, its signed pair
+    permutation is x's gap and its length x's distance, all carried by x's
+    state, so the target's pairs are walked once; its fingerprint is that
+    of the backward path's letters.
 
     Cost.  With b = 2(m + 1) signed factors and witness length d, the
     sides build about b^ceil(d/2) + b^floor(d/2) states and the suffix at
     most b^floor(d/2), where a one-sided search built b^d; a search that
-    finds nothing builds both sides to their bounds.  Each side reads one
-    state past each layer it finishes.  Each state kept costs an m-tuple
-    copy and a fingerprint extension.  The extensions of the forward side
+    finds nothing builds both sides to their bounds.  A state past the
+    start builds at most b - 1 children, as the undo child is skipped.
+    Each side reads one state past each layer it finishes.  Each state kept
+    costs an m-tuple copy and a fingerprint extension.  The extensions of the forward side
     and of the suffix search do not depend on the target, so they go
     through the process-wide memo ``words._cached_apply``: a step that an
     earlier search took is fingerprinted once per process while the memo
     holds it, and costs a hash of the parent's fingerprint after that.
     The backward side starts from the target and extends plainly.  The
     memo changes no state, order or witness (see its docstring).  The
-    factor table costs O(m).
+    factor table costs O(m), and t's length O(m log m) comparisons.
     """
     max_len = _plain_int(max_len, "max_len")
     if max_len < 0:
@@ -305,29 +349,32 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         (move, letters_of[move[0], -move[1]], -step_sum, swap)
         for move, _, step_sum, swap in steps
     ]
-    inversions = sum(1 for j, x in enumerate(target_gap) for y in target_gap[j + 1 :] if x > y)
+    target_inverse = [0] * m
+    for k, x in enumerate(target_gap, start=1):
+        target_inverse[abs(x) - 1] = k if x > 0 else -k
+    dist = _type_b_length(target_gap)
     identity = _basis(2 * m)
     forward = bfs(
-        (identity, 0, target_gap, inversions),
+        (identity, 0, target_gap, dist, None),
         _state_key,
         _pruned_moves(steps, target_sum, max_len, _cached_apply),
         (max_len + 1) // 2,
     )
     backward = bfs(
-        (target_fp, target_sum, Permutation(target_gap).inverse().images, inversions),
+        (target_fp, target_sum, tuple(target_inverse), dist, None),
         _state_key,
         _pruned_moves(back_steps, 0, max_len, _apply),
         max_len // 2,
     )
 
     def joined(meeting, back_path):
-        _, (_, esum, gap, dist), path = meeting
+        _, (_, esum, gap, dist, _), path = meeting
         if len(back_path) <= 1:
             return HildenExpression(m, path + back_path)
         u = tuple(g for move in reversed(back_path) for g in letters_of[move])
         u_fp, bound = _apply(identity, u), len(back_path)
         moves = _pruned_moves(steps, target_sum - esum, bound, _cached_apply)
-        for fp, _, suffix in bfs((identity, 0, gap, dist), _state_key, moves, bound):
+        for fp, _, suffix in bfs((identity, 0, gap, dist, None), _state_key, moves, bound):
             if fp == u_fp:
                 return HildenExpression(m, path + suffix)
 
@@ -364,13 +411,21 @@ def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, 
     Each step goes through the process-wide memo ``words._cached_apply``,
     so a ball that an earlier call built is fingerprinted once per process
     while the memo holds it; the entries and their order are the same.
+    A state is ``(fingerprint, undo)``, and no state builds the child that
+    undoes its last move: that child is its parent, already seen.
     """
     table = {move: letters for move, letters, _, _ in _factor_table(m)}
+    steps = [(move, (move[0], -move[1]), letters) for move, letters in table.items()]
 
-    def successors(fp, _depth):
-        return [(move, _cached_apply(fp, letters)) for move, letters in table.items()]
+    def successors(state, _depth):
+        fp, undo = state
+        return [
+            (move, (_cached_apply(fp, letters), inverse))
+            for move, inverse, letters in steps
+            if move != undo
+        ]
 
-    start = _basis(2 * m)
-    for fp, _, factors in bfs(start, lambda fp: fp, successors, depth):
+    start = (_basis(2 * m), None)
+    for fp, _, factors in bfs(start, _state_key, successors, depth):
         inverse = tuple(g for idx, exp in reversed(factors) for g in table[(idx, -exp)])
         yield fp, HildenExpression(m, factors), inverse

@@ -75,8 +75,11 @@ def stabilize(word: BraidWord, extra_pairs: int) -> BraidWord:
     This is the profile (0, ..., 0, l): its one block, when l > 0, has the
     empty swap chain swap_chain(m, m - 1, m, .), so the tail is the run
     sigma_2m ... sigma_2(m+l-1); when l = 0 the word comes back unchanged.
-    Raises :class:`BudgetError` like :func:`stabilize_by_profile`.
+    Raises :class:`BudgetError` like :func:`stabilize_by_profile`, and
+    ValueError when ``extra_pairs``, the profile's last entry, is not an
+    integer or is negative.
     """
+    extra_pairs = _plain_int(extra_pairs, "profile entry")
     if word.strands % 2 != 0:
         raise ValueError("stabilization needs an even strand count")
     if extra_pairs < 0:
@@ -91,7 +94,7 @@ def pair_swap(i: int, strands: int) -> BraidWord:
     Four crossings: sigma_{2i} sigma_{2i-1} sigma_{2i+1} sigma_{2i}, the
     one-swap chain swap_chain(i, i, i + 1, strands).
     """
-    i = _plain_int(i, "pair index")
+    i, strands = _plain_int(i, "pair index"), _plain_int(strands, "strand count")
     if strands % 2 != 0:
         raise ValueError("pair swaps need an even strand count")
     if not 1 <= i <= strands // 2 - 1:
@@ -107,6 +110,7 @@ def swap_chain(i: int, j: int, pivot: int, strands: int) -> BraidWord:
     j = pivot - 1.  This is the one place the four letters of a swap are written.
     """
     i, j, pivot = (_plain_int(v, "pair index") for v in (i, j, pivot))
+    strands = _plain_int(strands, "strand count")
     pairs = strands // 2
     if not 1 <= i <= pivot:
         raise ValueError(f"need 1 <= i <= {pivot}, got {i}")

@@ -240,7 +240,9 @@ def hurwitz_search(
     ``words._cached_apply``: an entry that an earlier search met is
     fingerprinted once per process while the memo holds it.  The memo
     changes no key, order, witness, ``explored`` count or guard trip (see
-    its docstring).
+    its docstring).  A search state also carries the slide that undoes the
+    move that reached it; that child is its parent, already seen, so it is
+    not built.
     """
     if s1.degree != s2.degree:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
@@ -259,7 +261,7 @@ def hurwitz_search(
             if sorted(map(invariant, letters1)) != sorted(map(invariant, letters2)):
                 return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
         basis = _basis(n)
-        moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
+        moves_menu = [((j, inv), (j, not inv)) for j in range(1, s1.r) for inv in (False, True)]
         ids: dict[_Form, int] = {}
         interned: dict[tuple, int] = {}
 
@@ -275,16 +277,20 @@ def hurwitz_search(
             return forms, tuple(map(fid, forms))
 
         def successors(parent, depth):
-            forms, key = parent
-            for j, inv in moves_menu:
+            forms, key, undo = parent
+            for move, inverse in moves_menu:
+                if move == undo:
+                    continue
+                j, inv = move
                 a, b = _slide_pair(forms[j - 1], forms[j], inv, _conjugate_form)
-                yield (j, inv), (
+                yield move, (
                     forms[: j - 1] + (a, b) + forms[j + 1 :],
                     key[: j - 1] + (fid(a), fid(b)) + key[j + 1 :],
+                    inverse,
                 )
 
         target = state(s2)[1]
-        for fp, _, moves in bfs(state(s1), itemgetter(1), successors):
+        for fp, _, moves in bfs((*state(s1), None), itemgetter(1), successors):
             if explored >= budget:
                 return HurwitzResult(
                     HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored

@@ -1,5 +1,6 @@
 """Hilden subgroup generators, certificates, and the membership search."""
 
+import math
 import random
 
 import pytest
@@ -137,14 +138,15 @@ class TestPairing:
 
 
 def reference_pair_images(word: BraidWord):
-    """The pair images read off ``strand_permutation(word).images``."""
+    """The signed pair images read off ``strand_permutation(word).images``:
+    -j for a pair that lands on pair j reversed."""
     pi = strand_permutation(word).images
     images = []
     for k in range(word.strands // 2):
         ends = sorted(pi[2 * k : 2 * k + 2])
         if ends[1] != ends[0] + 1 or ends[0] % 2 != 1:
             return None
-        images.append(ends[1] // 2)
+        images.append(ends[1] // 2 if pi[2 * k] < pi[2 * k + 1] else -(ends[1] // 2))
     return tuple(images)
 
 
@@ -169,6 +171,40 @@ class TestPairImages:
     def test_odd_strand_count_raises(self, strands):
         with pytest.raises(ValueError, match="even strand count"):
             hilden._pair_images(strands, (1,))
+
+
+class TestTypeBLength:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_the_distance_in_the_signed_pair_group(self, m):
+        # breadth-first from the identity, each factor acting on the left by
+        # its signed pair images: g0 negates entry 1 and a factor with swap i
+        # exchanges entries i and i + 1; the walk reaches all 2^m m! signed
+        # permutations, each at the distance its type-B length gives
+        actions = []
+        for _, letters, _, swap in hilden._factor_table(m):
+            images = hilden._pair_images(2 * m, letters)
+            if swap:
+                acted = list(range(1, m + 1))
+                acted[swap - 1 : swap + 1] = [swap + 1, swap]
+            else:
+                acted = [-1] + list(range(2, m + 1))
+            assert images == tuple(acted)
+            actions.append(images)
+        identity = tuple(range(1, m + 1))
+        distance = {identity: 0}
+        frontier = [identity]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for action in actions:
+                    child = signed_product(action, w)
+                    if child not in distance:
+                        distance[child] = distance[w] + 1
+                        nxt.append(child)
+            frontier = nxt
+        assert len(distance) == 2**m * math.factorial(m)
+        for w, d in distance.items():
+            assert hilden._type_b_length(w) == type_b_length(w) == d
 
 
 class TestExpressions:
@@ -333,6 +369,28 @@ def inversion_count(imgs: tuple[int, ...]) -> int:
     return sum(1 for a in range(len(imgs)) for b in range(a + 1, len(imgs)) if imgs[a] > imgs[b])
 
 
+def type_b_length(gap: tuple[int, ...]) -> int:
+    """inv + neg + nsp of a signed permutation, straight from the definitions."""
+    pairs = [(gap[a], gap[b]) for a in range(len(gap)) for b in range(a + 1, len(gap))]
+    return (
+        sum(1 for x, y in pairs if x > y)
+        + sum(1 for x in gap if x < 0)
+        + sum(1 for x, y in pairs if x + y < 0)
+    )
+
+
+def signed_product(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Diagram-order product of signed permutations: (p q)(i) = q(p(i)), signs multiplied."""
+    return tuple(q[x - 1] if x > 0 else -q[-x - 1] for x in p)
+
+
+def signed_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(p)
+    for i, x in enumerate(p, start=1):
+        inverse[abs(x) - 1] = i if x > 0 else -i
+    return tuple(inverse)
+
+
 def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     """The membership search on :class:`Permutation` objects, with no memo."""
 
@@ -367,6 +425,61 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
         if fp == target_fp:
             return HildenExpression(m, factors)
     return None
+
+
+def unpruned_search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
+    """A one-sided bfs over every factor of the written generators: no
+    exponent-sum or distance pruning, no undo skip, no memo."""
+    m = word.strands // 2
+    target_fp = _apply(_basis(2 * m), word.letters)
+    steps = []
+    for idx, letters in enumerate(reference_generators(m)):
+        gen = BraidWord(2 * m, letters)
+        steps += [((idx, 1), gen.letters), ((idx, -1), gen.inverse().letters)]
+
+    def successors(fp, depth):
+        return [(move, _apply(fp, letters)) for move, letters in steps]
+
+    for fp, _, factors in bfs(_basis(2 * m), lambda fp: fp, successors, max_len):
+        if fp == target_fp:
+            return HildenExpression(m, factors)
+    return None
+
+
+def reference_ball(m: int, depth: int) -> list:
+    """The ball entries of a bfs that builds every child, with no memo."""
+    steps = [(move, letters) for move, letters, _, _ in hilden._factor_table(m)]
+
+    def successors(fp, _depth):
+        return [(move, _apply(fp, letters)) for move, letters in steps]
+
+    entries = []
+    for fp, _, factors in bfs(_basis(2 * m), lambda fp: fp, successors, depth):
+        expr = HildenExpression(m, factors)
+        entries.append((fp, expr, expand_expression(expr.inverse()).letters))
+    return entries
+
+
+class TestHildenBall:
+    def test_entries_match_the_search_without_the_undo_skip(self, monkeypatch):
+        # same entries in the same order; the root builds a child per factor
+        # and every other state one fewer, the undo child being its parent
+        built = []
+        cached_apply = hilden._cached_apply
+
+        def counting_apply(fp, letters):
+            built.append(letters)
+            return cached_apply(fp, letters)
+
+        monkeypatch.setattr(hilden, "_cached_apply", counting_apply)
+        for m in (1, 2, 3, 4):
+            factors = len(hilden._factor_table(m))
+            for depth in range(4):
+                built.clear()
+                got = list(hilden._hilden_ball(m, depth))
+                assert got == reference_ball(m, depth)
+                expanded = sum(1 for _, expr, _ in got if len(expr.factors) < depth)
+                assert len(built) == (factors + (factors - 1) * (expanded - 1) if expanded else 0)
 
 
 class TestMembershipOracle:
@@ -429,6 +542,33 @@ class TestMembershipOracle:
         # depth 2, then a suffix search of two factors
         assert wide_five >= 5
 
+    def test_matches_the_unpruned_search(self):
+        # m = 1-3: random expressions, some with a flipped pair; some words
+        # with one letter appended, which mostly breaks the pairing, or with
+        # sigma_2i^2 appended, which keeps it and leaves the subgroup; bounds
+        # from two below the expression's length to one above
+        rng = random.Random(813)
+        found = missed = flipped = 0
+        for _ in range(150):
+            m = rng.randint(1, 3)
+            length = rng.randint(0, {1: 8, 2: 5, 3: 4}[m])
+            word = expand_expression(random_expression(rng, m, length))
+            roll = rng.random()
+            if roll < 0.15:
+                g = rng.randint(1, 2 * m - 1)
+                word = word * BraidWord(2 * m, (rng.choice((g, -g)),))
+            elif roll < 0.3 and m >= 2:
+                g = 2 * rng.randint(1, m - 1)
+                word = word * BraidWord(2 * m, (g, g))
+            max_len = max(0, rng.randint(length - 2, length + 1))
+            got = search_membership(word, max_len)
+            assert got == unpruned_search_membership(word, max_len)
+            images = hilden._pair_images(word.strands, word.letters)
+            flipped += images is not None and min(images) < 0
+            found += got is not None
+            missed += got is None
+        assert min(found, missed, flipped) > 30
+
     def test_wide_witness_pinned(self):
         # 256 strands: the witness of two factors is met in the middle
         word = expand_expression(HildenExpression(128, ((128, -1), (128, -1))))
@@ -437,12 +577,14 @@ class TestMembershipOracle:
     def test_states_carry_the_gap_and_its_distance(self, monkeypatch):
         # search_membership opens the forward side, then the backward side,
         # then a suffix search whenever the backward path has two factors or
-        # more.  Forward state after path p: gap = p^-1 t on the pairs.
+        # more.  Gaps are signed pair permutations, composed in diagram
+        # order.  Forward state after path p: gap = p^-1 t on the pairs.
         # Backward state after the moves f_1 ... f_j: the element y = t u^-1
-        # with u = f_j ... f_1, and gap = the inverse of y's pair permutation.
-        # Suffix state after path p, toward the suffix's target s: gap =
-        # p^-1 s, with s's pair permutation the suffix start's gap.  Each
-        # distance is the gap's inversion count, within the factors left.
+        # with u = f_j ... f_1, and gap = the inverse of y's signed pair
+        # permutation.  Suffix state after path p, toward the suffix's
+        # target s: gap = p^-1 s, with s the suffix start's gap.  Each
+        # distance is the gap's type-B length, within the factors left, and
+        # each state names the move back to its parent.
         calls = []
 
         def recording_bfs(*args):
@@ -456,42 +598,78 @@ class TestMembershipOracle:
 
             return record()
 
+        def undo_of(path):
+            return (path[-1][0], -path[-1][1]) if path else None
+
         monkeypatch.setattr(hilden, "bfs", recording_bfs)
         rng = random.Random(811)
         checked = [0, 0, 0]
+        flipped = 0
         for _ in range(60):
             m = rng.randint(1, 5)
             length = rng.randint(1, 6)
             word = expand_expression(random_expression(rng, m, length))
             calls.clear()
             assert search_membership(word, length) is not None
-            target = pair_permutation(word)
+            target = reference_pair_images(word)
+            flipped += min(target) < 0
             forward, backward, *suffixes = calls
-            for fp, (_, esum, gap, dist), path in forward:
+            for fp, (_, esum, gap, dist, undo), path in forward:
                 prefix = expand_expression(HildenExpression(m, path))
                 assert _decode(fp) == artin_fingerprint(prefix)
                 assert esum == exponent_sum(prefix)
-                assert gap == (pair_permutation(prefix).inverse() * target).images
-                assert dist == inversion_count(gap) <= length - len(path)
+                assert gap == signed_product(signed_inverse(reference_pair_images(prefix)), target)
+                assert dist == type_b_length(gap) <= length - len(path)
+                assert undo == undo_of(path)
                 checked[0] += 1
-            for fp, (_, esum, gap, dist), path in backward:
+            for fp, (_, esum, gap, dist, undo), path in backward:
                 u = expand_expression(HildenExpression(m, path[::-1]))
                 y = word * u.inverse()
                 assert _decode(fp) == artin_fingerprint(y)
                 assert esum == exponent_sum(y)
-                assert gap == pair_permutation(y).inverse().images
-                assert dist == inversion_count(gap) <= length - len(path)
+                assert gap == signed_inverse(reference_pair_images(y))
+                assert dist == type_b_length(gap) <= length - len(path)
+                assert undo == undo_of(path)
                 checked[1] += 1
             for states in suffixes:
-                suffix_target = Permutation(states[0][1][2])
-                for fp, (_, esum, gap, dist), path in states:
+                suffix_target = states[0][1][2]
+                for fp, (_, esum, gap, dist, undo), path in states:
                     prefix = expand_expression(HildenExpression(m, path))
                     assert _decode(fp) == artin_fingerprint(prefix)
                     assert esum == exponent_sum(prefix)
-                    assert gap == (pair_permutation(prefix).inverse() * suffix_target).images
-                    assert dist == inversion_count(gap) <= length - len(path)
+                    p_inverse = signed_inverse(reference_pair_images(prefix))
+                    assert gap == signed_product(p_inverse, suffix_target)
+                    assert dist == type_b_length(gap) <= length - len(path)
+                    assert undo == undo_of(path)
                     checked[2] += 1
         assert min(checked) > 100
+        assert flipped > 10
+
+    def test_no_undo_child_built(self, monkeypatch):
+        # on every side, a state's children leave out the move back to its
+        # parent
+        pruned = hilden._pruned_moves
+        built = []
+
+        def checking_moves(*args):
+            successors = pruned(*args)
+
+            def checked(state, depth):
+                children = successors(state, depth)
+                assert state[4] not in [move for move, _ in children]
+                built.extend(children)
+                return children
+
+            return checked
+
+        monkeypatch.setattr(hilden, "_pruned_moves", checking_moves)
+        rng = random.Random(814)
+        for _ in range(30):
+            m = rng.randint(1, 4)
+            length = rng.randint(2, 5)
+            word = expand_expression(random_expression(rng, m, length))
+            assert search_membership(word, length) is not None
+        assert len(built) > 500
 
     def test_pair_images_walked_once_for_the_target(self, monkeypatch):
         # the factors' pair swaps come from the factor table, not from a walk

@@ -89,6 +89,11 @@ class TestPlainStabilization:
         with pytest.raises(ValueError, match="profile entry 1.5 is not an integer"):
             stabilize(parse_braid("1", 6), 1.5)
 
+    @pytest.mark.parametrize("extra", ["1", None])
+    def test_count_that_is_not_an_int_is_a_value_error(self, extra):
+        with pytest.raises(ValueError, match="profile entry .* is not an integer"):
+            stabilize(parse_braid("1", 4), extra)
+
     def test_preserves_components(self):
         # each appended crossing merges its new pair into the existing link
         rng = random.Random(61)
@@ -157,6 +162,11 @@ class TestSwapChain:
         with pytest.raises(ValueError, match="pair index 1.5 is not an integer"):
             pair_swap(1.5, 4)
         assert swap_chain(True, 1, 2, 8) == swap_chain(1, 1, 2, 8)
+
+    def test_strand_counts_are_plain_ints(self):
+        for call in (lambda: pair_swap(1, "4"), lambda: swap_chain(1, 1, 2, "8")):
+            with pytest.raises(ValueError, match="strand count .* is not an integer"):
+                call()
 
     def test_trivial_chain(self):
         # i = pivot and j = pivot - 1 leaves nothing to do

@@ -462,6 +462,29 @@ class TestHurwitzOracle:
             assert counts["fingerprints"] <= counts["children"] + 2 * s1.r
         assert counts["children"] > 0
 
+    def test_no_undo_child_built(self, monkeypatch):
+        # an orbit of 60 systems enumerated in full: the start builds a child
+        # per slide and every later system one fewer, the slide that undoes
+        # its last move giving back its parent; the result is the reference's
+        slides = []
+        slide_ = systems._slide_pair
+
+        def counting_slide(*args):
+            slides.append(args)
+            return slide_(*args)
+
+        u = lambda text: parse_braid(text, 4)  # noqa: E731
+        rest = (u("3"), u("-1"), u("-3"))
+        s1 = BraidSystem(4, (u("1"), u("1")) + rest)
+        s2 = BraidSystem(4, (u("2 1 -2"), u("2 -1 -2 1 1")) + rest)
+        expected = reference_hurwitz_search(s1, s2)
+        monkeypatch.setattr(systems, "_slide_pair", counting_slide)
+        result = hurwitz_search(s1, s2)
+        assert result == expected
+        assert (result.reason, result.explored) == ("orbit enumerated", 60)
+        menu = 2 * (s1.r - 1)
+        assert len(slides) == menu + (menu - 1) * (result.explored - 1)
+
     def test_no_system_built_per_child(self, monkeypatch):
         # the search slides entry forms: it builds no BraidSystem for the
         # hundreds of systems it reaches

@@ -481,7 +481,7 @@ def banded_from_obj(obj: dict) -> BandedBraid:
     bands = []
     for item in json_field(obj, "bands", list, []):
         slot = json_field(item, "slot", int)
-        raw = item["time"]
+        raw = json_field(item, "time", object)  # a string or a JSON number
         # exponent notation would have Fraction expand the power of ten
         if isinstance(raw, str) and not _TIME_TEXT.fullmatch(raw):
             raise ValueError(f"band time {raw!r} must be an integer, p/q or a plain decimal")

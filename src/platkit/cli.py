@@ -102,7 +102,7 @@ def _load_system(args, suffix: str = "") -> pk.BraidSystem:
     if path is not None:
         return pk.system_from_obj(_read_json(path), promote=True)
     if inline is None:
-        raise ValueError("provide --in FILE or --entries together with --degree")
+        raise ValueError(f"provide --in{suffix} FILE or --entries{suffix} together with --degree")
     degree = getattr(args, "degree", None)
     if degree is None:
         raise ValueError("--entries needs --degree")

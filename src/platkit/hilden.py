@@ -34,6 +34,7 @@ from .words import (
     _plain_int,
     _strand_images,
     braids_equal,
+    check_strands,
     exponent_sum,
 )
 
@@ -47,6 +48,7 @@ def _factor_table(m: int) -> list[tuple[tuple[int, int], tuple[int, ...], int, i
     """
     if m < 1:
         raise ValueError("need at least one pair of strands")
+    check_strands(2 * m)
     table = [((0, 1), (1,), 1, 0), ((0, -1), (-1,), -1, 0)]
     if m >= 2:
         table += [((1, 1), (2, 1, 3, 2), 4, 1), ((1, -1), (-2, -3, -1, -2), -4, 1)]
@@ -208,18 +210,17 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
 
     A child kept at depth k must still reach the target in ``max_len - k``
     factors; each factor moves the exponent sum by at most ``max_step_sum``
-    and the type-B distance by exactly one.  The child that undoes the
-    state's last move is its parent, already seen, so it is not built.
-    ``apply`` extends a fingerprint by a factor's letters.
+    and the type-B distance by exactly one.  The undo child is not built
+    (see ``bfs``).  ``apply`` extends a fingerprint by a factor's letters.
     """
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
-    undoes = [(idx, -exp) for (idx, exp), _, _, _ in steps]
 
-    def successors(state, depth):
-        fp, esum, gap, dist, undo = state
-        remaining = max_len - depth - 1
+    def successors(state, path):
+        fp, esum, gap, dist = state
+        remaining = max_len - len(path) - 1
+        undo = (path[-1][0], -path[-1][1]) if path else None
         children = []
-        for (move, letters, step_sum, swap), inverse in zip(steps, undoes):
+        for move, letters, step_sum, swap in steps:
             if move == undo:
                 continue
             new_sum = esum + step_sum
@@ -237,7 +238,7 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
                 if new_dist > remaining:
                     continue
                 new_gap = (-head,) + gap[1:]
-            children.append((move, (apply(fp, letters), new_sum, new_gap, new_dist, inverse)))
+            children.append((move, (apply(fp, letters), new_sum, new_gap, new_dist)))
         return children
 
     return successors
@@ -256,8 +257,8 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     by fingerprint.  ``max_len`` is read as a plain int, and ValueError is
     raised when it is not one or is negative.
 
-    States.  A state is ``(fingerprint, exponent sum, gap, distance,
-    undo)``.  A member acts on the m standard pairs as an element of the
+    States.  A state is ``(fingerprint, exponent sum, gap, distance)``.
+    A member acts on the m standard pairs as an element of the
     hyperoctahedral group B_m, written as its signed pair images
     (``_pair_images``), which compose in diagram order; g0 acts as the
     Coxeter generator s_0, which turns pair 1 over, and a factor with swap
@@ -271,10 +272,8 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     here +1 if entry i is less than entry i + 1, else -1, and for s_0 +1
     if entry 1 is positive, else -1 (Bjoerner and Brenti, Prop. 8.1.2).
     So a state at depth k whose distance exceeds max_len - k is no prefix
-    of an expression of t within the bound, and dropping it is exact.
-    ``undo`` is the move back to the state's parent, None at the start.
-    That child is the parent, already seen, so it is not built.  The key
-    is the fingerprint alone, and ``gap`` is a function of the group
+    of an expression of t within the bound, and dropping it is exact.  The
+    key is the fingerprint alone, and ``gap`` is a function of the group
     element, so the states visited and the expression returned do not
     depend on how the pairs are tracked.
 
@@ -320,7 +319,7 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     sides build about b^ceil(d/2) + b^floor(d/2) states and the suffix at
     most b^floor(d/2), where a one-sided search built b^d; a search that
     finds nothing builds both sides to their bounds.  A state past the
-    start builds at most b - 1 children, as the undo child is skipped.
+    start builds at most b - 1 children (see ``bfs``).
     Each side reads one state past each layer it finishes.  Each state kept
     costs an m-tuple copy and a fingerprint extension.  The extensions of the forward side
     and of the suffix search do not depend on the target, so they go
@@ -355,26 +354,26 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     dist = _type_b_length(target_gap)
     identity = _basis(2 * m)
     forward = bfs(
-        (identity, 0, target_gap, dist, None),
+        (identity, 0, target_gap, dist),
         _state_key,
         _pruned_moves(steps, target_sum, max_len, _cached_apply),
         (max_len + 1) // 2,
     )
     backward = bfs(
-        (target_fp, target_sum, tuple(target_inverse), dist, None),
+        (target_fp, target_sum, tuple(target_inverse), dist),
         _state_key,
         _pruned_moves(back_steps, 0, max_len, _apply),
         max_len // 2,
     )
 
     def joined(meeting, back_path):
-        _, (_, esum, gap, dist, _), path = meeting
+        _, (_, esum, gap, dist), path = meeting
         if len(back_path) <= 1:
             return HildenExpression(m, path + back_path)
         u = tuple(g for move in reversed(back_path) for g in letters_of[move])
         u_fp, bound = _apply(identity, u), len(back_path)
         moves = _pruned_moves(steps, target_sum - esum, bound, _cached_apply)
-        for fp, _, suffix in bfs((identity, 0, gap, dist, None), _state_key, moves, bound):
+        for fp, _, suffix in bfs((identity, 0, gap, dist), _state_key, moves, bound):
             if fp == u_fp:
                 return HildenExpression(m, path + suffix)
 
@@ -410,22 +409,15 @@ def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, 
     of the inverse are read from the one factor table as the entry appears.
     Each step goes through the process-wide memo ``words._cached_apply``,
     so a ball that an earlier call built is fingerprinted once per process
-    while the memo holds it; the entries and their order are the same.
-    A state is ``(fingerprint, undo)``, and no state builds the child that
-    undoes its last move: that child is its parent, already seen.
+    while the memo holds it; the entries and their order are the same.  A
+    state is its fingerprint, and the undo child is not built (see ``bfs``).
     """
     table = {move: letters for move, letters, _, _ in _factor_table(m)}
-    steps = [(move, (move[0], -move[1]), letters) for move, letters in table.items()]
 
-    def successors(state, _depth):
-        fp, undo = state
-        return [
-            (move, (_cached_apply(fp, letters), inverse))
-            for move, inverse, letters in steps
-            if move != undo
-        ]
+    def successors(fp, path):
+        undo = (path[-1][0], -path[-1][1]) if path else None
+        return [(move, _cached_apply(fp, table[move])) for move in table if move != undo]
 
-    start = (_basis(2 * m), None)
-    for fp, _, factors in bfs(start, _state_key, successors, depth):
+    for fp, _, factors in bfs(_basis(2 * m), lambda fp: fp, successors, depth):
         inverse = tuple(g for idx, exp in reversed(factors) for g in table[(idx, -exp)])
         yield fp, HildenExpression(m, factors), inverse

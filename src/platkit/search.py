@@ -9,16 +9,18 @@ from typing import Any, Callable, Hashable, Iterator
 def bfs(
     start: Any,
     key: Callable[[Any], Hashable],
-    successors: Callable[[Any, int], list[tuple[Any, Any]]],
+    successors: Callable[[Any, tuple], list[tuple[Any, Any]]],
     max_depth: int | None = None,
 ) -> Iterator[tuple[Hashable, Any, tuple]]:
     """Yield ``(key, state, path)`` for the start and each newly reached state.
 
-    States come in breadth-first order.  ``successors(state, depth)`` lists
-    the ``(move, child)`` pairs of a state at ``depth`` in rank order; a
-    child whose key was already seen is skipped, so each path is the
-    lexicographically least shortest one to its state.  States at
-    ``max_depth`` are yielded but not expanded.
+    States come in breadth-first order.  ``successors(state, path)`` lists
+    the ``(move, child)`` pairs of the state that ``path`` reached, in rank
+    order; a child whose key was already seen is skipped, so each path is
+    the lexicographically least shortest one to its state.  States at
+    ``max_depth`` are yielded but not expanded.  The undo child, by the
+    inverse of ``path[-1]``, has its parent's key, already seen, so leaving
+    it out changes no visit order, path or yielded state.
     """
     start_key = key(start)
     seen = {start_key}
@@ -28,7 +30,7 @@ def bfs(
     while frontier and (max_depth is None or depth < max_depth):
         nxt = []
         for state, path in frontier:
-            for move, child in successors(state, depth):
+            for move, child in successors(state, path):
                 child_key = key(child)
                 if child_key in seen:
                     continue

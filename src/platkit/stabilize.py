@@ -75,15 +75,16 @@ def stabilize(word: BraidWord, extra_pairs: int) -> BraidWord:
     This is the profile (0, ..., 0, l): its one block, when l > 0, has the
     empty swap chain swap_chain(m, m - 1, m, .), so the tail is the run
     sigma_2m ... sigma_2(m+l-1); when l = 0 the word comes back unchanged.
-    Raises :class:`BudgetError` like :func:`stabilize_by_profile`, and
-    ValueError when ``extra_pairs``, the profile's last entry, is not an
-    integer or is negative.
+    Raises :class:`BudgetError` like :func:`stabilize_by_profile`, before
+    the profile is built, and ValueError when ``extra_pairs``, the
+    profile's last entry, is not an integer or is negative.
     """
     extra_pairs = _plain_int(extra_pairs, "profile entry")
     if word.strands % 2 != 0:
         raise ValueError("stabilization needs an even strand count")
     if extra_pairs < 0:
         raise ValueError("cannot remove pairs")
+    _check_stabilized(word.strands + 2 * extra_pairs)
     m = word.strands // 2
     return stabilize_by_profile(word, StabilizationProfile((0,) * (m - 1) + (extra_pairs,)))
 
@@ -161,6 +162,15 @@ def stabilization_tail(profile: StabilizationProfile) -> BraidWord:
     return BraidWord(2 * profile.total, _insert(*_tail_with_events(profile)))
 
 
+def _check_stabilized(n: int) -> int:
+    """``n``, the strand count of a stabilization, once it is within the limit."""
+    if n > MAX_STABILIZED_STRANDS:
+        raise BudgetError(
+            f"stabilizing to {n} strands is over the limit of {MAX_STABILIZED_STRANDS}"
+        )
+    return n
+
+
 def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> BraidWord:
     """Generalized stabilization of a 2m-plat word by a length-m profile.
 
@@ -172,10 +182,6 @@ def stabilize_by_profile(word: BraidWord, profile: StabilizationProfile) -> Brai
             f"profile has {profile.pairs} entries but the word has "
             f"{word.strands} strands"
         )
-    n = 2 * profile.total
-    if n > MAX_STABILIZED_STRANDS:
-        raise BudgetError(
-            f"stabilizing to {n} strands is over the limit of {MAX_STABILIZED_STRANDS}"
-        )
+    n = _check_stabilized(2 * profile.total)
     # the word on n strands, then the letters of stabilization_tail(profile)
     return BraidWord(n, word.letters + _insert(*_tail_with_events(profile)))

@@ -240,9 +240,7 @@ def hurwitz_search(
     ``words._cached_apply``: an entry that an earlier search met is
     fingerprinted once per process while the memo holds it.  The memo
     changes no key, order, witness, ``explored`` count or guard trip (see
-    its docstring).  A search state also carries the slide that undoes the
-    move that reached it; that child is its parent, already seen, so it is
-    not built.
+    its docstring).
     """
     if s1.degree != s2.degree:
         return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason="degrees differ")
@@ -261,7 +259,7 @@ def hurwitz_search(
             if sorted(map(invariant, letters1)) != sorted(map(invariant, letters2)):
                 return HurwitzResult(HurwitzStatus.NOT_EQUIVALENT, reason=reason)
         basis = _basis(n)
-        moves_menu = [((j, inv), (j, not inv)) for j in range(1, s1.r) for inv in (False, True)]
+        moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
         ids: dict[_Form, int] = {}
         interned: dict[tuple, int] = {}
 
@@ -276,9 +274,10 @@ def hurwitz_search(
             forms = tuple(map(_form, system.entries))
             return forms, tuple(map(fid, forms))
 
-        def successors(parent, depth):
-            forms, key, undo = parent
-            for move, inverse in moves_menu:
+        def successors(parent, path):
+            forms, key = parent
+            undo = (path[-1][0], not path[-1][1]) if path else None
+            for move in moves_menu:
                 if move == undo:
                     continue
                 j, inv = move
@@ -286,11 +285,10 @@ def hurwitz_search(
                 yield move, (
                     forms[: j - 1] + (a, b) + forms[j + 1 :],
                     key[: j - 1] + (fid(a), fid(b)) + key[j + 1 :],
-                    inverse,
                 )
 
         target = state(s2)[1]
-        for fp, _, moves in bfs((*state(s1), None), itemgetter(1), successors):
+        for fp, _, moves in bfs(state(s1), itemgetter(1), successors):
             if explored >= budget:
                 return HurwitzResult(
                     HurwitzStatus.UNKNOWN, reason="budget exhausted", explored=explored

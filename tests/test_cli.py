@@ -151,6 +151,15 @@ class TestAdequate:
         assert code == 3
         assert "status=unknown" in out
 
+    def test_verify_past_the_strand_bound_exits_3(self, capsys):
+        # one pair past the bound: exit 3 before the factor table or the
+        # expanded word is built
+        strands, m = MAX_STRANDS + 2, MAX_STRANDS // 2 + 1
+        argv = ("adequate", "--strands", str(strands), "--verify", f"m={m} g0", "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"budget exhausted: {strands} strands is over the limit of {MAX_STRANDS}\n"
+
     def test_verify(self, capsys):
         code, out, _ = run(
             capsys, "adequate", "--strands", "4", "--verify", "m=2 g0 g1 g0 g1^-1", "1 3"
@@ -337,6 +346,11 @@ class TestSystems:
 
 
 class TestHurwitz:
+    def test_second_system_missing(self, capsys):
+        code, out, err = run(capsys, "hurwitz", "--degree", "2", "--entries", "1;-1")
+        assert (code, out) == (2, "")
+        assert err == "error: provide --in2 FILE or --entries2 together with --degree\n"
+
     def test_equivalent(self, capsys):
         code, out, _ = run(
             capsys, "hurwitz", "--degree", "2", "--entries", "1;-1", "--entries2=-1;1"
@@ -728,6 +742,12 @@ class TestMalformedInput:
         code, _, err = run(capsys, "banded-check", path)
         assert code == 2
         assert "'slot' must be of type int" in err
+
+    def test_banded_time_missing(self, capsys, tmp_path):
+        path = self.write(tmp_path, '{"strands": 4, "base": "", "bands": [{"slot": 2, "sign": 1}]}\n')
+        code, out, err = run(capsys, "banded-check", path)
+        assert (code, out) == (2, "")
+        assert err == "error: missing field 'time'\n"
 
     def test_banded_time_divides_by_zero(self, capsys, tmp_path):
         path = self.write(

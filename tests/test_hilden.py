@@ -20,7 +20,9 @@ from platkit.hilden import (
 from platkit.plats import Triviality, component_count, plat_closure, triviality_check
 from platkit.search import bfs
 from platkit.words import (
+    MAX_STRANDS,
     BraidWord,
+    BudgetError,
     Permutation,
     _apply,
     _basis,
@@ -119,6 +121,19 @@ class TestFactorTable:
         for m in (0, -1):
             with pytest.raises(ValueError, match="need at least one pair of strands"):
                 hilden._factor_table(m)
+
+    def test_checks_the_strand_count_first(self):
+        # one pair past the bound: BudgetError before the O(m) table is built,
+        # so expanding or verifying an expression stops there too
+        m = MAX_STRANDS // 2 + 1
+        message = f"{2 * m} strands is over the limit of {MAX_STRANDS}"
+        assert len(hilden._factor_table(m - 1)) == 2 * m  # m - 1 pairs: 2m signed factors
+        with pytest.raises(BudgetError, match=message):
+            hilden._factor_table(m)
+        with pytest.raises(BudgetError, match=message):
+            expand_expression(HildenExpression(m, ((0, 1),)))
+        with pytest.raises(BudgetError, match=message):
+            verify_membership(BraidWord(2 * m, (1,)), HildenExpression(m, ((0, 1),)))
 
 
 class TestPairing:
@@ -407,9 +422,9 @@ def reference_search_membership(word: BraidWord, max_len: int) -> HildenExpressi
             steps.append(((idx, exp), factor.letters, exponent_sum(factor), pair_permutation(factor)))
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
 
-    def successors(state, depth):
+    def successors(state, path):
         fp, esum, pperm = state
-        remaining = max_len - depth - 1
+        remaining = max_len - len(path) - 1
         children = []
         for move, letters, step_sum, step_pperm in steps:
             new_sum = esum + step_sum
@@ -437,7 +452,7 @@ def unpruned_search_membership(word: BraidWord, max_len: int) -> HildenExpressio
         gen = BraidWord(2 * m, letters)
         steps += [((idx, 1), gen.letters), ((idx, -1), gen.inverse().letters)]
 
-    def successors(fp, depth):
+    def successors(fp, path):
         return [(move, _apply(fp, letters)) for move, letters in steps]
 
     for fp, _, factors in bfs(_basis(2 * m), lambda fp: fp, successors, max_len):
@@ -450,7 +465,7 @@ def reference_ball(m: int, depth: int) -> list:
     """The ball entries of a bfs that builds every child, with no memo."""
     steps = [(move, letters) for move, letters, _, _ in hilden._factor_table(m)]
 
-    def successors(fp, _depth):
+    def successors(fp, _path):
         return [(move, _apply(fp, letters)) for move, letters in steps]
 
     entries = []
@@ -583,8 +598,7 @@ class TestMembershipOracle:
         # with u = f_j ... f_1, and gap = the inverse of y's signed pair
         # permutation.  Suffix state after path p, toward the suffix's
         # target s: gap = p^-1 s, with s the suffix start's gap.  Each
-        # distance is the gap's type-B length, within the factors left, and
-        # each state names the move back to its parent.
+        # distance is the gap's type-B length, within the factors left.
         calls = []
 
         def recording_bfs(*args):
@@ -597,9 +611,6 @@ class TestMembershipOracle:
                     yield item
 
             return record()
-
-        def undo_of(path):
-            return (path[-1][0], -path[-1][1]) if path else None
 
         monkeypatch.setattr(hilden, "bfs", recording_bfs)
         rng = random.Random(811)
@@ -614,49 +625,48 @@ class TestMembershipOracle:
             target = reference_pair_images(word)
             flipped += min(target) < 0
             forward, backward, *suffixes = calls
-            for fp, (_, esum, gap, dist, undo), path in forward:
+            for fp, (_, esum, gap, dist), path in forward:
                 prefix = expand_expression(HildenExpression(m, path))
                 assert _decode(fp) == artin_fingerprint(prefix)
                 assert esum == exponent_sum(prefix)
                 assert gap == signed_product(signed_inverse(reference_pair_images(prefix)), target)
                 assert dist == type_b_length(gap) <= length - len(path)
-                assert undo == undo_of(path)
                 checked[0] += 1
-            for fp, (_, esum, gap, dist, undo), path in backward:
+            for fp, (_, esum, gap, dist), path in backward:
                 u = expand_expression(HildenExpression(m, path[::-1]))
                 y = word * u.inverse()
                 assert _decode(fp) == artin_fingerprint(y)
                 assert esum == exponent_sum(y)
                 assert gap == signed_inverse(reference_pair_images(y))
                 assert dist == type_b_length(gap) <= length - len(path)
-                assert undo == undo_of(path)
                 checked[1] += 1
             for states in suffixes:
                 suffix_target = states[0][1][2]
-                for fp, (_, esum, gap, dist, undo), path in states:
+                for fp, (_, esum, gap, dist), path in states:
                     prefix = expand_expression(HildenExpression(m, path))
                     assert _decode(fp) == artin_fingerprint(prefix)
                     assert esum == exponent_sum(prefix)
                     p_inverse = signed_inverse(reference_pair_images(prefix))
                     assert gap == signed_product(p_inverse, suffix_target)
                     assert dist == type_b_length(gap) <= length - len(path)
-                    assert undo == undo_of(path)
                     checked[2] += 1
         assert min(checked) > 100
         assert flipped > 10
 
     def test_no_undo_child_built(self, monkeypatch):
-        # on every side, a state's children leave out the move back to its
-        # parent
+        # on every side, a state's children leave out the inverse of the
+        # last factor of its path
         pruned = hilden._pruned_moves
         built = []
 
         def checking_moves(*args):
             successors = pruned(*args)
 
-            def checked(state, depth):
-                children = successors(state, depth)
-                assert state[4] not in [move for move, _ in children]
+            def checked(state, path):
+                children = successors(state, path)
+                if path:
+                    undo = (path[-1][0], -path[-1][1])
+                    assert undo not in [move for move, _ in children]
                 built.extend(children)
                 return children
 

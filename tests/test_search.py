@@ -49,7 +49,7 @@ from platkit.systems import (
 from platkit.words import BraidWord, artin_fingerprint, braids_equal, parse_braid
 
 
-def integer_moves(state, depth):
+def integer_moves(state, path):
     return [("+1", state + 1), ("*2", state * 2)]
 
 
@@ -71,14 +71,14 @@ class TestBfs:
         assert got == [(0, 0, ()), (1, 1, ("+1",)), (2, 2, ("+1", "+1"))]
 
     def test_successors_see_parent_depth(self):
-        depths = []
+        paths = []
 
-        def moves(state, depth):
-            depths.append(depth)
+        def moves(state, path):
+            paths.append(path)
             return [("next", state + 1)]
 
         list(bfs(0, lambda s: s, moves, max_depth=3))
-        assert depths == [0, 1, 2]
+        assert paths == [(), ("next",), ("next", "next")]
 
 
 def first_expressions(m: int, max_len: int) -> dict:

@@ -304,6 +304,19 @@ class TestSizeGuard:
         with pytest.raises(BudgetError, match=f"over the limit of {MAX_STABILIZED_STRANDS}"):
             stabilize(w, extra + 1)
 
+    def test_plain_checks_before_the_profile(self, monkeypatch):
+        # the profile (0, ..., 0, l) has an entry per pair, so an oversized
+        # word is refused before it is built
+        def no_profile(profile):
+            raise AssertionError("profile built")
+
+        monkeypatch.setattr(StabilizationProfile, "__post_init__", no_profile)
+        w = BraidWord(MAX_STABILIZED_STRANDS, ())
+        with pytest.raises(BudgetError) as err:
+            stabilize(w, 1)
+        limit = MAX_STABILIZED_STRANDS
+        assert str(err.value) == f"stabilizing to {limit + 2} strands is over the limit of {limit}"
+
     def test_profile_at_the_bound(self):
         w = parse_braid("2", 4)
         extra = MAX_STABILIZED_STRANDS // 2 - 2

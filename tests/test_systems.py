@@ -354,7 +354,7 @@ def reference_hurwitz_search(s1, s2, budget=DEFAULT_SEARCH_BUDGET):
     target = system_fingerprint(s2)
     moves_menu = [(j, inv) for j in range(1, s1.r) for inv in (False, True)]
 
-    def successors(system, depth):
+    def successors(system, path):
         return [((j, inv), slide(system, j, inverse=inv)) for j, inv in moves_menu]
 
     explored = 0

@@ -62,6 +62,7 @@ from .words import (
     _basis,
     _frozen,
     _insert,
+    _plain_int,
     braids_equal,
     json_field,
     parse_braid,
@@ -78,6 +79,9 @@ class Band:
     time: Fraction
 
     def __post_init__(self) -> None:
+        # slot and sign are stored as plain ints (a bool too), as letters are
+        object.__setattr__(self, "slot", _plain_int(self.slot, "band slot"))
+        object.__setattr__(self, "sign", _plain_int(self.sign, "band sign"))
         raw = self.time
         # floats go through their decimal string so 0.3 means 3/10 exactly
         time = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)

@@ -212,6 +212,7 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
     factors; each factor moves the exponent sum by at most ``max_step_sum``
     and the type-B distance by exactly one.  The undo child is not built
     (see ``bfs``).  ``apply`` extends a fingerprint by a factor's letters.
+    The children come lazily, so a caller that stops early builds no more.
     """
     max_step_sum = max(abs(step_sum) for _, _, step_sum, _ in steps)
 
@@ -219,7 +220,6 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
         fp, esum, gap, dist = state
         remaining = max_len - len(path) - 1
         undo = (path[-1][0], -path[-1][1]) if path else None
-        children = []
         for move, letters, step_sum, swap in steps:
             if move == undo:
                 continue
@@ -238,8 +238,7 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
                 if new_dist > remaining:
                     continue
                 new_gap = (-head,) + gap[1:]
-            children.append((move, (apply(fp, letters), new_sum, new_gap, new_dist)))
-        return children
+            yield move, (apply(fp, letters), new_sum, new_gap, new_dist)
 
     return successors
 
@@ -307,28 +306,40 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     lexicographic order of its paths, so the first such x in yield order
     starts W, and W = P(x) S.
 
-    Suffix.  When floor(d/2) <= 1, S is the backward path itself: no
-    factors, or the one factor, the only one-factor expression of its
-    braid.  Otherwise S is the forward search for u = x^-1 t with bound
-    floor(d/2).  Its exponent sum is t's less x's, its signed pair
-    permutation is x's gap and its length x's distance, all carried by x's
-    state, so the target's pairs are walked once; its fingerprint is that
-    of the backward path's letters.
+    Suffix.  S is walked from x, not searched.  A state is dropped when a
+    lower bound on the factors it still needs, by exponent sum or by
+    distance, exceeds the factors left, and one factor moves each bound by
+    at most one.  So a state dropped at depth i drops every state reached
+    through it l factors later, as that one's bound exceeds max_len - i - l.
+    Hence every kept backward depth is an exact distance to t: were a
+    shorter path to y cut at a dropped state, y would be dropped at its
+    depth too.  Every state on a shortest path from x to t is kept: as
+    |x| + |x^-1 t| = d <= max_len, a state y there at distance i from t
+    has |y| <= d - i, within both sides' bounds at depth i, and so has each
+    state of a shortest path from t to y.  The walk prunes its children by
+    the bound d itself, and y's child on such a path, at depth d - i + 1,
+    needs the i - 1 factors left.  So a child of y at backward depth i - 1
+    is exactly a child on a shortest path to t, and the walk, which takes
+    at each step the first child in rank order whose backward depth is one
+    less, spells the least shortest expression of x^-1 t, factor by
+    factor: S.  The undo child is never on such a path.
 
-    Cost.  With b = 2(m + 1) signed factors and witness length d, the
-    sides build about b^ceil(d/2) + b^floor(d/2) states and the suffix at
-    most b^floor(d/2), where a one-sided search built b^d; a search that
-    finds nothing builds both sides to their bounds.  A state past the
-    start builds at most b - 1 children (see ``bfs``).
+    Cost.  With b = 2(m + 1) signed factors and witness length d, the sides
+    build about b^ceil(d/2) + b^floor(d/2) states, where a one-sided search
+    built b^d; a search that finds nothing builds both sides to their
+    bounds.  A state past the start builds at most b - 1 children (see
+    ``bfs``), one at a time, so a side builds no sibling after the child
+    where the sides meet.  The walk takes floor(d/2) steps of at most b - 1
+    children each, where a search for S builds up to b^floor(d/2) states.
     Each side reads one state past each layer it finishes.  Each state kept
-    costs an m-tuple copy and a fingerprint extension.  The extensions of the forward side
-    and of the suffix search do not depend on the target, so they go
+    costs an m-tuple copy and a fingerprint extension.  The extensions of
+    the forward side and of the walk do not depend on the target, so they go
     through the process-wide memo ``words._cached_apply``: a step that an
     earlier search took is fingerprinted once per process while the memo
-    holds it, and costs a hash of the parent's fingerprint after that.
-    The backward side starts from the target and extends plainly.  The
-    memo changes no state, order or witness (see its docstring).  The
-    factor table costs O(m), and t's length O(m log m) comparisons.
+    holds it, and costs a hash of the parent's fingerprint after that.  The
+    backward side starts from the target and extends plainly.  The memo
+    changes no state, order or witness (see its docstring).  The factor
+    table costs O(m), and t's length O(m log m) comparisons.
     """
     max_len = _plain_int(max_len, "max_len")
     if max_len < 0:
@@ -352,9 +363,8 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
     for k, x in enumerate(target_gap, start=1):
         target_inverse[abs(x) - 1] = k if x > 0 else -k
     dist = _type_b_length(target_gap)
-    identity = _basis(2 * m)
     forward = bfs(
-        (identity, 0, target_gap, dist),
+        (_basis(2 * m), 0, target_gap, dist),
         _state_key,
         _pruned_moves(steps, target_sum, max_len, _cached_apply),
         (max_len + 1) // 2,
@@ -366,18 +376,20 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
         max_len // 2,
     )
 
-    def joined(meeting, back_path):
-        _, (_, esum, gap, dist), path = meeting
-        if len(back_path) <= 1:
-            return HildenExpression(m, path + back_path)
-        u = tuple(g for move in reversed(back_path) for g in letters_of[move])
-        u_fp, bound = _apply(identity, u), len(back_path)
-        moves = _pruned_moves(steps, target_sum - esum, bound, _cached_apply)
-        for fp, _, suffix in bfs((identity, 0, gap, dist), _state_key, moves, bound):
-            if fp == u_fp:
-                return HildenExpression(m, path + suffix)
+    def joined(meeting):
+        # walk to t, each step by the least factor one backward depth nearer
+        fp, state, path = meeting
+        depth = back[fp]
+        moves = _pruned_moves(steps, target_sum, len(path) + depth, _cached_apply)
+        while depth:
+            depth -= 1
+            for move, child in moves(state, path):
+                if back.get(child[0]) == depth:
+                    state, path = child, path + (move,)
+                    break
+        return HildenExpression(m, path)
 
-    back = {}  # fingerprint -> path of each backward state of the depths done
+    back = {}  # fingerprint -> depth of each backward state of the depths done
     layer = [next(forward)]
     ahead = next(forward, None)
     behind = next(backward)
@@ -387,17 +399,17 @@ def search_membership(word: BraidWord, max_len: int) -> HildenExpression | None:
             depth, layer = (d + 1) // 2, []
             while ahead is not None and len(ahead[2]) == depth:
                 if ahead[0] in back:
-                    return joined(ahead, back[ahead[0]])
+                    return joined(ahead)
                 layer.append(ahead)
                 ahead = next(forward, None)
         else:
             # finish backward depth d / 2, then scan forward layer d / 2 in yield order
             while behind is not None and len(behind[2]) == d // 2:
-                back[behind[0]] = behind[2]
+                back[behind[0]] = d // 2
                 behind = next(backward, None)
             for item in layer:
                 if item[0] in back:
-                    return joined(item, back[item[0]])
+                    return joined(item)
     return None
 
 
@@ -416,7 +428,7 @@ def _hilden_ball(m: int, depth: int) -> Iterator[tuple[tuple, HildenExpression, 
 
     def successors(fp, path):
         undo = (path[-1][0], -path[-1][1]) if path else None
-        return [(move, _cached_apply(fp, table[move])) for move in table if move != undo]
+        return ((move, _cached_apply(fp, table[move])) for move in table if move != undo)
 
     for fp, _, factors in bfs(_basis(2 * m), lambda fp: fp, successors, depth):
         inverse = tuple(g for idx, exp in reversed(factors) for g in table[(idx, -exp)])

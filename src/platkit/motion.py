@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .plats import Pairing, PlatDiagram
 from .systems import BraidSystem, MonodromyEntry, _entry_letters
-from .words import BraidWord, BudgetError, _free_reduce, _frozen, json_field, parse_braid
+from .words import BraidWord, BudgetError, _free_reduce, _frozen, _plain_int, json_field, parse_braid
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
@@ -28,6 +28,9 @@ class BandMark:
     label: str = ""
 
     def __post_init__(self) -> None:
+        # slot and sign are stored as plain ints (a bool too), as letters are
+        object.__setattr__(self, "slot", _plain_int(self.slot, "band mark slot"))
+        object.__setattr__(self, "sign", _plain_int(self.sign, "band mark sign"))
         if self.sign not in (1, -1):
             raise ValueError("band mark sign must be +1 or -1")
 

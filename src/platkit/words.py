@@ -564,7 +564,7 @@ def _cached_apply(images: tuple, letters: tuple[int, ...]) -> tuple:
     """``_apply(images, letters)``, from a process-wide memo when it holds it.
 
     For the search steps whose inputs do not depend on the search's target:
-    the forward and suffix sides of Hilden membership, the Hilden ball and
+    the forward side and the walk of Hilden membership, the Hilden ball and
     the entry fingerprints of the Hurwitz search.  Each such step is thus
     fingerprinted once per process while the memo holds it.
 

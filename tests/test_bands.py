@@ -17,6 +17,7 @@ from platkit.bands import (
     banded_from_json,
     banded_from_obj,
     banded_to_json,
+    banded_to_obj,
     certificates_from_obj,
     certificates_to_obj,
     compile_surface,
@@ -72,6 +73,15 @@ class TestBand:
     def test_float_times_become_exact_decimals(self):
         assert Band(1, 1, 0.3).time == Fraction(3, 10)
         assert Band(1, 1, 0.5).time == Fraction(1, 2)
+
+    def test_slot_and_sign_stored_as_plain_ints(self):
+        band = Band(True, True, Fraction(1, 2))
+        assert (type(band.slot), type(band.sign)) == (int, int)
+        bb = BandedBraid(BraidWord.identity(4), (Band(2, True, Fraction(1, 2)),))
+        assert banded_from_obj(banded_to_obj(bb)) == bb
+        for slot, sign in ((2.0, 1), ("2", 1), (2, 1.0), (2, "1")):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Band(slot, sign, Fraction(1, 2))
 
 
 class TestBandedBraid:

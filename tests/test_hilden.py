@@ -554,7 +554,7 @@ class TestMembershipOracle:
             wide_five += length == 5 and got.pairs >= 4
         assert min(shorter, odd, even, missed) > 40
         # five factors with m >= 4: forward layer 3 streamed against backward
-        # depth 2, then a suffix search of two factors
+        # depth 2, then a walk of two steps to the target
         assert wide_five >= 5
 
     def test_matches_the_unpruned_search(self):
@@ -583,6 +583,57 @@ class TestMembershipOracle:
             found += got is not None
             missed += got is None
         assert min(found, missed, flipped) > 30
+        # witnesses of 7 and 8 factors: the walk from the meeting element to
+        # the target takes 3 and 4 steps, at the witness's length as bound
+        # and one above it; at m = 2 more than one factor starts a shortest
+        # path somewhere on the walk, and the least must be taken
+        for text in (
+            "m=1 g0 g0 g0 g0 g0 g0 g0",
+            "m=1 g0^-1 g0^-1 g0^-1 g0^-1 g0^-1 g0^-1 g0^-1 g0^-1",
+            "m=2 g1 g2^-1 g1 g2 g0 g2 g1^-1",
+            "m=2 g0 g0 g2 g0^-1 g0^-1 g1 g1 g1",
+        ):
+            expr = parse_expression(text)
+            word = expand_expression(expr)
+            length = len(expr.factors)
+            assert unpruned_search_membership(word, length) == expr
+            assert search_membership(word, length) == search_membership(word, length + 1) == expr
+
+    def test_two_searches_and_a_walk(self, monkeypatch):
+        # on every input of the reference loop: a bfs for each side and none
+        # for the suffix, and none at all when the word breaks the pairing
+        calls = []
+        real_bfs = hilden.bfs
+
+        def counting_bfs(*args):
+            calls.append(args)
+            return real_bfs(*args)
+
+        def checked_search(word, max_len):
+            calls.clear()
+            got = hilden.search_membership(word, max_len)
+            assert len(calls) == (2 if preserves_pairing(word) else 0)
+            return got
+
+        monkeypatch.setattr(hilden, "bfs", counting_bfs)
+        monkeypatch.setitem(globals(), "search_membership", checked_search)
+        self.test_matches_the_permutation_object_search()
+
+    def test_children_built_one_at_a_time(self):
+        # the first child costs one fingerprint extension, not one per factor
+        applied = []
+
+        def counting_apply(fp, letters):
+            applied.append(letters)
+            return _apply(fp, letters)
+
+        for m in (1, 2, 3):
+            start = (_basis(2 * m), 0, tuple(range(1, m + 1)), 0)
+            successors = hilden._pruned_moves(hilden._factor_table(m), 0, 4, counting_apply)
+            applied.clear()
+            move, _ = next(successors(start, ()))
+            assert move == (0, 1)
+            assert applied == [(1,)]
 
     def test_wide_witness_pinned(self):
         # 256 strands: the witness of two factors is met in the middle
@@ -590,15 +641,13 @@ class TestMembershipOracle:
         assert format_expression(search_membership(word, 6)) == "m=128 g128^-1 g128^-1"
 
     def test_states_carry_the_gap_and_its_distance(self, monkeypatch):
-        # search_membership opens the forward side, then the backward side,
-        # then a suffix search whenever the backward path has two factors or
-        # more.  Gaps are signed pair permutations, composed in diagram
-        # order.  Forward state after path p: gap = p^-1 t on the pairs.
-        # Backward state after the moves f_1 ... f_j: the element y = t u^-1
-        # with u = f_j ... f_1, and gap = the inverse of y's signed pair
-        # permutation.  Suffix state after path p, toward the suffix's
-        # target s: gap = p^-1 s, with s the suffix start's gap.  Each
-        # distance is the gap's type-B length, within the factors left.
+        # search_membership opens the forward side, then the backward side.
+        # Gaps are signed pair permutations, composed in diagram order.
+        # Forward state after path p: gap = p^-1 t on the pairs.  Backward
+        # state after the moves f_1 ... f_j: the element y = t u^-1 with
+        # u = f_j ... f_1, and gap = the inverse of y's signed pair
+        # permutation.  Each distance is the gap's type-B length, within the
+        # factors left.
         calls = []
 
         def recording_bfs(*args):
@@ -614,7 +663,7 @@ class TestMembershipOracle:
 
         monkeypatch.setattr(hilden, "bfs", recording_bfs)
         rng = random.Random(811)
-        checked = [0, 0, 0]
+        checked = [0, 0]
         flipped = 0
         for _ in range(60):
             m = rng.randint(1, 5)
@@ -624,7 +673,7 @@ class TestMembershipOracle:
             assert search_membership(word, length) is not None
             target = reference_pair_images(word)
             flipped += min(target) < 0
-            forward, backward, *suffixes = calls
+            forward, backward = calls
             for fp, (_, esum, gap, dist), path in forward:
                 prefix = expand_expression(HildenExpression(m, path))
                 assert _decode(fp) == artin_fingerprint(prefix)
@@ -640,16 +689,6 @@ class TestMembershipOracle:
                 assert gap == signed_inverse(reference_pair_images(y))
                 assert dist == type_b_length(gap) <= length - len(path)
                 checked[1] += 1
-            for states in suffixes:
-                suffix_target = states[0][1][2]
-                for fp, (_, esum, gap, dist), path in states:
-                    prefix = expand_expression(HildenExpression(m, path))
-                    assert _decode(fp) == artin_fingerprint(prefix)
-                    assert esum == exponent_sum(prefix)
-                    p_inverse = signed_inverse(reference_pair_images(prefix))
-                    assert gap == signed_product(p_inverse, suffix_target)
-                    assert dist == type_b_length(gap) <= length - len(path)
-                    checked[2] += 1
         assert min(checked) > 100
         assert flipped > 10
 
@@ -663,7 +702,7 @@ class TestMembershipOracle:
             successors = pruned(*args)
 
             def checked(state, path):
-                children = successors(state, path)
+                children = list(successors(state, path))
                 if path:
                     undo = (path[-1][0], -path[-1][1])
                     assert undo not in [move for move, _ in children]

@@ -14,6 +14,7 @@ from platkit.motion import (
     motion_from_json,
     motion_from_obj,
     motion_svg,
+    motion_to_obj,
     motion_to_json,
     plan_motion,
     plat_motion,
@@ -43,6 +44,16 @@ class TestStills:
             BandMark(1, 0)
         with pytest.raises(ValueError):
             Still("x", 2, BraidWord.identity(2), bands=(BandMark(2, 1),))
+
+    def test_band_mark_slot_and_sign_stored_as_plain_ints(self):
+        mark = BandMark(1, True)
+        assert (type(mark.slot), type(mark.sign)) == (int, int)
+        still = Still("x", 2, BraidWord.identity(2), bands=(mark,))
+        picture = MotionPicture((still,))
+        assert motion_from_obj(motion_to_obj(picture)) == picture
+        for slot, sign in ((1.0, 1), ("1", 1), (1, 1.0), (1, "1")):
+            with pytest.raises(ValueError, match="is not an integer"):
+                BandMark(slot, sign)
 
     def test_picture_needs_stills(self):
         with pytest.raises(ValueError):

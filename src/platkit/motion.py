@@ -33,6 +33,8 @@ class BandMark:
         object.__setattr__(self, "sign", _plain_int(self.sign, "band mark sign"))
         if self.sign not in (1, -1):
             raise ValueError("band mark sign must be +1 or -1")
+        if not isinstance(self.label, str):
+            raise ValueError(f"'label' must be of type str, got {self.label!r}")
 
 
 @_frozen
@@ -45,6 +47,8 @@ class Still:
     bands: tuple[BandMark, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"'label' must be of type str, got {self.label!r}")
         if self.word.strands != self.strands:
             raise ValueError("still word must use the still's strand count")
         for a, b in self.caps + self.cups:
@@ -206,6 +210,11 @@ _GAP = 0.22
 MAX_SVG_POINTS = 1 << 19
 
 
+# SVG text escapes for the characters that would end or open markup; a
+# translate table, as importing the html module costs a cold CLI call
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
 def _fmt(v: float) -> str:
     return f"{v:.1f}".rstrip("0").rstrip(".")
 
@@ -261,7 +270,8 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
             f'<rect x="{_fmt(x(m.slot) - 4)}" y="{_fmt(ry)}" '
             f'width="{_fmt(_DX + 8)}" height="{_fmt(_DY * 0.55)}" class="b"/>'
         )
-        text = ("+" if m.sign > 0 else "-") + (f" {m.label}" if m.label else "")
+        label = m.label.translate(_TEXT_ESCAPES)
+        text = ("+" if m.sign > 0 else "-") + (f" {label}" if label else "")
         parts.append(
             f'<text x="{_fmt(x(m.slot) + _DX / 2)}" y="{_fmt(ry + _DY * 0.38)}" '
             f'class="bt">{text}</text>'
@@ -286,9 +296,8 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
         )
     y += _ARC if still.cups else 0
 
-    parts.append(
-        f'<text x="{_fmt(x0 + _MARGIN)}" y="{_fmt(y + 18)}" class="t">{still.label}</text>'
-    )
+    label = still.label.translate(_TEXT_ESCAPES)
+    parts.append(f'<text x="{_fmt(x0 + _MARGIN)}" y="{_fmt(y + 18)}" class="t">{label}</text>')
     return y + 28
 
 

@@ -190,8 +190,9 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     total coefficient of the states that produce it.  Each matching is
     interned as a small int id the first time it appears, with -1 at the
     positions already capped off, and the cup-cap at each position is
-    worked out once per id: a rewired id, or -1 when it closes a loop.
-    These transitions live for one call.
+    worked out once per id, for both parities of its state keys (see
+    Packing): the key it moves to, or -1 when it closes a loop.  These
+    transitions are keyed by state key and live for one call.
 
     Pre-pass.  The sweep runs on a smaller diagram with the same bracket up
     to a known unit and loop power.  Read the letter i as A e_i + A^-1 and
@@ -259,6 +260,11 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     When the cup-cap closes a loop (-A^2 - A^-2) the matching is unchanged,
     and the straight and loop terms merge into one monomial (A^-1 - A^-1 -
     A^3 = -A^3, and its mirror -A^-3): the update is -(x << B) or -x.
+
+    A key whose terms cancel to 0 is kept, not filtered out after each
+    letter: the next letter skips it, which is exact, as a zero key adds
+    nothing to any later key and decodes to no term at the end.  A cap
+    drops the zero keys it leaves.
 
     A cap lowers ``base`` by 4 and moves every key up one slot, y = x << B,
     which keeps its polynomial; that is how a loop's A^-2 term gets a slot
@@ -368,15 +374,17 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
             matchings.append(key)
         return r
 
-    def rewire(m: int, i: int) -> int:
-        """The id of matching m after a cap-then-cup at i, i+1, or -1 if a loop closes."""
+    def rewire(m: int, i: int) -> tuple[int, int]:
+        """The target keys of matching m's parities 0 and 1 after a cap-then-cup
+        at i, i+1: the rewired id's other parity, or -1 for both if a loop closes."""
         matching = list(matchings[m])
         x, y = matching[i], matching[i + 1]
         if x == i + 1:
-            return -1
+            return -1, -1
         matching[x], matching[y] = y, x
         matching[i], matching[i + 1] = i + 1, i
-        return intern(matching)
+        r = 2 * intern(matching)
+        return r + 1, r
 
     def cap(m: int, a: int, b: int) -> int:
         """The id r of matching m with a and b capped off, or ~r if a loop closes."""
@@ -415,19 +423,18 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
         negative = g < 0
         base -= 3 if negative else 1
         for key, x in states.items():
-            r = memo.get(key >> 1)
+            if not x:
+                continue
+            r = memo.get(key)
             if r is None:
-                r = memo[key >> 1] = rewire(key >> 1, i)
+                memo[key & ~1], memo[key | 1] = rewire(key >> 1, i)
+                r = memo[key]
             if r < 0:
                 nxt[key] = get(key, 0) - (x if negative else x << width)
                 continue
             nxt[key] = get(key, 0) + (x << width if negative else x)
-            if key & 1:
-                r, x = 2 * r, x << width
-            else:
-                r = 2 * r + 1
-            nxt[r] = get(r, 0) + x
-        states = {key: x for key, x in nxt.items() if x}
+            nxt[r] = get(r, 0) + (x << width if key & 1 else x)
+        states = nxt
         # every key moves up one slot as base drops by 4; a closed loop
         # multiplies by -A^2 - A^-2 and flips the parity
         for a, b in caps:
@@ -496,49 +503,49 @@ def pd_lines(diagram: PlatDiagram) -> list[str]:
     with CUP lines first (by position), then crossings in word order, then
     CAP lines (by position).
 
-    An arc is the pair (position, run index): run k at position p is the
-    piece between the k-th and (k+1)-th crossings touching p, counted from
-    the bottom, so run 0 ends on a cup and the last run on a cap.  One pass
-    over the word lists each position's crossings and, for each crossing,
-    the run indices just below it; the walk then steps from arc to arc in
-    constant time, for O(n + c) time and memory with n strands and c
-    crossings.
+    Arcs are numbered as flat ints in one pass over the word: with n
+    strands, arc p is the run at position p that starts on its bottom cup,
+    and the k-th crossing, from 0, starts arcs n + 2k on its left and
+    n + 2k + 1 on its right.  The same pass fills a step table: ``step[2a]``
+    is the arc after a going up and ``step[2a + 1]`` the arc after it going
+    down, stored as ``~b`` when a cap or cup turns the walk around at b.
+    The walk then reads one entry per arc, for O(n + c) time and memory
+    with c crossings.
     """
     word = diagram.word
-    # crossings[p]: the levels of the crossings touching position p, bottom up;
-    # below[lv]: (i, run at i, run at i + 1) just below the crossing at level lv
-    crossings: list[list[int]] = [[] for _ in range(word.strands + 1)]
-    below: list[tuple[int, int, int]] = []
-    for lv, g in enumerate(word.letters):
-        i = abs(g)
-        below.append((i, len(crossings[i]), len(crossings[i + 1])))
-        crossings[i].append(lv)
-        crossings[i + 1].append(lv)
+    n = word.strands
+    step = [0] * (2 * n + 4 * len(word))
+    last = list(range(n))  # the arc at each position above the crossings seen so far
+    crossings = []
+    t = n  # the arc that starts on the left of the next crossing
+    for g in word.letters:
+        i = abs(g) - 1
+        bl, br = last[i], last[i + 1]
+        # going up a crossing leads to the arc above it at the other position,
+        # going down to the arc below it
+        step[2 * bl], step[2 * br], step[2 * t + 1], step[2 * t + 3] = t + 1, t, br, bl
+        last[i], last[i + 1] = t, t + 1
+        crossings.append((bl, br, t))
+        t += 2
+    for p in range(n):
+        step[2 * p + 1] = ~(diagram.bottom.partner[p] - 1)
+        step[2 * last[p]] = ~last[diagram.top.partner[p] - 1]
 
-    # walk each component arc by arc, turning around at cups and caps; going
-    # up through a crossing lands on the run above it at the other position,
-    # going down on the run below it
-    labels: dict[tuple[int, int], int] = {}
-    for start in range(1, word.strands + 1):
-        p, k, up = start, 0, True
-        while (p, k) not in labels:
-            labels[p, k] = len(labels) + 1
-            if up and k == len(crossings[p]):
-                p, up = diagram.top(p), False
-                k = len(crossings[p])
-            elif not up and k == 0:
-                p, up = diagram.bottom(p), True
-            else:
-                i, ki, kj = below[crossings[p][k if up else k - 1]]
-                p, k = (i + 1, kj) if p == i else (i, ki)
-                if up:
-                    k += 1
+    # walk each component from the lowest unlabelled bottom position, heading up
+    labels = [0] * t
+    count = 0
+    for start in range(n):
+        a, down = start, 0
+        while not labels[a]:
+            count += 1
+            labels[a] = count
+            a = step[2 * a + down]
+            if a < 0:
+                a, down = ~a, 1 - down
 
-    lines = [f"CUP {labels[i, 0]} {labels[j, 0]}" for i, j in diagram.bottom.pairs()]
-    for i, ki, kj in below:
-        bl, br = labels[i, ki], labels[i + 1, kj]
-        tl, tr = labels[i, ki + 1], labels[i + 1, kj + 1]
-        lines.append(f"X {bl} {br} {tl} {tr}")
+    lines = [f"CUP {labels[i - 1]} {labels[j - 1]}" for i, j in diagram.bottom.pairs()]
+    for bl, br, t in crossings:
+        lines.append(f"X {labels[bl]} {labels[br]} {labels[t]} {labels[t + 1]}")
     for i, j in diagram.top.pairs():
-        lines.append(f"CAP {labels[i, len(crossings[i])]} {labels[j, len(crossings[j])]}")
+        lines.append(f"CAP {labels[last[i - 1]]} {labels[last[j - 1]]}")
     return lines

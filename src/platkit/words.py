@@ -56,6 +56,7 @@ on a longer word than the two words themselves.
 from __future__ import annotations
 
 from operator import attrgetter, index, neg
+from struct import unpack
 from threading import Lock
 
 
@@ -506,7 +507,7 @@ def _basis(strands: int) -> tuple:
 def _decode(images: tuple) -> tuple[tuple[int, ...], ...]:
     """Coded images as tuples of plain int letters."""
     if images and type(images[0]) is bytes:
-        return tuple(tuple(memoryview(u).cast("b").tolist()) for u in images)
+        return tuple(unpack(f"{len(u)}b", u) for u in images)
     half = _WIDE_MOD // 2
     return tuple(tuple(c if c < half else c - _WIDE_MOD for c in map(ord, u)) for u in images)
 

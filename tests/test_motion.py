@@ -1,7 +1,9 @@
 """Motion pictures and their SVG rendering."""
 
 import hashlib
+import json
 import random
+import xml.dom.minidom
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,18 @@ class TestStills:
         for slot, sign in ((1.0, 1), ("1", 1), (1, 1.0), (1, "1")):
             with pytest.raises(ValueError, match="is not an integer"):
                 BandMark(slot, sign)
+
+    def test_label_must_be_text(self):
+        # refused at construction with the reader's wording, so no picture
+        # is built that motion_from_obj(motion_to_obj(...)) could not read back
+        with pytest.raises(ValueError, match="'label' must be of type str, got 5"):
+            BandMark(1, 1, 5)
+        with pytest.raises(ValueError, match="'label' must be of type str, got 7"):
+            Still(7, 2, BraidWord.identity(2))
+        with pytest.raises(ValueError, match="'label' must be of type str, got None"):
+            Still(None, 2, BraidWord.identity(2))
+        with pytest.raises(ValueError, match="'label' must be of type str, got 5"):
+            motion_from_obj({"strands": 2, "stills": [{"label": 5, "word": ""}]})
 
     def test_picture_needs_stills(self):
         with pytest.raises(ValueError):
@@ -235,6 +249,16 @@ class TestSvg:
         )
         digest = hashlib.sha256(motion_svg(picture).encode()).hexdigest()
         assert digest == "aae44690ddaf95c029f39f0feda571e8688264d6bd4cbf96d20040c5a0b828cb"
+
+    def test_labels_are_escaped(self):
+        # markup characters in labels read from a JSON document stay text
+        label = "a<b & c>d"
+        mark = {"slot": 1, "sign": -1, "label": label}
+        doc = {"strands": 2, "stills": [{"label": label, "word": "1", "bands": [mark]}]}
+        svg = motion_svg(motion_from_json(json.dumps(doc)))
+        texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+        assert [t.firstChild.data for t in texts] == [f"- {label}", label]
+        assert "a<b" not in svg
 
     def test_no_external_references(self):
         svg = motion_svg(plat_motion(plat_closure(parse_braid("1", 2))))

@@ -17,8 +17,11 @@ from platkit.plats import (
     plat_closure,
     triviality_check,
 )
-from platkit.stabilize import stabilize
+from platkit.hilden import expand_expression
+from platkit.stabilize import StabilizationProfile, stabilize, stabilize_by_profile
 from platkit.words import MAX_STRANDS, BraidWord, BudgetError, parse_braid, strand_permutation
+
+from test_hilden import random_expression
 
 U = Laurent.unit
 
@@ -793,6 +796,22 @@ class TestBracketSweep:
         assert kauffman_bracket(diagram) == U(6) * LOOP
         assert kauffman_bracket(diagram) == reference_bracket(diagram)
 
+    def test_hilden_words_whose_keys_cancel(self):
+        # the state sums of Hilden words and of their stabilizations cancel
+        # keys to zero mid-sweep, so zero keys reach the next letter and the
+        # caps: they must add nothing there
+        rng = random.Random(62)
+        for m in (2, 3, 4):
+            for _ in range(12):
+                h = expand_expression(random_expression(rng, m, rng.randint(2, 10)))
+                entries = [0] * m
+                entries[rng.randrange(m)] = rng.randint(1, 2)
+                stabilized = stabilize_by_profile(h, StabilizationProfile(tuple(entries)))
+                for w in (h, stabilized):
+                    diagram = plat_closure(w)
+                    assert kauffman_bracket(diagram, budget=len(w)) == reference_bracket(diagram)
+                    assert triviality_check(diagram, len(w)) is Triviality.CONSISTENT_WITH_TRIVIAL
+
     def test_wide_plat_against_mirror_and_stabilization(self):
         # a random plat on 32 strands with 128 crossings: a sweep that
         # carries matchings of all 32 endpoints did not finish it in 20 s
@@ -950,6 +969,17 @@ class TestDiagramExportOracle:
             kinds.add((standard, length == 0))
             assert pd_lines(diagram) == reference_pd_lines(diagram)
         assert len(kinds) == 4
+
+    def test_wide_plats_with_bare_positions(self):
+        # 64 strands and at most 12 letters: most positions carry no crossing,
+        # so their one arc runs from its cup straight to its cap
+        rng = random.Random(45)
+        for t in range(200):
+            word = random_word(rng, 64, t % 13)
+            diagram = plat_closure(word)
+            if t % 2:
+                diagram = PlatDiagram(word, random_pairing(rng, 64), random_pairing(rng, 64))
+            assert pd_lines(diagram) == reference_pd_lines(diagram)
 
     def test_long_word(self):
         rng = random.Random(44)

@@ -576,6 +576,21 @@ class TestCodedKernel:
             assert braids_equal(u, b) == want
             assert braids_equal(b, u) == want
 
+    def test_decode_reads_bytes_as_signed_letters(self):
+        # the bytes images, against the memoryview cast it replaced: empty
+        # images, the extreme letters +-127 and -128 included
+        rng = random.Random(2403)
+        for _ in range(300):
+            images = tuple(
+                bytes(rng.randrange(256) for _ in range(rng.choice((0, 1, rng.randint(2, 40)))))
+                for _ in range(rng.randint(1, 8))
+            )
+            images += (bytes([127, 129, 128]), b"")
+            want = tuple(tuple(memoryview(u).cast("b").tolist()) for u in images)
+            assert _decode(images) == want
+            assert all(type(u) is tuple for u in _decode(images))
+        assert _decode((bytes([127, 129, 128]),)) == ((127, -127, -128),)
+
     @pytest.mark.parametrize("strands", [127, 128, 129, 4000])
     def test_code_boundary(self, strands):
         assert type(_basis(strands)[0]) is (bytes if strands < 128 else str)

@@ -226,18 +226,14 @@ def _pruned_moves(steps, target_sum: int, max_len: int, apply):
             new_sum = esum + step_sum
             if abs(target_sum - new_sum) > remaining * max_step_sum:
                 continue
+            up = gap[swap - 1] < gap[swap] if swap else gap[0] > 0
+            new_dist = dist + 1 if up else dist - 1
+            if new_dist > remaining:
+                continue
             if swap:
-                a, b = gap[swap - 1], gap[swap]
-                new_dist = dist + 1 if a < b else dist - 1
-                if new_dist > remaining:
-                    continue
-                new_gap = gap[: swap - 1] + (b, a) + gap[swap + 1 :]
+                new_gap = gap[: swap - 1] + (gap[swap], gap[swap - 1]) + gap[swap + 1 :]
             else:
-                head = gap[0]
-                new_dist = dist + 1 if head > 0 else dist - 1
-                if new_dist > remaining:
-                    continue
-                new_gap = (-head,) + gap[1:]
+                new_gap = (-gap[0],) + gap[1:]
             yield move, (apply(fp, letters), new_sum, new_gap, new_dist)
 
     return successors

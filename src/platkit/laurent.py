@@ -16,6 +16,16 @@ class Laurent:
     coeffs: tuple[tuple[int, int], ...] = ()
     """Sorted (exponent, coefficient) pairs with nonzero coefficients."""
 
+    def __post_init__(self) -> None:
+        # one pass: the exponents strictly increase, each coefficient a nonzero int
+        last = float("-inf")
+        for e, c in self.coeffs:
+            if e <= last or type(c) is not int or not c:
+                raise ValueError(
+                    f"not sorted (exponent, nonzero int coefficient) pairs: {self.coeffs!r}"
+                )
+            last = e
+
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "Laurent":
         return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))

@@ -37,6 +37,15 @@ class BandMark:
             raise ValueError(f"'label' must be of type str, got {self.label!r}")
 
 
+def _wicket(pair) -> tuple[int, int]:
+    """A cap or cup as a pair of plain ints; ValueError naming it when it is not one."""
+    try:
+        a, b = pair
+        return _plain_int(a), _plain_int(b)
+    except (TypeError, ValueError):
+        raise ValueError(f"bad wicket {pair!r}: not a pair of integers") from None
+
+
 @_frozen
 class Still:
     label: str
@@ -51,6 +60,9 @@ class Still:
             raise ValueError(f"'label' must be of type str, got {self.label!r}")
         if self.word.strands != self.strands:
             raise ValueError("still word must use the still's strand count")
+        # wickets are stored as pairs of plain ints (a bool too), as letters are
+        object.__setattr__(self, "caps", tuple(map(_wicket, self.caps)))
+        object.__setattr__(self, "cups", tuple(map(_wicket, self.cups)))
         for a, b in self.caps + self.cups:
             if not 1 <= a < b <= self.strands:
                 raise ValueError(f"bad wicket ({a}, {b})")

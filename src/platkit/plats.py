@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .laurent import Laurent, equal_up_to_unit, loop_power
-from .words import BraidWord, BudgetError, _cycle_type, _frozen, _strand_images, check_strands
+from .words import BraidWord, BudgetError, _cycle_type, _frozen, _plain_int, _strand_images, check_strands
 
 DEFAULT_BRACKET_BUDGET = 24
 
@@ -34,7 +34,8 @@ class Pairing:
     partner: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "partner", tuple(self.partner))
+        # partners are stored as plain ints (a bool too), as letters are
+        object.__setattr__(self, "partner", tuple(_plain_int(j, "partner") for j in self.partner))
         n = len(self.partner)
         if n % 2 != 0:
             raise ValueError("a pairing needs an even number of endpoints")
@@ -189,10 +190,11 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
     once and carrying, for every matching of the endpoints still open, the
     total coefficient of the states that produce it.  Each matching is
     interned as a small int id the first time it appears, with -1 at the
-    positions already capped off, and the cup-cap at each position is
-    worked out once per id, for both parities of its state keys (see
-    Packing): the key it moves to, or -1 when it closes a loop.  These
-    transitions are keyed by state key and live for one call.
+    positions already capped off; one join makes a cap and a cup-cap, and
+    the cup-cap at each position is worked out once per id, for both
+    parities of its state keys (see Packing): the key it moves to, or -1
+    when it closes a loop.  These transitions are keyed by state key and
+    live for one call.
 
     Pre-pass.  The sweep runs on a smaller diagram with the same bracket up
     to a known unit and loop power.  Read the letter i as A e_i + A^-1 and
@@ -374,23 +376,17 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
             matchings.append(key)
         return r
 
-    def rewire(m: int, i: int) -> tuple[int, int]:
-        """The target keys of matching m's parities 0 and 1 after a cap-then-cup
-        at i, i+1: the rewired id's other parity, or -1 for both if a loop closes."""
-        matching = list(matchings[m])
-        x, y = matching[i], matching[i + 1]
-        if x == i + 1:
-            return -1, -1
-        matching[x], matching[y] = y, x
-        matching[i], matching[i + 1] = i + 1, i
-        r = 2 * intern(matching)
-        return r + 1, r
-
-    def cap(m: int, a: int, b: int) -> int:
-        """The id r of matching m with a and b capped off, or ~r if a loop closes."""
-        matching = list(matchings[m])
-        x, y = matching[a], matching[b]
-        matching[a] = matching[b] = -1
+    def join(m: int, a: int, b: int, ends: tuple[int, int]) -> int:
+        """The id r of matching m with a and b set to ``ends``, (-1, -1) for a cap
+        or (b, a) for a cup-cap, and their old partners joined; ~r if a and b
+        were partners, which closes a loop (a cup-cap's leaves m as it was)."""
+        matching = matchings[m]
+        x = matching[a]
+        if x == ends[0]:
+            return ~m
+        y = matching[b]
+        matching = list(matching)
+        matching[a], matching[b] = ends
         if x == b:
             return ~intern(matching)
         matching[x], matching[y] = y, x
@@ -408,13 +404,14 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
             schedule[t] += ((a, b),)
             width += 1
         else:
-            m = cap(m, a, b)
+            m = join(m, a, b, (-1, -1))
             if m < 0:
                 m = ~m
                 split += 1
     states = {2 * m: -1 if kinks & 1 else 1}
     for g, caps in zip(order, schedule):
         i = abs(g) - 1
+        cup = i + 1, i
         memo = transitions[i]
         nxt: dict[int, int] = {}
         get = nxt.get
@@ -427,7 +424,8 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
                 continue
             r = memo.get(key)
             if r is None:
-                memo[key & ~1], memo[key | 1] = rewire(key >> 1, i)
+                r = 2 * join(key >> 1, i, i + 1, cup)
+                memo[key & ~1], memo[key | 1] = (-1, -1) if r < 0 else (r + 1, r)
                 r = memo[key]
             if r < 0:
                 nxt[key] = get(key, 0) - (x if negative else x << width)
@@ -442,7 +440,7 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
             nxt = {}
             get = nxt.get
             for key, x in states.items():
-                r = cap(key >> 1, a, b)
+                r = join(key >> 1, a, b, (-1, -1))
                 y = x << width
                 if r >= 0:
                     r = 2 * r + (key & 1)
@@ -510,13 +508,13 @@ def pd_lines(diagram: PlatDiagram) -> list[str]:
     is the arc after a going up and ``step[2a + 1]`` the arc after it going
     down, stored as ``~b`` when a cap or cup turns the walk around at b.
     The walk then reads one entry per arc, for O(n + c) time and memory
-    with c crossings.
+    with c crossings, and each X line reads its two lower arcs off the
+    same table, as where its upper arcs lead going down.
     """
     word = diagram.word
     n = word.strands
     step = [0] * (2 * n + 4 * len(word))
     last = list(range(n))  # the arc at each position above the crossings seen so far
-    crossings = []
     t = n  # the arc that starts on the left of the next crossing
     for g in word.letters:
         i = abs(g) - 1
@@ -525,7 +523,6 @@ def pd_lines(diagram: PlatDiagram) -> list[str]:
         # going down to the arc below it
         step[2 * bl], step[2 * br], step[2 * t + 1], step[2 * t + 3] = t + 1, t, br, bl
         last[i], last[i + 1] = t, t + 1
-        crossings.append((bl, br, t))
         t += 2
     for p in range(n):
         step[2 * p + 1] = ~(diagram.bottom.partner[p] - 1)
@@ -544,8 +541,8 @@ def pd_lines(diagram: PlatDiagram) -> list[str]:
                 a, down = ~a, 1 - down
 
     lines = [f"CUP {labels[i - 1]} {labels[j - 1]}" for i, j in diagram.bottom.pairs()]
-    for bl, br, t in crossings:
-        lines.append(f"X {labels[bl]} {labels[br]} {labels[t]} {labels[t + 1]}")
+    for t in range(n, t, 2):
+        lines.append(f"X {labels[step[2 * t + 3]]} {labels[step[2 * t + 1]]} {labels[t]} {labels[t + 1]}")
     for i, j in diagram.top.pairs():
         lines.append(f"CAP {labels[last[i - 1]]} {labels[last[j - 1]]}")
     return lines

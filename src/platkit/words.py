@@ -21,7 +21,7 @@ the byte +-g mod 256, and from 128 strands on a str, the letter stored as
 the code point +-g mod 0x110000.  Slicing, concatenation, comparison and
 hashing of an image then run in C, and an image is inverted by reversing it
 and translating each letter to its inverse's code.  One kernel,
-``_extend``, serves both codes.  The coded images stay inside the package:
+``_apply``, serves both codes.  The coded images stay inside the package:
 their one public exit is :func:`artin_fingerprint`, which decodes them
 once, at the end, into tuples of int letters.  Such a tuple and a coded
 image hash differently, but nothing depends on hash order: the searches
@@ -137,8 +137,8 @@ def _conjugate(w, w_inv, x):
     at a seam where one equals the other's inverse, which reads as equality
     against ``w_inv``, so no letter is negated.  Each seam is scanned a letter
     at a time for its first six letters, the common case, and past that
-    by slices of doubling length (:func:`_prefix_agreement`,
-    :func:`_suffix_agreement`); one concatenation builds the result, where
+    by slices of doubling length (:func:`_agreement`, forward on the first
+    seam and back on the others); one concatenation builds the result, where
     reducing w x and then (w x) w^-1 would build the intermediate word.
     """
     n, lx = len(w), len(x)
@@ -147,14 +147,14 @@ def _conjugate(w, w_inv, x):
     while k < top and w_inv[k] == x[k]:
         k += 1
         if k == 6:
-            k = _prefix_agreement(w_inv, x, k, top)
+            k = _agreement(w_inv, 0, x, 0, k, top, False)
             break
     # seam x | w^-1: x[lx-1-j] cancels w_inv[j] when it equals w[n-1-j]
     m, top = 0, n if n < lx - k else lx - k
     while m < top and x[lx - 1 - m] == w[n - 1 - m]:
         m += 1
         if m == 6:
-            m = _suffix_agreement(x, lx, w, n, m, top)
+            m = _agreement(x, lx, w, n, m, top, True)
             break
     if k + m < lx:
         return w[: n - k] + x[k : lx - m] + w_inv[m:]
@@ -164,44 +164,32 @@ def _conjugate(w, w_inv, x):
     while j < top and w[p - 1 - j] == w[q - 1 - j]:
         j += 1
         if j == 6:
-            j = _suffix_agreement(w, p, w, q, j, top)
+            j = _agreement(w, p, w, q, j, top, True)
             break
     return w[: p - j] + w_inv[m + j :]
 
 
-def _prefix_agreement(s, t, k: int, top: int) -> int:
-    """The largest j <= top with s[:j] == t[:j], given that s[:k] == t[:k] for some k >= 1.
+def _agreement(s, a: int, t, b: int, k: int, top: int, back: bool) -> int:
+    """The largest j <= top with s[a:a+j] == t[b:b+j], or s[a-j:a] == t[b-j:b] when ``back``.
 
-    Compares slices of doubling length, then halves the window with the
+    Given that it holds for j = k >= 1; read back, ``top`` is at most a and
+    b.  Compares slices of doubling length, then halves the window with the
     first difference: O(log) comparisons, each run by the sequence type.
+    Both directions are written inline, as a callback per slice costs more.
     """
     step = k
     while k < top:
-        hi = min(k + step, top)
-        if s[k:hi] != t[k:hi]:
+        hi = k + step
+        if hi > top:
+            hi = top
+        if s[a - hi : a - k] != t[b - hi : b - k] if back else s[a + k : a + hi] != t[b + k : b + hi]:
             while hi - k > 1:
                 mid = (k + hi) // 2
-                if s[k:mid] == t[k:mid]:
-                    k = mid
-                else:
-                    hi = mid
-            return k
-        k, step = hi, 2 * step
-    return k
-
-
-def _suffix_agreement(s, a: int, t, b: int, k: int, top: int) -> int:
-    """The largest j <= top with s[a-j:a] == t[b-j:b], given that it holds for some j = k >= 1.
-
-    :func:`_prefix_agreement` read from the ends; ``top`` is at most a and b.
-    """
-    step = k
-    while k < top:
-        hi = min(k + step, top)
-        if s[a - hi : a - k] != t[b - hi : b - k]:
-            while hi - k > 1:
-                mid = (k + hi) // 2
-                if s[a - mid : a - k] == t[b - mid : b - k]:
+                if (
+                    s[a - mid : a - k] == t[b - mid : b - k]
+                    if back
+                    else s[a + k : a + mid] == t[b + k : b + mid]
+                ):
                     k = mid
                 else:
                     hi = mid
@@ -309,7 +297,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
+        # images are stored as plain ints (a bool too), as letters are
+        object.__setattr__(self, "images", tuple(_plain_int(x, "image") for x in self.images))
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
@@ -517,21 +506,14 @@ def _apply(
 ) -> tuple:
     """The coded fingerprint of a prefix, ``images``, extended by further ``letters``.
 
-    Raises :class:`BudgetError` when the images pass ``guard`` letters in all.
-    """
-    return _extend(images, letters, guard)[0]
-
-
-def _extend(images: tuple, letters: tuple[int, ...], guard: int) -> tuple[tuple, int, int]:
-    """:func:`_apply`'s result, with the letter counts of ``images`` and of the result.
-
     The one fingerprint kernel.  sigma_i puts image i + 1 conjugated by
     image i in slot i and moves image i to slot i + 1; sigma_i^-1 moves
     image i + 1 to slot i and puts image i conjugated by the inverse of
     image i + 1 in slot i + 1.  The code is read once, off the first image.
+    Raises :class:`BudgetError` when the images pass ``guard`` letters in all.
     """
     work = list(images)
-    start = total = sum(map(len, work))
+    total = sum(map(len, work))
     inverse = _NARROW_INVERSE if work and type(work[0]) is bytes else _WIDE_INVERSE
     conjugate = _conjugate
     for g in letters:
@@ -549,7 +531,7 @@ def _extend(images: tuple, letters: tuple[int, ...], guard: int) -> tuple[tuple,
             raise BudgetError(
                 f"free-group fingerprint grew past {guard} letters"
             )
-    return tuple(work), start, total
+    return tuple(work)
 
 
 # _cached_apply's bound on the letters of its memo's entries, counted apart even
@@ -582,11 +564,12 @@ def _cached_apply(images: tuple, letters: tuple[int, ...]) -> tuple:
     so that one result is shared between searches is not seen either.
 
     Bound.  An entry counts the letters of its start images, of its letters
-    and of its result.  When storing one would take the count past
-    ``_APPLY_MEMO_LETTERS``, the memo is cleared whole first; an entry
-    larger than the bound by itself is not stored.  A lock keeps the count
-    and the entries in step when threads store at once.  A lookup takes no
-    lock: whatever it finds was stored whole, so it is a correct result.
+    and of its result, summed on a miss only.  When storing one would take
+    the count past ``_APPLY_MEMO_LETTERS``, the memo is cleared whole
+    first; an entry larger than the bound by itself is not stored.  A lock
+    keeps the count and the entries in step when threads store at once.  A
+    lookup takes no lock: whatever it finds was stored whole, so it is a
+    correct result.
 
     Memory.  A coded image holds one byte per letter below 128 strands; from
     128 strands on, a str of up to four bytes per letter (four once it holds
@@ -598,8 +581,8 @@ def _cached_apply(images: tuple, letters: tuple[int, ...]) -> tuple:
     key = images, letters
     out = _apply_memo.get(key)
     if out is None:
-        out, start, total = _extend(images, letters, DEFAULT_FINGERPRINT_GUARD)
-        size = start + len(letters) + total
+        out = _apply(images, letters)
+        size = sum(map(len, images)) + len(letters) + sum(map(len, out))
         if size <= _APPLY_MEMO_LETTERS:
             with _apply_memo_lock:
                 if _apply_memo_letters + size > _APPLY_MEMO_LETTERS:

@@ -635,6 +635,29 @@ class TestMembershipOracle:
             assert move == (0, 1)
             assert applied == [(1,)]
 
+    def test_start_past_the_distance_bound_builds_no_child(self, monkeypatch):
+        # sigma_1 sigma_15 on 16 strands turns pairs 1 and 8 over: type-B
+        # distance 16, past max_len 6 on both sides, so every child of either
+        # start, ascent or descent, is dropped before its fingerprint; the one
+        # fingerprint taken is the target's
+        plain, cached = [], []
+        apply, cached_apply = hilden._apply, hilden._cached_apply
+
+        def counting_apply(*args):
+            plain.append(args)
+            return apply(*args)
+
+        def counting_cached_apply(*args):
+            cached.append(args)
+            return cached_apply(*args)
+
+        monkeypatch.setattr(hilden, "_apply", counting_apply)
+        monkeypatch.setattr(hilden, "_cached_apply", counting_cached_apply)
+        word = BraidWord(16, (1, 15))
+        assert hilden._type_b_length(hilden._pair_images(16, word.letters)) == 16
+        assert search_membership(word, 6) is None
+        assert (len(plain), len(cached)) == (1, 0)
+
     def test_wide_witness_pinned(self):
         # 256 strands: the witness of two factors is met in the middle
         word = expand_expression(HildenExpression(128, ((128, -1), (128, -1))))

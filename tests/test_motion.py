@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import xml.dom.minidom
 from fractions import Fraction
 
@@ -40,6 +41,19 @@ class TestStills:
             Still("x", 4, BraidWord.identity(4), caps=((2, 1),))
         with pytest.raises(ValueError):
             Still("x", 4, BraidWord.identity(4), cups=((1, 5),))
+
+    def test_wickets_stored_as_pairs_of_plain_ints(self):
+        still = Still("x", 4, BraidWord.identity(4), caps=((True, 2),), cups=[[3, 4]])
+        assert (still.caps, still.cups) == (((1, 2),), ((3, 4),))
+        assert {type(v) for pair in still.caps + still.cups for v in pair} == {int}
+        picture = MotionPicture((still,))
+        assert motion_from_obj(motion_to_obj(picture)) == picture
+
+    @pytest.mark.parametrize("wicket", [(1.5, 2), ("1", 2), (1, 2, 3), (1,), 5, None])
+    def test_non_pair_wickets_refused(self, wicket):
+        for key in ("caps", "cups"):
+            with pytest.raises(ValueError, match=re.escape(f"bad wicket {wicket!r}")):
+                Still("x", 4, BraidWord.identity(4), **{key: (wicket,)})
 
     def test_band_mark_checks(self):
         with pytest.raises(ValueError):

@@ -237,6 +237,13 @@ class TestPlatClosure:
         with pytest.raises(ValueError):
             PlatDiagram(parse_braid("1", 2), Pairing.standard(1), Pairing.standard(2))
 
+    def test_pairing_partners_stored_as_plain_ints(self):
+        pairing = Pairing((2, True))
+        assert pairing.partner == (2, 1) and {type(j) for j in pairing.partner} == {int}
+        for bad in (1.0, "1", None):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Pairing((2, bad))
+
     def test_pairing_holds_a_tuple(self):
         partner = [2, 1, 4, 3]
         pairing = Pairing(partner)
@@ -412,6 +419,15 @@ class TestBracket:
         assert str(bracket) == "A^4 + 2 + A^-4"
         assert str(-bracket) == "-A^4 - 2 - A^-4"
         assert str(Laurent.zero()) == "0"
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [((2, 1), (0, 1)), ((0, 0),), ((1, 2), (1, 3)), ((0, 1.0),), ((0, True),), ((0, "1"),)],
+    )
+    def test_laurent_refuses_pairs_off_its_invariant(self, coeffs):
+        # sorted exponents, strictly increasing, each coefficient a nonzero int
+        with pytest.raises(ValueError, match="not sorted"):
+            Laurent(coeffs)
 
     def test_laurent_refusals(self):
         with pytest.raises(ValueError, match="negative powers"):

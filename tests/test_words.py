@@ -16,6 +16,7 @@ from platkit.words import (
     Permutation,
     _basis,
     _conjugate,
+    _agreement,
     _apply,
     _decode,
     _free_inv,
@@ -173,6 +174,13 @@ class TestPermutation:
         assert strand_permutation(parse_braid("1 3", 4)).cycle_type() == (2, 2)
         assert strand_permutation(parse_braid("1 2", 3)).cycle_type() == (3,)
         assert Permutation.identity(3).cycle_type() == (1, 1, 1)
+
+    def test_images_stored_as_plain_ints(self):
+        p = Permutation((True, 2))
+        assert p.images == (1, 2) and {type(x) for x in p.images} == {int}
+        for bad in (2.0, "2", None):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Permutation((1, bad))
 
     def test_images_are_a_tuple(self):
         images = [2, 1, 3]
@@ -676,3 +684,65 @@ class TestCodedKernel:
                 cw, cw_inv, cx = (code(u, strands < 128) for u in (w, _free_inv(w), x))
                 assert _decode((_conjugate(cw, cw_inv, cx),)) == (want,)
                 assert _conjugate(w, _free_inv(w), x) == want
+
+
+def scanned_agreement(s, a, t, b, top, back):
+    """The agreement of :func:`words._agreement`, one letter at a time."""
+    j = 0
+    while j < top and (s[a - 1 - j] == t[b - 1 - j] if back else s[a + j] == t[b + j]):
+        j += 1
+    return j
+
+
+class TestAgreement:
+    """The one seam scan against a letter-by-letter scan, forward and back."""
+
+    @pytest.mark.parametrize("kind", ["bytes", "str", "ints"])
+    def test_matches_a_letter_scan(self, kind):
+        def code(u):
+            if kind == "bytes":
+                return bytes(u)
+            if kind == "str":
+                return "".join(map(chr, u))
+            return tuple(c - 2 for c in u)
+
+        rng = random.Random(3201)
+        tested = 0
+        for _ in range(120):
+            # t holds a copy of a window of s; three letters, so the agreement
+            # often runs on past the copy
+            n = rng.randint(1, 120)
+            s_codes = [rng.randrange(1, 4) for _ in range(n)]
+            back = rng.random() < 0.5
+            head = [rng.randrange(1, 4) for _ in range(rng.randint(0, 20))]
+            tail = [rng.randrange(1, 4) for _ in range(rng.randint(0, 20))]
+            if back:
+                a = rng.randint(1, n)
+                window = s_codes[a - rng.randint(1, a) : a]
+                b = len(head) + len(window)
+            else:
+                a = rng.randrange(n)
+                window = s_codes[a : a + rng.randint(1, n - a)]
+                b = len(head)
+            s, t = code(s_codes), code(head + window + tail)
+            full = min(a, b) if back else min(n - a, len(t) - b)
+            want = scanned_agreement(s, a, t, b, full, back)
+            assert want >= len(window)
+            for k in range(1, want + 1):
+                assert _agreement(s, a, t, b, k, full, back) == want
+            # a top below the agreement is the answer, from either end of the window
+            for top in range(1, want):
+                assert _agreement(s, a, t, b, 1, top, back) == top
+                assert _agreement(s, a, t, b, top, top, back) == top
+            # the first window past the agreement differs at once: halved to
+            # a window of length 1 at the split
+            if want < full:
+                assert _agreement(s, a, t, b, want, want + 1, back) == want
+            tested += want
+        assert tested > 1000
+
+    def test_one_sequence_read_back_at_two_ends(self):
+        # the second seam of _conjugate compares w with itself
+        w = bytes((1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2))
+        assert _agreement(w, 8, w, 11, 1, 8, True) == scanned_agreement(w, 8, w, 11, 8, True) == 8
+        assert _agreement(w, 6, w, 9, 2, 6, True) == 6

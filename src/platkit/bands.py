@@ -70,6 +70,10 @@ from .words import (
 )
 
 
+# a band time written as text: an integer, p/q or a plain decimal
+_TIME_TEXT = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
 @_frozen
 class Band:
     """A half-twist band: slot between strands slot and slot+1, at a height."""
@@ -83,8 +87,16 @@ class Band:
         object.__setattr__(self, "slot", _plain_int(self.slot, "band slot"))
         object.__setattr__(self, "sign", _plain_int(self.sign, "band sign"))
         raw = self.time
+        # exponent notation would have Fraction expand the power of ten
+        if isinstance(raw, str) and not _TIME_TEXT.fullmatch(raw):
+            raise ValueError(f"band time {raw!r} must be an integer, p/q or a plain decimal")
         # floats go through their decimal string so 0.3 means 3/10 exactly
-        time = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
+        try:
+            time = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"band time {raw!r} divides by zero") from None
+        except TypeError:
+            raise ValueError(f"band time {raw!r} is not a number") from None
         object.__setattr__(self, "time", time)
         if self.sign not in (1, -1):
             raise ValueError("band sign must be +1 or -1")
@@ -210,6 +222,11 @@ class PlanBand:
     sign: int
     position: int
     kind: str
+
+    def __post_init__(self) -> None:
+        # slot, sign and position are stored as plain ints (a bool too), as a Band's are
+        for name in ("slot", "sign", "position"):
+            object.__setattr__(self, name, _plain_int(getattr(self, name), f"plan band {name}"))
 
 
 @_frozen
@@ -476,23 +493,13 @@ def banded_to_obj(bb: BandedBraid) -> dict:
     }
 
 
-_TIME_TEXT = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
-
-
 def banded_from_obj(obj: dict) -> BandedBraid:
     strands = json_field(obj, "strands", int)
     base = parse_braid(json_field(obj, "base", str, ""), strands)
     bands = []
     for item in json_field(obj, "bands", list, []):
         slot = json_field(item, "slot", int)
-        raw = json_field(item, "time", object)  # a string or a JSON number
-        # exponent notation would have Fraction expand the power of ten
-        if isinstance(raw, str) and not _TIME_TEXT.fullmatch(raw):
-            raise ValueError(f"band time {raw!r} must be an integer, p/q or a plain decimal")
-        try:
-            time = Fraction(raw) if isinstance(raw, str) else Fraction(str(raw))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"band time {raw!r} divides by zero") from exc
+        time = json_field(item, "time", object)  # a string or a JSON number
         bands.append(Band(slot, json_field(item, "sign", int), time))
     return BandedBraid(base, tuple(bands))
 

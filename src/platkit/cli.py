@@ -375,10 +375,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the output to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def word_cmd(name: str, func, help_text: str):
+    def command(name: str, func, help_text: str):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--strands", type=int, required=True)
         p.set_defaults(func=func)
+        return p
+
+    def word_cmd(name: str, func, help_text: str):
+        p = command(name, func, help_text)
+        p.add_argument("--strands", type=int, required=True)
         return p
 
     p = word_cmd("parse", _cmd_parse, "normalize a braid word")
@@ -411,11 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--profile", help='per-pair insertion counts, e.g. "2,0,1"')
 
     def system_cmd(name: str, func, help_text: str):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = command(name, func, help_text)
         p.add_argument("--degree", type=int)
         p.add_argument("--entries", help='words separated by ";", e.g. "1;1;-1"')
         p.add_argument("--in", dest="infile", help="braid-system JSON file")
-        p.set_defaults(func=func)
         return p
 
     p = system_cmd("slide", _cmd_slide, "apply slide moves to a braid system")
@@ -443,30 +446,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     system_cmd("ribbon-check", _cmd_ribbon_check, "symmetric ribbon criterion")
 
-    p = sub.add_parser(
-        "banded-check", parents=[common], help="admissibility report for a banded braid"
-    )
+    p = command("banded-check", _cmd_banded_check, "admissibility report for a banded braid")
     p.add_argument("file", help="banded-braid JSON file")
     p.add_argument("--budget", type=int, help="crossing budget")
-    p.set_defaults(func=_cmd_banded_check)
 
-    p = sub.add_parser(
-        "compile", parents=[common], help="compile a banded braid into a surface plan"
-    )
+    p = command("compile", _cmd_compile, "compile a banded braid into a surface plan")
     p.add_argument("file", help="banded-braid JSON file")
     p.add_argument("--certs", help="certificates JSON file")
     p.add_argument("--search", action="store_true", help="search for certificates")
     p.add_argument("--bound", type=int, help="largest pair count to try")
     p.add_argument("--budget", type=int, help="crossing budget")
-    p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser(
-        "export-mp", parents=[common], help="motion-picture document and SVG"
-    )
+    p = command("export-mp", _cmd_export_mp, "motion-picture document and SVG")
     p.add_argument("kind", choices=["plat", "plan", "system"])
     p.add_argument("input", help="braid word (plat) or JSON file (plan, system)")
     p.add_argument("--strands", type=int, help="strand count for plat input")
-    p.set_defaults(func=_cmd_export_mp)
 
     return parser
 

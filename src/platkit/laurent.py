@@ -17,14 +17,18 @@ class Laurent:
     """Sorted (exponent, coefficient) pairs with nonzero coefficients."""
 
     def __post_init__(self) -> None:
-        # one pass: the exponents strictly increase, each coefficient a nonzero int
+        # one pass: the exponents are ints that strictly increase, each
+        # coefficient a nonzero int; stored as a tuple of pairs, so a list hashes
         last = float("-inf")
+        pairs = []
         for e, c in self.coeffs:
-            if e <= last or type(c) is not int or not c:
+            if type(e) is not int or e <= last or type(c) is not int or not c:
                 raise ValueError(
                     f"not sorted (exponent, nonzero int coefficient) pairs: {self.coeffs!r}"
                 )
             last = e
+            pairs.append((e, c))
+        object.__setattr__(self, "coeffs", tuple(pairs))
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "Laurent":

@@ -58,6 +58,8 @@ class Still:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str):
             raise ValueError(f"'label' must be of type str, got {self.label!r}")
+        # the strand count is stored as a plain int (a bool too), as the word's is
+        object.__setattr__(self, "strands", _plain_int(self.strands, "strand count"))
         if self.word.strands != self.strands:
             raise ValueError("still word must use the still's strand count")
         # wickets are stored as pairs of plain ints (a bool too), as letters are
@@ -238,40 +240,35 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
     def x(pos: int) -> float:
         return x0 + _MARGIN + (pos - 1) * _DX
 
+    def wicket(a: int, b: int, end: float, control: float) -> None:
+        parts.append(
+            f'<path d="M {_fmt(x(a))} {_fmt(end)} '
+            f"Q {_fmt((x(a) + x(b)) / 2)} {_fmt(control)} "
+            f'{_fmt(x(b))} {_fmt(end)}" class="s"/>'
+        )
+
     y = _MARGIN
     for a, b in still.caps:
-        parts.append(
-            f'<path d="M {_fmt(x(a))} {_fmt(y + _ARC)} '
-            f"Q {_fmt((x(a) + x(b)) / 2)} {_fmt(y - _ARC)} "
-            f'{_fmt(x(b))} {_fmt(y + _ARC)}" class="s"/>'
-        )
+        wicket(a, b, y + _ARC, y - _ARC)
     y += _ARC if still.caps else 0
 
     # one polyline per unbroken strand run; under strands break at crossings
     runs: dict[int, list[tuple[float, float]]] = {p: [(x(p), y)] for p in range(1, n + 1)}
     finished: list[list[tuple[float, float]]] = []
-
-    def break_run(pos: int, pre: tuple[float, float], post: tuple[float, float]):
-        runs[pos].append(pre)
-        finished.append(runs[pos])
-        runs[pos] = [post]
-
     for g in still.word.letters:
         y2 = y + _DY
         j = abs(g)
         for p in range(1, n + 1):
             if p not in (j, j + 1):
                 runs[p].append((x(p), y2))
-        over_from = j if g > 0 else j + 1
-        for src, dst in ((j, j + 1), (j + 1, j)):
-            x1, x2_ = x(src), x(dst)
-            if src == over_from:
-                runs[src].append((x2_, y2))
-            else:
-                pre = (x1 + (x2_ - x1) * (0.5 - _GAP), y + (y2 - y) * (0.5 - _GAP))
-                post = (x1 + (x2_ - x1) * (0.5 + _GAP), y + (y2 - y) * (0.5 + _GAP))
-                break_run(src, pre, post)
-                runs[src].append((x2_, y2))
+        # the over strand steps across; the under strand u ends its run at the
+        # gap before the crossing point and starts a new one after it
+        over, u = (j, j + 1) if g > 0 else (j + 1, j)
+        runs[over].append((x(u), y2))
+        x1, x2_ = x(u), x(over)
+        runs[u].append((x1 + (x2_ - x1) * (0.5 - _GAP), y + (y2 - y) * (0.5 - _GAP)))
+        finished.append(runs[u])
+        runs[u] = [(x1 + (x2_ - x1) * (0.5 + _GAP), y + (y2 - y) * (0.5 + _GAP)), (x2_, y2)]
         runs[j], runs[j + 1] = runs[j + 1], runs[j]
         y = y2
 
@@ -301,11 +298,7 @@ def _still_svg(still: Still, x0: float, parts: list[str]) -> float:
         parts.append(f'<polyline points="{pts}" class="s"/>')
 
     for a, b in still.cups:
-        parts.append(
-            f'<path d="M {_fmt(x(a))} {_fmt(y)} '
-            f"Q {_fmt((x(a) + x(b)) / 2)} {_fmt(y + 2 * _ARC)} "
-            f'{_fmt(x(b))} {_fmt(y)}" class="s"/>'
-        )
+        wicket(a, b, y, y + 2 * _ARC)
     y += _ARC if still.cups else 0
 
     label = still.label.translate(_TEXT_ESCAPES)

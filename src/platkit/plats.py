@@ -132,6 +132,8 @@ def _shrink(
     The pairings are 0-based partner tuples.  The bracket of ``diagram`` is
     (-A^3)^kinks times the state sum of the smaller diagram with ``loops``
     added to every state's loop count; the bracket's docstring proves it.
+    Every idle cap is pulled down: the smaller diagram keeps the positions
+    that a letter touches or whose top partner a letter touches.
     """
     # cancel g ... g^-1 across letters that all commute with g
     kept: list[int] = []
@@ -162,17 +164,20 @@ def _shrink(
                 letters.append(g)
         kept = letters
 
-    # drop the closed pairs no letter touches, renumbering what is left
+    # pull each idle cap down, joining the bottom partners of its two strands
     n = len(bottom)
     new = [-1] * n
-    loops = p = 0
-    while p < n:
-        if bottom[p] == p + 1 == top[p] and p not in touched and p + 1 not in touched:
-            loops += 1
-            p += 2
-        else:
-            new[p] = p - 2 * loops
-            p += 1
+    loops = k = 0
+    for p, q in enumerate(top):
+        if p in touched or q in touched:
+            new[p] = k
+            k += 1
+        elif p < q:
+            x, y = bottom[p], bottom[q]
+            if x == q:
+                loops += 1
+            else:
+                bottom[x], bottom[y] = y, x
     letters = tuple((new[abs(g) - 1] + 1) * (1 if g > 0 else -1) for g in kept)
     return (
         letters,
@@ -217,10 +222,11 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
        under a top cap with no kept letter near it after it.  The cup or
        cap stays, so one backward pass strips the top kinks and one
        forward pass the bottom ones, runs of kinks included.
-    3. Drop untouched closed pairs: positions p, p+1 that both pairings
-       join and no letter touches close into one split loop in every
-       state.  They are removed, the letters and pairings renumbered, and
-       the number of pairs dropped is added to every state's loop count.
+    3. Pull idle caps down.  No letter sits at an idle cap a, b, so the cap
+       and the strands under it are one arc in every state, joining the
+       bottom partners x and y of a and b, or one split loop when x is b.
+       The bottom pairing joins x and y instead, a and b are removed, the
+       letters and pairings renumbered, and the loops added to every state.
 
     With kinks counted +1 for a positive and -1 for a negative letter, the
     sweep starts from the unit (-A^3)^kinks instead of 1.
@@ -236,17 +242,16 @@ def kauffman_bracket(diagram: PlatDiagram, budget: int = DEFAULT_BRACKET_BUDGET)
        e_i e_j = e_j e_i there.  The positions on the left thus finish
        early, not when the written word last reaches them.
     5. Early caps.  Each top pair is capped right after the last letter at
-       either of its positions, or on the start matching when no letter
-       touches it: its partners below are joined, or a loop closes when
-       they are the pair itself.  A state's smoothed diagram is a set of
-       arcs and loops, and a cap joins the strands that leave positions a
-       and b; no later letter meets those strands, so the cap adds the same
-       arc to every state whether it is drawn now or at the top, and only
-       the step at which its loop is counted moves.  The pair that is ready
-       last stays open: after the sweep it is the only pair left in every
-       matching, its cap closes one loop, and that loop counts 1.  The
-       bracket is the sweep's sum times (-A^2 - A^-2)^l with l the split
-       loops of step 3, or l - 1 when step 3 leaves no pair.
+       either of its positions: its partners below are joined, or a loop
+       closes when they are the pair itself.  A state's smoothed diagram is
+       a set of arcs and loops, and a cap joins the strands that leave
+       positions a and b; no later letter meets those strands, so the cap
+       adds the same arc to every state whether it is drawn now or at the
+       top, and only the step at which its loop is counted moves.  The pair
+       that is ready last stays open: after the sweep it is the only pair
+       left in every matching, its cap closes one loop, and that loop counts
+       1.  The bracket is the sweep's sum times (-A^2 - A^-2)^l with l the
+       split loops of step 3, or l - 1 when step 3 leaves no pair.
 
     Packing.  A state is keyed by ``2 * id + p`` and its polynomial is
     packed into one int (Kronecker substitution): slot j, its j-th B-bit
@@ -393,22 +398,14 @@ def _sweep(diagram: PlatDiagram) -> Laurent:
         return intern(matching)
 
     # each top pair is capped right after the last letter at either of its
-    # positions, and the pair that is ready last stays open; the pairs that
-    # no letter touches are capped on the start matching, before the sweep
+    # positions, and the pair that is ready last stays open
     pairs = sorted((max(last_step[a], last_step[b]), a, b) for a, b in enumerate(top) if a < b)
     schedule: list[tuple[tuple[int, int], ...]] = [()] * c
     width = c + 2
-    m = 0
     for t, a, b in pairs[:-1]:
-        if t >= 0:
-            schedule[t] += ((a, b),)
-            width += 1
-        else:
-            m = join(m, a, b, (-1, -1))
-            if m < 0:
-                m = ~m
-                split += 1
-    states = {2 * m: -1 if kinks & 1 else 1}
+        schedule[t] += ((a, b),)
+        width += 1
+    states = {0: -1 if kinks & 1 else 1}
     for g, caps in zip(order, schedule):
         i = abs(g) - 1
         cup = i + 1, i

@@ -8,8 +8,11 @@ import pytest
 from platkit.bands import (
     Band,
     BandedBraid,
+    BraidedSurfacePlan,
     CertificateError,
     Certificates,
+    PlanBand,
+    StripRecord,
     _compositions,
     _deletion_events,
     admissibility_report,
@@ -82,6 +85,21 @@ class TestBand:
         for slot, sign in ((2.0, 1), ("2", 1), (2, 1.0), (2, "1")):
             with pytest.raises(ValueError, match="is not an integer"):
                 Band(slot, sign, Fraction(1, 2))
+
+
+    def test_time_text_read_by_one_rule(self):
+        # the reader's rule: exponent notation is refused before Fraction
+        # expands the power of ten, and a zero denominator is bad input
+        with pytest.raises(ValueError, match="must be an integer, p/q or a plain decimal"):
+            Band(2, 1, "1e-2000000")
+        with pytest.raises(ValueError, match="divides by zero"):
+            Band(2, 1, "1/0")
+        for raw in (None, [1, 2], {"p": 1}):
+            with pytest.raises(ValueError, match="band time"):
+                Band(2, 1, raw)
+        assert Band(2, 1, "1/2").time == Band(2, 1, ".5").time == Fraction(1, 2)
+        with pytest.raises(ValueError, match="band time None"):
+            banded_from_obj({"strands": 4, "bands": [{"slot": 2, "sign": 1, "time": None}]})
 
 
 class TestBandedBraid:
@@ -581,6 +599,24 @@ class TestSerialization:
         for bb, certs in TestCompile().compile_cases():
             plan = compile_surface(bb, certs)
             assert plan_from_json(plan_to_json(plan)) == plan
+
+    def test_plan_band_fields_stored_as_plain_ints(self):
+        band = PlanBand(True, True, False, "surgery")
+        assert (band.slot, band.sign, band.position) == (1, 1, 0)
+        assert {type(band.slot), type(band.sign), type(band.position)} == {int}
+        plan = compile_surface(TOY, TOY_CERTS)
+        strip = plan.strips[1]
+        strip = StripRecord(strip.name, strip.bottom, strip.top, strip.left, strip.right, (band,))
+        plan = BraidedSurfacePlan(
+            plan.degree, (plan.strips[0], strip, *plan.strips[2:]), plan.branch_points,
+            plan.boundary, plan.boundary_factors, plan.chi, plan.certificates,
+        )
+        assert plan_from_obj(plan_to_obj(plan)) == plan
+        for field in range(3):
+            values = [2, 1, 0]
+            values[field] = 2.0
+            with pytest.raises(ValueError, match="plan band .* is not an integer"):
+                PlanBand(*values, "surgery")
 
     def test_plan_with_a_non_string_boundary_factor_is_refused(self):
         obj = plan_to_obj(compile_surface(TOY, TOY_CERTS))

@@ -55,6 +55,15 @@ class TestStills:
             with pytest.raises(ValueError, match=re.escape(f"bad wicket {wicket!r}")):
                 Still("x", 4, BraidWord.identity(4), **{key: (wicket,)})
 
+    def test_strand_count_stored_as_a_plain_int(self):
+        still = Still("x", True, BraidWord.identity(1))
+        assert type(still.strands) is int
+        picture = MotionPicture((still,))
+        assert motion_from_obj(motion_to_obj(picture)) == picture
+        for strands in (4.0, "4"):
+            with pytest.raises(ValueError, match="strand count .* is not an integer"):
+                Still("x", strands, BraidWord.identity(4))
+
     def test_band_mark_checks(self):
         with pytest.raises(ValueError):
             BandMark(1, 0)
@@ -263,6 +272,18 @@ class TestSvg:
         )
         digest = hashlib.sha256(motion_svg(picture).encode()).hexdigest()
         assert digest == "aae44690ddaf95c029f39f0feda571e8688264d6bd4cbf96d20040c5a0b828cb"
+
+    def test_pinned_bytes_of_a_strand_under_twice(self):
+        # one strand goes under two crossings in a row, next to a band mark:
+        # its run breaks twice, and each new run starts past the gap
+        picture = MotionPicture(
+            (
+                Still("under", 4, parse_braid("1 1 -1 3", 4), bands=(BandMark(1, -1, "x"),)),
+                Still("again", 4, parse_braid("-3 -3 3 2", 4), bands=(BandMark(3, 1, "a<b"),)),
+            )
+        )
+        digest = hashlib.sha256(motion_svg(picture).encode()).hexdigest()
+        assert digest == "deb374cd3e38233f5cd26a25a8ec2dde54a00ae5ed547d1052f5d5cf67faa647"
 
     def test_labels_are_escaped(self):
         # markup characters in labels read from a JSON document stay text

@@ -429,6 +429,16 @@ class TestBracket:
         with pytest.raises(ValueError, match="not sorted"):
             Laurent(coeffs)
 
+    def test_laurent_stores_a_tuple_of_int_pairs(self):
+        for coeffs in ([(0, 1)], [[0, 1]], ([0, 1],)):
+            p = Laurent(coeffs)
+            assert p == Laurent(((0, 1),)) and hash(p) == hash(Laurent.one())
+            assert type(p.coeffs) is tuple and type(p.coeffs[0]) is tuple
+        # an exponent must be an int, as a coefficient must
+        for e in (0.5, True, 1.0, "1"):
+            with pytest.raises(ValueError, match="not sorted"):
+                Laurent(((e, 1),))
+
     def test_laurent_refusals(self):
         with pytest.raises(ValueError, match="negative powers"):
             LOOP ** -1
@@ -683,12 +693,33 @@ class TestBracketPrePass:
                 assert _shrink(diagram)[4] == m
                 assert kauffman_bracket(diagram) == reference_bracket(diagram)
             assert kauffman_bracket(plat_closure(BraidWord.identity(2 * m))) == LOOP ** (m - 1)
-            # the same non-standard pairing at both ends: only its adjacent
-            # pairs are dropped, the rest still close up in the sweep
+            # the same non-standard pairing at both ends: every cap is idle
+            # and pulled down, each closing a split loop with its own cup
             pairing = random_pairing(rng, 2 * m)
             diagram = PlatDiagram(BraidWord.identity(2 * m), pairing, pairing)
             assert kauffman_bracket(diagram) == LOOP ** (m - 1)
             assert kauffman_bracket(diagram) == reference_bracket(diagram)
+
+    def test_idle_caps_pulled_down(self):
+        # the idle caps {1,3} and {2,4} chain: pulling {1,3} down joins the
+        # cups {1,2} and {3,4} into one cup {2,4}, which the cap {2,4} then
+        # closes into a split loop; only positions 5-8 are left
+        diagram = PlatDiagram(
+            parse_braid("5 7 6 -5", 8),
+            pairing_of(8, ((1, 2), (3, 4), (5, 8), (6, 7))),
+            pairing_of(8, ((1, 3), (2, 4), (5, 7), (6, 8))),
+        )
+        assert _shrink(diagram) == ((1, 3, 2, -1), (3, 2, 1, 0), (2, 3, 0, 1), 0, 1)
+        assert kauffman_bracket(diagram) == reference_bracket(diagram)
+        # the idle cap {1,6} joins the bottom partners 3 and 2 of its strands,
+        # both kept: they are renumbered 1 and 2, 0-based
+        diagram = PlatDiagram(
+            parse_braid("2 3", 6),
+            pairing_of(6, ((1, 3), (2, 6), (4, 5))),
+            pairing_of(6, ((1, 6), (2, 4), (3, 5))),
+        )
+        assert _shrink(diagram) == ((1, 2), (1, 0, 3, 2), (2, 3, 0, 1), 0, 0)
+        assert kauffman_bracket(diagram) == reference_bracket(diagram)
 
     def test_random_diagrams(self):
         # half with random pairings at both ends, some with letters on a

@@ -63,10 +63,10 @@ from .words import (
     _frozen,
     _insert,
     _plain_int,
+    _slot_and_sign,
     braids_equal,
     json_field,
     parse_braid,
-    product,
 )
 
 
@@ -83,9 +83,7 @@ class Band:
     time: Fraction
 
     def __post_init__(self) -> None:
-        # slot and sign are stored as plain ints (a bool too), as letters are
-        object.__setattr__(self, "slot", _plain_int(self.slot, "band slot"))
-        object.__setattr__(self, "sign", _plain_int(self.sign, "band sign"))
+        _slot_and_sign(self, "slot", "band slot", "band sign")
         raw = self.time
         # exponent notation would have Fraction expand the power of ten
         if isinstance(raw, str) and not _TIME_TEXT.fullmatch(raw):
@@ -98,8 +96,6 @@ class Band:
         except TypeError:
             raise ValueError(f"band time {raw!r} is not a number") from None
         object.__setattr__(self, "time", time)
-        if self.sign not in (1, -1):
-            raise ValueError("band sign must be +1 or -1")
         if not 0 < self.time < 1:
             raise ValueError("band time must lie strictly between 0 and 1")
 
@@ -224,9 +220,10 @@ class PlanBand:
     kind: str
 
     def __post_init__(self) -> None:
-        # slot, sign and position are stored as plain ints (a bool too), as a Band's are
-        for name in ("slot", "sign", "position"):
-            object.__setattr__(self, name, _plain_int(getattr(self, name), f"plan band {name}"))
+        _slot_and_sign(self, "slot", "plan band slot", "plan band sign")
+        object.__setattr__(self, "position", _plain_int(self.position, "plan band position"))
+        if not isinstance(self.kind, str):
+            raise ValueError(f"'kind' must be of type str, got {self.kind!r}")
 
 
 @_frozen
@@ -373,7 +370,8 @@ def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
         StripRecord("E6", BraidWord(n, alpha2_star), identity),
     )
 
-    # the boundary gamma^-1 delta delta' gamma'^-1 is the product of these four
+    # the boundary gamma^-1 delta delta' gamma'^-1 from the verified side words: letter for
+    # letter these four expanded, each inverse in the factor table its generator's free inverse
     boundary_factors = (
         certs.gamma.inverse(),
         certs.delta,
@@ -384,7 +382,7 @@ def compile_surface(bb: BandedBraid, certs: Certificates) -> BraidedSurfacePlan:
         degree=n,
         strips=strips,
         branch_points=tuple(branch_points),
-        boundary=product([expand_expression(f) for f in boundary_factors]),
+        boundary=gamma_w.inverse() * delta_w * delta_p_w * gamma_p_w.inverse(),
         boundary_factors=boundary_factors,
         chi=n - len(branch_points),
         certificates=certs,

@@ -17,18 +17,17 @@ class Laurent:
     """Sorted (exponent, coefficient) pairs with nonzero coefficients."""
 
     def __post_init__(self) -> None:
-        # one pass: the exponents are ints that strictly increase, each
-        # coefficient a nonzero int; stored as a tuple of pairs, so a list hashes
+        # a tuple of pairs, so a list hashes (tuple() hands an exact tuple back); one pass
+        # checks that the exponents are ints that strictly increase, each coefficient a nonzero int
+        coeffs = tuple(map(tuple, self.coeffs))
         last = float("-inf")
-        pairs = []
-        for e, c in self.coeffs:
+        for e, c in coeffs:
             if type(e) is not int or e <= last or type(c) is not int or not c:
                 raise ValueError(
                     f"not sorted (exponent, nonzero int coefficient) pairs: {self.coeffs!r}"
                 )
             last = e
-            pairs.append((e, c))
-        object.__setattr__(self, "coeffs", tuple(pairs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "Laurent":

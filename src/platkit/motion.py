@@ -14,8 +14,17 @@ import json
 from typing import TYPE_CHECKING
 
 from .plats import Pairing, PlatDiagram
-from .systems import BraidSystem, MonodromyEntry, _entry_letters
-from .words import BraidWord, BudgetError, _free_reduce, _frozen, _plain_int, json_field, parse_braid
+from .systems import BraidSystem, _entry_letters, _form
+from .words import (
+    BraidWord,
+    BudgetError,
+    _free_reduce,
+    _frozen,
+    _plain_int,
+    _slot_and_sign,
+    json_field,
+    parse_braid,
+)
 
 if TYPE_CHECKING:
     from .bands import BraidedSurfacePlan
@@ -28,11 +37,7 @@ class BandMark:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # slot and sign are stored as plain ints (a bool too), as letters are
-        object.__setattr__(self, "slot", _plain_int(self.slot, "band mark slot"))
-        object.__setattr__(self, "sign", _plain_int(self.sign, "band mark sign"))
-        if self.sign not in (1, -1):
-            raise ValueError("band mark sign must be +1 or -1")
+        _slot_and_sign(self, "slot", "band mark slot", "band mark sign")
         if not isinstance(self.label, str):
             raise ValueError(f"'label' must be of type str, got {self.label!r}")
 
@@ -145,12 +150,9 @@ def system_motion(system: BraidSystem) -> MotionPicture:
     for k in range(system.r, -1, -1):
         marks = ()
         if k >= 1:
-            e = system.entries[k - 1]
-            if isinstance(e, MonodromyEntry):
-                index, sign = e.index, e.sign
-            else:
-                index, sign = abs(e.letters[0]) if e.letters else 1, 1
-            marks = (BandMark(index, sign, "branch"),)
+            # a factored entry marks its crossing; a plain word its first letter, positive
+            u, c = _form(system.entries[k - 1])
+            marks = (BandMark(abs(c or (u[0] if u else 1)), -1 if c < 0 else 1, "branch"),)
         stills.append(Still(f"level {k}", n, sections[k], bands=marks))
     return _framed(n, stills, wickets, wickets)
 

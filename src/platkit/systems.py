@@ -33,10 +33,9 @@ from .words import (
     _frozen,
     _letter_sum,
     _plain_int,
+    _slot_and_sign,
     _strand_images,
     braids_equal,
-    embed,
-    exponent_sum,
     json_field,
     parse_braid,
 )
@@ -56,13 +55,9 @@ class MonodromyEntry:
     sign: int
 
     def __post_init__(self) -> None:
-        # index and sign are stored as plain ints (a bool too), as letters are
-        object.__setattr__(self, "index", _plain_int(self.index, "crossing index"))
-        object.__setattr__(self, "sign", _plain_int(self.sign, "sign"))
+        _slot_and_sign(self, "index", "crossing index", "sign")
         if not 1 <= self.index <= self.conjugator.strands - 1:
             raise ValueError(f"crossing index {self.index} out of range")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
     @property
     def strands(self) -> int:
@@ -313,10 +308,10 @@ def plat_euler_characteristic(system: BraidSystem) -> int:
 def branch_signs(system: BraidSystem) -> tuple[int, int]:
     """Counts (positive, negative) of branch points; entries must be factored."""
     p = q = 0
-    for e in system.entries:
-        if not isinstance(e, MonodromyEntry):
+    for _, c in map(_form, system.entries):
+        if not c:
             raise ValueError("branch signs need monodromy-factored entries")
-        if e.sign == 1:
+        if c > 0:
             p += 1
         else:
             q += 1
@@ -326,7 +321,7 @@ def branch_signs(system: BraidSystem) -> tuple[int, int]:
 def _collapse_degree_two(entry: Entry) -> int:
     # the 2-strand braid group is infinite cyclic, so only the exponent
     # sum survives; a branch entry must collapse to a single crossing
-    s = exponent_sum(entry_word(entry))
+    s = _letter_sum(_entry_letters(entry))
     if s not in (1, -1):
         raise ValueError(f"entry is not a single-crossing conjugate (exponent sum {s})")
     return s
@@ -381,7 +376,7 @@ def _normal_euler_number(system: BraidSystem, closed: bool | None) -> int | None
             pass
         else:
             return 2 * (t.positive - t.negative)
-    if all(isinstance(e, MonodromyEntry) for e in system.entries) and (
+    if all(c for _, c in map(_form, system.entries)) and (
         is_two_dimensional(system) if closed is None else closed
     ):
         return 0
@@ -415,25 +410,19 @@ def to_genuine_plat(system: BraidSystem) -> BraidSystem:
     if not is_two_dimensional(system):
         raise OpenSystemError("only closed (two-dimensional) systems convert to plats")
     m = system.degree
+    forms = tuple(map(_form, system.entries))
+    # a factored entry's conjugator takes one staircase, a plain word two
     stair = m * (m - 1)
-    letters = sum(
-        stair + len(e.conjugator) if isinstance(e, MonodromyEntry) else 2 * stair + len(e)
-        for e in system.entries
-    )
+    letters = sum(stair + len(u) + (0 if c else stair) for u, c in forms)
     if letters > MAX_GENUINE_LETTERS:
         raise BudgetError(
             f"the genuine plat needs {letters} letters, over the limit of {MAX_GENUINE_LETTERS}"
         )
-    delta = staircase(m)
-    out: list[Entry] = []
-    for e in system.entries:
-        if isinstance(e, MonodromyEntry):
-            out.append(
-                MonodromyEntry(delta * embed(e.conjugator, 2 * m), e.index, e.sign)
-            )
-        else:
-            out.append(delta * embed(e, 2 * m) * delta.inverse())
-    return BraidSystem(2 * m, tuple(out))
+    delta = staircase(m).letters
+    inv = _free_inv(delta)
+    # (u, c) becomes (Delta u, c) when factored and (Delta u Delta^-1, 0) when plain
+    entries = (_from_form((delta + u + (() if c else inv), c), 2 * m) for u, c in forms)
+    return BraidSystem(2 * m, tuple(entries))
 
 
 def ribbon_criterion(system: BraidSystem) -> bool:

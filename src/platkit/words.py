@@ -357,6 +357,16 @@ def _plain_int(value, what: str = "letter") -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _slot_and_sign(record, slot: str, slot_what: str, sign_what: str) -> None:
+    """Store ``record``'s field ``slot`` and its ``sign`` as plain ints (a bool too), as letters
+    are; ValueError, in the words given, when either is not an integer or the sign is not ±1."""
+    object.__setattr__(record, slot, _plain_int(getattr(record, slot), slot_what))
+    sign = _plain_int(record.sign, sign_what)
+    if sign not in (1, -1):
+        raise ValueError(f"{sign_what} must be +1 or -1")
+    object.__setattr__(record, "sign", sign)
+
+
 @_frozen
 class BraidWord:
     """A word in the Artin generators of the braid group on ``strands`` strands.

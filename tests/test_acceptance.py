@@ -53,6 +53,7 @@ from platkit.words import (
     parse_braid,
     strand_permutation,
 )
+from test_bands import compiled_boundaries_checked  # noqa: F401  (checks every compiled plan)
 
 
 def _gate(number: int, limit: float | None, body) -> None:

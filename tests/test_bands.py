@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import platkit.bands as bands
 from platkit.bands import (
     Band,
     BandedBraid,
@@ -34,6 +35,7 @@ from platkit.bands import (
     surgery_events,
 )
 from platkit.hilden import HildenExpression, expand_expression
+from platkit.motion import plan_motion
 from platkit.plats import Triviality, component_count, plat_closure
 from platkit.stabilize import (
     StabilizationProfile,
@@ -44,6 +46,18 @@ from platkit.stabilize import (
 )
 from platkit.systems import is_two_dimensional, system_from_obj
 from platkit.words import BraidWord, BudgetError, _insert, braids_equal, parse_braid, product
+
+
+@pytest.fixture(autouse=True)
+def compiled_boundaries_checked(request, monkeypatch):
+    """Every plan the module compiles has as boundary its four factors multiplied out."""
+
+    def checked(bb, certs):
+        plan = bands.compile_surface(bb, certs)
+        assert plan.boundary == product([expand_expression(f) for f in plan.boundary_factors])
+        return plan
+
+    monkeypatch.setattr(request.module, "compile_surface", checked)
 
 
 def trivial_certs(profile, profile1, profile2, **sides) -> Certificates:
@@ -600,23 +614,44 @@ class TestSerialization:
             plan = compile_surface(bb, certs)
             assert plan_from_json(plan_to_json(plan)) == plan
 
+    @staticmethod
+    def toy_plan_with(band: PlanBand) -> BraidedSurfacePlan:
+        """The toy plan with ``band`` as the one band of strip E1."""
+        plan = compile_surface(TOY, TOY_CERTS)
+        strip = plan.strips[1]
+        strip = StripRecord(strip.name, strip.bottom, strip.top, strip.left, strip.right, (band,))
+        return BraidedSurfacePlan(
+            plan.degree, (plan.strips[0], strip, *plan.strips[2:]), plan.branch_points,
+            plan.boundary, plan.boundary_factors, plan.chi, plan.certificates,
+        )
+
     def test_plan_band_fields_stored_as_plain_ints(self):
         band = PlanBand(True, True, False, "surgery")
         assert (band.slot, band.sign, band.position) == (1, 1, 0)
         assert {type(band.slot), type(band.sign), type(band.position)} == {int}
-        plan = compile_surface(TOY, TOY_CERTS)
-        strip = plan.strips[1]
-        strip = StripRecord(strip.name, strip.bottom, strip.top, strip.left, strip.right, (band,))
-        plan = BraidedSurfacePlan(
-            plan.degree, (plan.strips[0], strip, *plan.strips[2:]), plan.branch_points,
-            plan.boundary, plan.boundary_factors, plan.chi, plan.certificates,
-        )
+        plan = self.toy_plan_with(band)
         assert plan_from_obj(plan_to_obj(plan)) == plan
         for field in range(3):
             values = [2, 1, 0]
             values[field] = 2.0
             with pytest.raises(ValueError, match="plan band .* is not an integer"):
                 PlanBand(*values, "surgery")
+
+    def test_plan_band_sign_and_kind_are_checked_where_they_enter(self):
+        # such a band was accepted, and its plan failed at round trip and in plan_motion
+        for sign in (5, 0):
+            with pytest.raises(ValueError, match=r"^plan band sign must be \+1 or -1$"):
+                PlanBand(2, sign, 0, "surgery")
+        with pytest.raises(ValueError, match="^'kind' must be of type str, got 7$"):
+            PlanBand(2, 1, 0, 7)
+        with pytest.raises(ValueError):
+            PlanBand(2, 5, 0, 7)
+        band = PlanBand(2, True, 0, "surgery")
+        assert band.sign == 1 and type(band.sign) is int
+        plan = self.toy_plan_with(band)
+        assert plan_from_obj(plan_to_obj(plan)) == plan
+        (e1,) = [s for s in plan_motion(plan).stills if s.label == "E1"]
+        assert [(m.slot, m.sign, m.label) for m in e1.bands] == [(2, 1, "surgery")]
 
     def test_plan_with_a_non_string_boundary_factor_is_refused(self):
         obj = plan_to_obj(compile_surface(TOY, TOY_CERTS))

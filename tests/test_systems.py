@@ -5,6 +5,8 @@ import random
 import pytest
 
 import platkit.systems as systems
+from platkit.motion import BandMark, MotionPicture, Still, system_motion
+from platkit.plats import Pairing
 from platkit.search import bfs
 from platkit.systems import (
     DEFAULT_SEARCH_BUDGET,
@@ -33,11 +35,14 @@ from platkit.systems import (
 from platkit.words import (
     BraidWord,
     BudgetError,
+    OpenSystemError,
     Permutation,
     artin_fingerprint,
     braids_equal,
+    embed,
     exponent_sum,
     parse_braid,
+    product,
     strand_permutation,
 )
 
@@ -580,6 +585,131 @@ class TestInvariants:
         assert normal_euler_number(s) is None
         t = BraidSystem(4, (MonodromyEntry(BraidWord.identity(4), 1, 1),))
         assert normal_euler_number(t) is None
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _reference_classify(system: BraidSystem) -> SurfaceType:
+    if system.degree != 2:
+        raise ValueError("classification applies to degree-2 systems")
+    signs = [exponent_sum(entry_word(e)) for e in system.entries]
+    for s in signs:
+        if s not in (1, -1):
+            raise ValueError(f"entry is not a single-crossing conjugate (exponent sum {s})")
+    return SurfaceType(signs.count(1), signs.count(-1))
+
+
+def _reference_branch_signs(system: BraidSystem) -> tuple[int, int]:
+    if not all(isinstance(e, MonodromyEntry) for e in system.entries):
+        raise ValueError("branch signs need monodromy-factored entries")
+    signs = [e.sign for e in system.entries]
+    return signs.count(1), signs.count(-1)
+
+
+def _reference_normal_euler(system: BraidSystem) -> int | None:
+    if system.degree == 2:
+        t = _outcome(_reference_classify, system)
+        if isinstance(t, SurfaceType):
+            return 2 * (t.positive - t.negative)
+    factored = all(isinstance(e, MonodromyEntry) for e in system.entries)
+    return 0 if factored and is_two_dimensional(system) else None
+
+
+def _reference_genuine(system: BraidSystem) -> BraidSystem:
+    if not is_two_dimensional(system):
+        raise OpenSystemError("only closed (two-dimensional) systems convert to plats")
+    n = 2 * system.degree
+    delta = staircase(system.degree)
+    entries = [
+        MonodromyEntry(delta * embed(e.conjugator, n), e.index, e.sign)
+        if isinstance(e, MonodromyEntry)
+        else delta * embed(e, n) * delta.inverse()
+        for e in system.entries
+    ]
+    return BraidSystem(n, tuple(entries))
+
+
+def _reference_motion(system: BraidSystem) -> MotionPicture:
+    n = system.degree
+    words = [entry_word(e) for e in system.entries]
+    levels = []
+    for k in range(system.r, -1, -1):
+        marks = ()
+        if k:
+            e = system.entries[k - 1]
+            if isinstance(e, MonodromyEntry):
+                marks = (BandMark(e.index, e.sign, "branch"),)
+            else:
+                marks = (BandMark(abs(e.letters[0]) if e.letters else 1, 1, "branch"),)
+        section = product(words[:k], strands=n).free_reduced()
+        levels.append(Still(f"level {k}", n, section, bands=marks))
+    ident, wickets = BraidWord.identity(n), Pairing.standard(n // 2).pairs()
+    return MotionPicture(
+        (Still("caps", n, ident, caps=wickets), *levels, Still("cups", n, ident, cups=wickets))
+    )
+
+
+def closed_system(rng: random.Random, degree: int, half: int) -> BraidSystem:
+    """A random system followed by its entries' inverses in reverse, then slid about."""
+    entries = random_system(rng, degree, half).entries
+    system = BraidSystem(degree, entries + tuple(e.inverse() for e in reversed(entries)))
+    if system.r < 2:
+        return system
+    moves = [(rng.randint(1, system.r - 1), rng.random() < 0.5) for _ in range(3)]
+    return apply_slides(system, moves)
+
+
+class TestEntryForms:
+    """The invariants, the genuine plat and the motion read each entry's form;
+    seeded against reference code on entry words and factored fields."""
+
+    def systems(self):
+        rng = random.Random(34)
+        for degree in (2, 2, 3, 4):
+            for _ in range(25):
+                yield random_system(rng, degree, rng.randint(0, 5))
+                yield closed_system(rng, degree, rng.randint(0, 3))
+        # degree-2 entries of exponent sum +-1, factored or written out, classify
+        for _ in range(25):
+            entries = [
+                MonodromyEntry(random_word(rng, 2, rng.randint(0, 3)), 1, rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 4))
+            ]
+            entries = [e if rng.random() < 0.5 else e.word() for e in entries]
+            yield BraidSystem(2, tuple(entries))
+
+    def test_mixed_forms_are_drawn(self):
+        systems = list(self.systems())
+        kinds = [{isinstance(e, MonodromyEntry) for e in s.entries} for s in systems]
+        assert sum(k == {True, False} for k in kinds) >= 50
+        assert sum(1 for s in systems if s.r and is_two_dimensional(s)) >= 50
+        classified = [_outcome(classify_degree_two, s) for s in systems if s.r and s.degree == 2]
+        assert sum(isinstance(t, SurfaceType) for t in classified) >= 20
+
+    def test_invariants_match_the_reference(self):
+        for s in self.systems():
+            assert _outcome(branch_signs, s) == _outcome(_reference_branch_signs, s)
+            assert normal_euler_number(s) == _reference_normal_euler(s)
+            if s.degree == 2:
+                assert _outcome(classify_degree_two, s) == _outcome(_reference_classify, s)
+
+    def test_genuine_plat_matches_the_reference_letter_for_letter(self):
+        for s in self.systems():
+            got, want = _outcome(to_genuine_plat, s), _outcome(_reference_genuine, s)
+            assert got == want
+            if isinstance(got, BraidSystem):
+                assert [type(e) for e in got.entries] == [type(e) for e in s.entries]
+
+    def test_motion_matches_the_reference_still_for_still(self):
+        for s in self.systems():
+            if s.degree % 2 == 0:
+                assert system_motion(s) == _reference_motion(s)
 
 
 class TestGenuinePlat:

@@ -33,6 +33,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import isfinite
 
 from .hilden import (
     HildenExpression,
@@ -66,6 +67,8 @@ from .words import (
     _slot_and_sign,
     braids_equal,
     json_field,
+    json_fields,
+    json_record,
     parse_braid,
 )
 
@@ -88,6 +91,8 @@ class Band:
         # exponent notation would have Fraction expand the power of ten
         if isinstance(raw, str) and not _TIME_TEXT.fullmatch(raw):
             raise ValueError(f"band time {raw!r} must be an integer, p/q or a plain decimal")
+        if isinstance(raw, float) and not isfinite(raw):
+            raise ValueError(f"band time {raw!r} is not a number")
         # floats go through their decimal string so 0.3 means 3/10 exactly
         try:
             time = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
@@ -485,20 +490,15 @@ def banded_to_obj(bb: BandedBraid) -> dict:
     return {
         "strands": bb.base.strands,
         "base": bb.base.text(),
-        "bands": [
-            {"slot": b.slot, "sign": b.sign, "time": str(b.time)} for b in bb.bands
-        ],
+        "bands": [{**json_fields(b), "time": str(b.time)} for b in bb.bands],
     }
 
 
 def banded_from_obj(obj: dict) -> BandedBraid:
     strands = json_field(obj, "strands", int)
     base = parse_braid(json_field(obj, "base", str, ""), strands)
-    bands = []
-    for item in json_field(obj, "bands", list, []):
-        slot = json_field(item, "slot", int)
-        time = json_field(item, "time", object)  # a string or a JSON number
-        bands.append(Band(slot, json_field(item, "sign", int), time))
+    # a band time is a string or a JSON number
+    bands = (json_record(Band, item, time=object) for item in json_field(obj, "bands", list, []))
     return BandedBraid(base, tuple(bands))
 
 
@@ -511,33 +511,19 @@ def banded_from_json(text: str) -> BandedBraid:
 
 
 def certificates_to_obj(certs: Certificates) -> dict:
+    """Each field as a string: a profile's text, a side expression's formula."""
     return {
-        "profile": certs.profile.text(),
-        "profile1": certs.profile1.text(),
-        "profile2": certs.profile2.text(),
-        "gamma": format_expression(certs.gamma),
-        "gamma_prime": format_expression(certs.gamma_prime),
-        "delta": format_expression(certs.delta),
-        "delta_prime": format_expression(certs.delta_prime),
+        name: value.text() if name.startswith("profile") else format_expression(value)
+        for name, value in json_fields(certs).items()
     }
 
 
 def certificates_from_obj(obj: dict) -> Certificates:
-    def profile(key: str) -> StabilizationProfile:
-        return StabilizationProfile.parse(json_field(obj, key, str))
-
-    def expression(key: str) -> HildenExpression:
-        return parse_expression(json_field(obj, key, str))
-
-    return Certificates(
-        profile=profile("profile"),
-        profile1=profile("profile1"),
-        profile2=profile("profile2"),
-        gamma=expression("gamma"),
-        gamma_prime=expression("gamma_prime"),
-        delta=expression("delta"),
-        delta_prime=expression("delta_prime"),
-    )
+    values = []
+    for name in Certificates.__match_args__:
+        parse = StabilizationProfile.parse if name.startswith("profile") else parse_expression
+        values.append(parse(json_field(obj, name, str)))
+    return Certificates(*values)
 
 
 def _strip_to_obj(strip: StripRecord) -> dict:
@@ -547,10 +533,7 @@ def _strip_to_obj(strip: StripRecord) -> dict:
         "top": strip.top.text(),
         "left": strip.left.text() if strip.left is not None else None,
         "right": strip.right.text() if strip.right is not None else None,
-        "bands": [
-            {"slot": b.slot, "sign": b.sign, "position": b.position, "kind": b.kind}
-            for b in strip.bands
-        ],
+        "bands": list(map(json_fields, strip.bands)),
     }
 
 
@@ -583,15 +566,7 @@ def plan_from_obj(obj: dict) -> BraidedSurfacePlan:
             top=word(s, "top"),
             left=side(s, "left"),
             right=side(s, "right"),
-            bands=tuple(
-                PlanBand(
-                    json_field(b, "slot", int),
-                    json_field(b, "sign", int),
-                    json_field(b, "position", int),
-                    json_field(b, "kind", str),
-                )
-                for b in json_field(s, "bands", list)
-            ),
+            bands=tuple(json_record(PlanBand, b, kind=str) for b in json_field(s, "bands", list)),
         )
 
     strips = tuple(strip_from_obj(s) for s in json_field(obj, "strips", list))

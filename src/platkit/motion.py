@@ -23,6 +23,8 @@ from .words import (
     _plain_int,
     _slot_and_sign,
     json_field,
+    json_fields,
+    json_record,
     parse_braid,
 )
 
@@ -166,10 +168,7 @@ def motion_to_obj(picture: MotionPicture) -> dict:
                 "word": s.word.text(),
                 "caps": [list(p) for p in s.caps],
                 "cups": [list(p) for p in s.cups],
-                "bands": [
-                    {"slot": b.slot, "sign": b.sign, "label": b.label}
-                    for b in s.bands
-                ],
+                "bands": list(map(json_fields, s.bands)),
             }
             for s in picture.stills
         ],
@@ -193,14 +192,7 @@ def motion_from_obj(obj: dict) -> MotionPicture:
             word=parse_braid(json_field(s, "word", str), strands),
             caps=wickets(s, "caps"),
             cups=wickets(s, "cups"),
-            bands=tuple(
-                BandMark(
-                    json_field(m, "slot", int),
-                    json_field(m, "sign", int),
-                    json_field(m, "label", str, ""),
-                )
-                for m in json_field(s, "bands", list, [])
-            ),
+            bands=tuple(json_record(BandMark, m, label=str) for m in json_field(s, "bands", list, [])),
         )
         for s in json_field(obj, "stills", list)
     )

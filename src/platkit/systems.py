@@ -37,6 +37,7 @@ from .words import (
     _strand_images,
     braids_equal,
     json_field,
+    json_fields,
     parse_braid,
 )
 
@@ -435,7 +436,7 @@ def ribbon_criterion(system: BraidSystem) -> bool:
 
 def _entry_to_obj(entry: MonodromyEntry) -> dict:
     """The JSON form of a factored entry, in system and plan files alike."""
-    return {"conjugator": entry.conjugator.text(), "index": entry.index, "sign": entry.sign}
+    return {**json_fields(entry), "conjugator": entry.conjugator.text()}
 
 
 def _entry_from_obj(item: object, degree: int) -> MonodromyEntry:

@@ -457,6 +457,28 @@ def json_field(obj: object, key: str, kind: type, default: object = None):
     return value
 
 
+def json_fields(record) -> dict:
+    """``{name: value}`` over a frozen record's fields, in field order.
+
+    This is the record's JSON object when every value is plain JSON; a
+    writer overrides the values that are not.
+    """
+    return {name: getattr(record, name) for name in record.__match_args__}
+
+
+def json_record(cls, obj: object, **kinds):
+    """The ``cls`` record that :func:`json_fields` wrote as the JSON object ``obj``.
+
+    Each field is one :func:`json_field` read, by field name and in field
+    order, of an ``int`` unless ``kinds`` gives its type; a field whose
+    class default is not None may be missing.
+    """
+    defaults = vars(cls)
+    return cls(
+        *[json_field(obj, name, kinds.get(name, int), defaults.get(name)) for name in cls.__match_args__]
+    )
+
+
 def embed(word: BraidWord, strands: int) -> BraidWord:
     """Reinterpret ``word`` inside a braid group on at least as many strands."""
     if strands < word.strands:

@@ -115,6 +115,11 @@ class TestBand:
         with pytest.raises(ValueError, match="band time None"):
             banded_from_obj({"strands": 4, "bands": [{"slot": 2, "sign": 1, "time": None}]})
 
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_time_is_not_a_number(self, raw):
+        with pytest.raises(ValueError, match=f"^band time {raw!r} is not a number$"):
+            Band(2, 1, raw)
+
 
 class TestBandedBraid:
     def test_even_strands(self):

@@ -758,6 +758,17 @@ class TestMalformedInput:
         assert code == 2
         assert "divides by zero" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_banded_time_not_finite(self, capsys, tmp_path, literal):
+        # Python's json module reads these literals as floats
+        path = self.write(
+            tmp_path,
+            '{"strands": 4, "base": "", "bands": [{"slot": 2, "sign": 1, "time": %s}]}\n' % literal,
+        )
+        code, out, err = run(capsys, "banded-check", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: band time {float(literal)!r} is not a number\n"
+
     def test_banded_time_in_exponent_notation(self, capsys, tmp_path):
         path = self.write(
             tmp_path,
